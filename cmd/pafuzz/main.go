@@ -48,7 +48,7 @@ func main() {
 	var (
 		subjectName = flag.String("subject", "", "benchmark subject to fuzz (see -list)")
 		srcPath     = flag.String("src", "", "MiniC source file to fuzz instead of a subject")
-		fuzzerName  = flag.String("fuzzer", "path", "configuration: path|pcguard|cull|cull_r|opp|pathafl|afl")
+		fuzzerName  = flag.String("fuzzer", "path", "configuration: path|pcguard|cull|cull_r|opp|pathafl|afl|path2|selective")
 		budget      = flag.Int64("budget", 200000, "execution budget (the wall-clock analogue)")
 		roundBudget = flag.Int64("round", 0, "culling round budget (default budget/8)")
 		seed        = flag.Int64("seed", 1, "campaign RNG seed")
@@ -58,7 +58,7 @@ func main() {
 		ckptEvery   = flag.Int64("ckpt-every", 25000, "executions between periodic checkpoints")
 		list        = flag.Bool("list", false, "list benchmark subjects and exit")
 		showCrash   = flag.Bool("crashes", false, "print full reports for unique crashes")
-		engineName  = flag.String("engine", "bytecode", "execution engine: bytecode|cgt|interp (bytecode falls back to interp for feedbacks without a lowering; cgt adds self-patching probe elision with coverage-preserving retrace)")
+		engineName  = flag.String("engine", "bytecode", "execution engine: bytecode|cgt (cgt adds self-patching probe elision with coverage-preserving retrace)")
 		statusEvery = flag.Int64("status-every", 50000, "execution-count fallback between status lines (0 disables status)")
 		statusPer   = flag.Duration("status-period", time.Second, "wall-clock interval between status lines")
 		metricsAddr = flag.String("metrics-addr", "", "serve live metrics on this address (Prometheus at /metrics, JSON at /snapshot.json, dashboard at /)")
@@ -81,7 +81,7 @@ func main() {
 	}
 	icfg := instrument.Config{Analysis: *analysisLvl, NoOpt: !*opt}
 
-	engine, engErr := parseEngineFlag(*engineName)
+	engine, engErr := fuzz.ParseEngine(*engineName)
 	if engErr != nil {
 		fatalf("%v", engErr)
 	}
@@ -391,9 +391,9 @@ func resumeCampaign(dir string, ckptEvery int64, showCrash bool, engine fuzz.Eng
 	if !ok {
 		fatalf("checkpointed configuration %q is not resumable", meta.Fuzzer)
 	}
-	// The engine is not part of campaign state: the bytecode engine is
-	// observationally identical to the interpreter (the differential
-	// tests enforce this), so a campaign checkpointed under one engine
+	// The engine is not part of campaign state: CGT campaigns are
+	// byte-identical to bytecode ones (the engine identity suites
+	// enforce this), so a campaign checkpointed under one engine
 	// resumes deterministically under either.
 	banner := meta.Subject
 	if banner == "" {
@@ -643,23 +643,6 @@ func printReport(fuzzerName string, rep *fuzz.Report, rounds int, showCrash bool
 			fmt.Printf("\n%s\n  input: %q\n", rec.Crash, rec.Input)
 		}
 	}
-}
-
-// parseEngineFlag maps the -engine flag to a fuzz.Engine. "bytecode"
-// (the default) selects the compiled engine, falling back to the
-// reference interpreter for feedbacks without a lowering; "cgt" the
-// coverage-guided tracing engine (probe elision + retrace); "interp"
-// forces the interpreter everywhere.
-func parseEngineFlag(s string) (fuzz.Engine, error) {
-	switch s {
-	case "bytecode", "auto", "":
-		return fuzz.EngineAuto, nil
-	case "cgt":
-		return fuzz.EngineCGT, nil
-	case "interp", "interpreter":
-		return fuzz.EngineInterp, nil
-	}
-	return fuzz.EngineAuto, fmt.Errorf("unknown -engine %q (want bytecode, cgt, or interp)", s)
 }
 
 func fatalf(format string, args ...any) {

@@ -43,7 +43,7 @@ func main() {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		tracePath   = flag.String("trace", "", "write a runtime execution trace of the run to this file (inspect with go tool trace)")
-		engineName  = flag.String("engine", "", "also re-execute the input in a loop under this execution engine (bytecode|cgt|interp) so -cpuprofile/-memprofile capture engine hot paths")
+		engineName  = flag.String("engine", "", "also re-execute the input in a loop under this execution engine (bytecode|cgt) so -cpuprofile/-memprofile capture engine hot paths")
 		engineExecs = flag.Int("execs", 10000, "repeat count for the -engine profiling loop")
 		journalDir  = flag.String("journal", "", "validate and summarise a campaign's event journal (state dir or journal dir) and exit; exit status 1 on gaps or schema errors")
 		genealogy   = flag.String("genealogy", "", "render corpus genealogy, discovery attribution, and path rarity from a campaign (or fleet) state directory and exit")
@@ -213,45 +213,28 @@ func runEngineLoop(target *core.Target, engineName string, input []byte, execs i
 	}
 	lim := vm.DefaultLimits()
 	m := coverage.NewMap(coverage.DefaultMapSize)
-	var run func() vm.Result
-	switch eng {
-	case fuzz.EngineInterp:
-		tr, err := instrument.New(instrument.FeedbackPath, target.Prog, m, instrument.Config{})
-		if err != nil {
-			fatalf("%v", err)
+	cp, _ := instrument.CompiledFor(instrument.FeedbackPath, target.Prog, instrument.Config{})
+	mach := bytecode.NewMachine(cp, m, lim)
+	if eng == fuzz.EngineCGT {
+		patch := bytecode.NewPatchable(cp, m.Len())
+		consumed := coverage.NewBitset(m.Len())
+		m.Reset()
+		mach.Run(target.Entry, input)
+		m.ClassifySparse()
+		for _, idx := range m.Indices() {
+			consumed.Set(idx)
 		}
-		run = func() vm.Result { return vm.Run(target.Prog, target.Entry, input, tr, lim) }
-	default:
-		cp, ok := instrument.CompiledFor(instrument.FeedbackPath, target.Prog, instrument.Config{})
-		if !ok {
-			fatalf("path feedback has no bytecode lowering")
-		}
-		if eng == fuzz.EngineCGT {
-			patch := bytecode.NewPatchable(cp, m.Len())
-			consumed := coverage.NewBitset(m.Len())
-			full := bytecode.NewMachine(cp, m, lim)
-			m.Reset()
-			full.Run(target.Entry, input)
-			m.ClassifySparse()
-			for _, idx := range m.Indices() {
-				consumed.Set(idx)
-			}
-			elided := patch.Replan(consumed)
-			fast := bytecode.NewMachine(patch.Program(), m, lim)
-			fast.SetElide(consumed)
-			fmt.Printf("\nengine cgt: elided %d/%d static probe sites (%d consumed cells)\n",
-				elided, patch.NumSites(), consumed.Count())
-			run = func() vm.Result { return fast.Run(target.Entry, input) }
-		} else {
-			mach := bytecode.NewMachine(cp, m, lim)
-			run = func() vm.Result { return mach.Run(target.Entry, input) }
-		}
+		elided := patch.Replan(consumed)
+		mach = bytecode.NewMachine(patch.Program(), m, lim)
+		mach.SetElide(consumed)
+		fmt.Printf("\nengine cgt: elided %d/%d static probe sites (%d consumed cells)\n",
+			elided, patch.NumSites(), consumed.Count())
 	}
 	start := time.Now()
 	var last vm.Result
 	for i := 0; i < execs; i++ {
 		m.Reset()
-		last = run()
+		last = mach.Run(target.Entry, input)
 	}
 	el := time.Since(start)
 	fmt.Printf("engine %s: %d execs in %s (%.0f ns/exec), status=%v steps=%d\n",

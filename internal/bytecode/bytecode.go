@@ -20,9 +20,10 @@
 //     points, and builtin identities are resolved at compile time into
 //     absolute program counters and specialised opcodes;
 //   - tracer interface dispatch: each feedback mechanism (edge, block,
-//     n-gram, Ball-Larus path, PathAFL-like) is lowered at compile
-//     time to probe instructions placed exactly where its events fire,
-//     writing straight into the coverage map;
+//     n-gram, Ball-Larus path with its 2-gram and selective variants,
+//     PathAFL-like) is lowered at compile time to probe instructions
+//     placed exactly where its events fire, writing straight into the
+//     coverage map;
 //   - hot-loop allocation: frames carve slots from one reusable stack,
 //     arrays are carved from a reusable arena, and the comparison /
 //     output buffers are reset rather than reallocated, so steady-state
@@ -54,7 +55,8 @@ const (
 	// ProbeNGram inlines the n-gram window hash feedback.
 	ProbeNGram
 	// ProbePath inlines Ball-Larus path-register increments and
-	// record-at-termination probes (the paper's feedback).
+	// record-at-termination probes (the paper's feedback); Spec.Path2
+	// and FnSpec.Edge select its 2-gram and selective variants.
 	ProbePath
 	// ProbePathAFL inlines edge counts plus the pruned whole-program
 	// path-hash segments of the PathAFL-like feedback.
@@ -68,8 +70,8 @@ type FnSpec struct {
 	// (ProbePath, ProbePathAFL).
 	Salt uint32
 	// Base offsets the function's IDs in the global ID space: its first
-	// edge (ProbeEdge, ProbePathAFL) or its first block (ProbeBlock,
-	// ProbeNGram).
+	// edge (ProbeEdge, ProbePathAFL, an Edge function under ProbePath)
+	// or its first block (ProbeBlock, ProbeNGram).
 	Base uint32
 	// Tracked marks functions included in the whole-program path hash
 	// (ProbePathAFL's partial instrumentation).
@@ -77,6 +79,10 @@ type FnSpec struct {
 	// HashMode marks functions whose acyclic path count overflowed;
 	// they fall back to a rolling hash over edge indices (ProbePath).
 	HashMode bool
+	// Edge switches a ProbePath function to edge probes at Base+edge
+	// with no path register (the selective feedback's per-function
+	// choice).
+	Edge bool
 	// EdgeInc, Back, and RetInc are the Ball-Larus runtime plan
 	// (ProbePath, non-hash mode).
 	EdgeInc []int64
@@ -91,6 +97,10 @@ type Spec struct {
 	// MixHash selects the hash-mixing map-index mode for ProbePath
 	// (instrument.MixHash); false is the paper's XOR formula.
 	MixHash bool
+	// Path2 makes every ProbePath record also write the hashed 2-gram
+	// of the activation's previous path and this one (the 2-grams of
+	// paths feedback).
+	Path2 bool
 	// NGram is the window length for ProbeNGram.
 	NGram int
 	// Segment bounds hashed path-segment length for ProbePathAFL.

@@ -405,7 +405,9 @@ func (c *compiler) edgeTarget(f *cfg.Func, fs FnSpec, e int, blockPC int32, tram
 func (c *compiler) emitEnterProbes(fs FnSpec) {
 	switch c.out.spec.Kind {
 	case ProbePath:
-		c.emit(instr{op: opProbePush}, lang.Pos{})
+		if !fs.Edge {
+			c.emit(instr{op: opProbePush}, lang.Pos{})
+		}
 	case ProbeBlock:
 		c.emit(instr{op: opProbeAdd, imm: int64(fs.Base)}, lang.Pos{})
 	case ProbeNGram:
@@ -427,6 +429,9 @@ func (c *compiler) edgeProbes(f *cfg.Func, fs FnSpec, e int) []instr {
 	case ProbeNGram:
 		return []instr{{op: opProbeVisit, imm: int64(fs.Base + uint32(f.Edges[e].To))}}
 	case ProbePath:
+		if fs.Edge {
+			return []instr{{op: opProbeAdd, imm: int64(fs.Base + uint32(e))}}
+		}
 		if fs.HashMode {
 			if f.BackEdge[e] {
 				return []instr{{op: opProbeBack, a: int32(fs.Salt), b: c.backVal(0)}}
@@ -458,6 +463,9 @@ func (c *compiler) backVal(v int64) int32 {
 func (c *compiler) emitRetProbes(fs FnSpec, b int, pos lang.Pos) {
 	switch c.out.spec.Kind {
 	case ProbePath:
+		if fs.Edge {
+			return
+		}
 		var inc int64
 		if !fs.HashMode {
 			inc = fs.RetInc[b]

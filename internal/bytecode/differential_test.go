@@ -16,15 +16,16 @@ import (
 	"repro/internal/vm"
 )
 
-// allFeedbacks are the bytecode-supported feedback mechanisms; the
-// extension feedbacks (path2, selective) intentionally have no
-// lowering and run on the reference interpreter.
+// allFeedbacks are the feedback mechanisms, every one of which has a
+// bytecode lowering.
 var allFeedbacks = []instrument.Feedback{
 	instrument.FeedbackEdge,
 	instrument.FeedbackPath,
 	instrument.FeedbackBlock,
 	instrument.FeedbackNGram,
 	instrument.FeedbackPathAFL,
+	instrument.FeedbackPath2,
+	instrument.FeedbackSelective,
 }
 
 // diffPair runs one input under the reference interpreter and the
@@ -187,8 +188,10 @@ func TestDifferentialTightLimits(t *testing.T) {
 }
 
 // TestDifferentialConfigVariants pins the non-default instrumentation
-// configurations: hash mixing, naive Ball-Larus placement, and
-// alternative n-gram window lengths.
+// configurations: hash mixing, naive Ball-Larus placement, alternative
+// n-gram window lengths, and selective thresholds that split cflow's
+// functions between path and edge probes — 12 is exactly is_letter's
+// path count, so a threshold off by one flips that function.
 func TestDifferentialConfigVariants(t *testing.T) {
 	configs := []instrument.Config{
 		{Mix: instrument.MixHash},
@@ -196,6 +199,8 @@ func TestDifferentialConfigVariants(t *testing.T) {
 		{NGram: 2},
 		{NGram: 8},
 		{PathAFLMinBlocks: 2, PathAFLSegment: 4},
+		{SelectiveMaxPaths: 4},
+		{SelectiveMaxPaths: 12},
 	}
 	sub := subjects.Get("cflow")
 	prog := sub.MustProgram()
@@ -255,12 +260,14 @@ func TestDifferentialHashModeFallback(t *testing.T) {
 		t.Fatal("wide did not fall back to hash mode; widen the test program")
 	}
 	rng := rand.New(rand.NewSource(3))
-	for _, mix := range []instrument.Config{{}, {Mix: instrument.MixHash}} {
-		d := newDiffPair(t, prog, instrument.FeedbackPath, mix, 1<<12, vm.DefaultLimits())
-		for i := 0; i < 50; i++ {
-			in := make([]byte, rng.Intn(4))
-			rng.Read(in)
-			d.check(t, "hashmode", in)
+	for _, fb := range []instrument.Feedback{instrument.FeedbackPath, instrument.FeedbackPath2, instrument.FeedbackSelective} {
+		for _, mix := range []instrument.Config{{}, {Mix: instrument.MixHash}} {
+			d := newDiffPair(t, prog, fb, mix, 1<<12, vm.DefaultLimits())
+			for i := 0; i < 50; i++ {
+				in := make([]byte, rng.Intn(4))
+				rng.Read(in)
+				d.check(t, "hashmode/"+fb.String(), in)
+			}
 		}
 	}
 }

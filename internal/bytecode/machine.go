@@ -50,6 +50,12 @@ type Machine struct {
 	cmps   []vm.CmpObs
 	// regs is the Ball-Larus path register stack (ProbePath).
 	regs []uint64
+	// last[i+1] is the mixed ID of the previous path recorded by the
+	// activation owning regs[i], or its caller's at entry (Spec.Path2
+	// only). last[0] is a zero sentinel, the entry function's "caller";
+	// 0 means no path yet. Pops leave last alone: the next push
+	// truncates it to the live stack.
+	last []uint32
 	// hist is the n-gram block window (ProbeNGram).
 	hist    []uint32
 	histPos int
@@ -79,6 +85,9 @@ func NewMachine(p *Program, m *coverage.Map, lim vm.Limits) *Machine {
 			n = 1
 		}
 		mc.hist = make([]uint32, n)
+	}
+	if p.spec.Path2 {
+		mc.last = make([]uint32, 1, 64)
 	}
 	return mc
 }
@@ -110,6 +119,9 @@ func (mc *Machine) reset() {
 	mc.output = mc.output[:0]
 	mc.cmps = mc.cmps[:0]
 	mc.regs = mc.regs[:0]
+	if mc.last != nil {
+		mc.last = mc.last[:1]
+	}
 	if mc.hist != nil {
 		clear(mc.hist)
 		mc.histPos = 0
@@ -182,7 +194,9 @@ func (mc *Machine) arrayAt(h int64, pos lang.Pos) ([]int64, *vm.Crash) {
 	return mc.heap[h-1], nil
 }
 
-// record is the path-termination map update (PathTracer.record).
+// record is the path-termination map update (PathTracer.record), plus
+// the 2-gram with the activation's previous path under Spec.Path2
+// (PathNGramTracer.record).
 func (mc *Machine) record(salt uint32, pathID uint64) {
 	var idx uint32
 	if mc.p.spec.MixHash {
@@ -191,6 +205,20 @@ func (mc *Machine) record(salt uint32, pathID uint64) {
 		idx = uint32(pathID) ^ salt
 	}
 	mc.probeDyn(idx)
+	if mc.p.spec.Path2 {
+		mc.recordPair(idx)
+	}
+}
+
+// recordPair is Spec.Path2's part of record, kept out of line so plain
+// path records stay lean: the hashed 2-gram of the activation's
+// previous path and idx, which then becomes the previous path.
+func (mc *Machine) recordPair(idx uint32) {
+	top := len(mc.regs)
+	if prev := mc.last[top]; prev != 0 {
+		mc.probeDyn(uint32(splitmix64(uint64(prev)<<32 | uint64(idx))))
+	}
+	mc.last[top] = idx | 1 // never zero, so chains continue
 }
 
 func (mc *Machine) paFlush() {
@@ -962,6 +990,12 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			mc.frames = append(mc.frames, mframe{fn: int32(in.imm), base: newBase, retPC: pc, dst: in.dst, cfs: fsize})
 			base, fsize, slots = newBase, cf.frameSize, cslots
 			mc.regs = append(mc.regs, 0)
+			if p.spec.Path2 {
+				// The callee's 2-gram context starts at the caller's
+				// last path.
+				k := len(mc.regs)
+				mc.last = append(mc.last[:k], mc.last[k-1])
+			}
 			pc = cf.entryPC + 1
 		case opStepChk:
 			steps++
@@ -998,6 +1032,10 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			mc.m.Add(uint32(in.imm))
 		case opProbePush:
 			mc.regs = append(mc.regs, 0)
+			if p.spec.Path2 {
+				k := len(mc.regs)
+				mc.last = append(mc.last[:k], mc.last[k-1])
+			}
 		case opProbeInc:
 			mc.regs[len(mc.regs)-1] += uint64(in.imm)
 		case opProbeBack:

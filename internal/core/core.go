@@ -76,8 +76,8 @@ type Campaign struct {
 	// KeepCrashInputs retains the first crashing input per unique crash,
 	// so callers can save or replay them.
 	KeepCrashInputs bool
-	// Engine selects the execution engine (fuzz.EngineAuto by default:
-	// the compiled bytecode engine with interpreter fallback).
+	// Engine selects the execution engine (fuzz.EngineAuto, the compiled
+	// bytecode engine, by default; or fuzz.EngineCGT).
 	Engine fuzz.Engine
 	// Instr tunes instrumentation construction (analysis strictness,
 	// optimizer toggle, mixing modes).

@@ -56,7 +56,8 @@ type Config struct {
 	// tests inject fault filesystems).
 	FS campaign.FS
 	// Engine selects the execution engine for every campaign
-	// (fuzz.EngineAuto by default: bytecode with interpreter fallback).
+	// (fuzz.EngineAuto, the compiled bytecode engine, by default; or
+	// fuzz.EngineCGT).
 	Engine fuzz.Engine
 	// Instr tunes instrumentation construction for every campaign
 	// (analysis strictness, optimizer toggle).

@@ -29,10 +29,10 @@ func startFleet(t *testing.T, dir string, opts fleet.Options, fopts fuzz.Options
 // a 1-worker fleet on the self-patching CGT engine, with an injected
 // worker panic forcing a checkpoint restore (and hence a patch replan
 // from the restored virgin map), must merge to a report byte-identical
-// to a plain EngineBytecode fuzzer run with no fleet and no chaos.
+// to a plain default-engine fuzzer run with no fleet and no chaos.
 func TestCGTFleetChaosByteIdentity(t *testing.T) {
 	fopts := testOpts()
-	fopts.Engine = fuzz.EngineBytecode
+	fopts.Engine = fuzz.EngineAuto
 	f, err := fuzz.New(compileT(t), fopts)
 	if err != nil {
 		t.Fatal(err)

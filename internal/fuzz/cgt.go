@@ -42,8 +42,10 @@ import (
 // machine. Everything downstream (calibration, queue entries, novelty
 // decisions, crash records, reports) consumes only retraced maps or
 // merge verdicts, so campaign results are byte-identical to
-// EngineBytecode; the retrace/elision counters live here, not in
-// Stats, to keep Report comparisons exact.
+// EngineAuto; the retrace/elision counters live here, not in Stats, to
+// keep Report comparisons exact. The CGT engine shares execute with the
+// default engine and differs only in which machine runs first and in
+// the retrace (retraceIfRead).
 //
 // The patch plan is recomputed only at deterministic boundaries —
 // queue-cycle starts (right after the favored-corpus cull) and
@@ -54,8 +56,8 @@ import (
 // cgtState carries the CGT engine's machinery and its private
 // counters. All counters are engine-internal: they never appear in
 // Stats, Report, or Snapshot (reports must be byte-identical to
-// EngineBytecode, and a restored campaign simply replans from the
-// restored virgin map).
+// EngineAuto, and a restored campaign simply replans from the restored
+// virgin map).
 type cgtState struct {
 	patch    *bytecode.Patchable
 	fast     *bytecode.Machine
@@ -68,6 +70,26 @@ type cgtState struct {
 	retraces  int64
 	replans   int64
 	elided    int
+}
+
+// newCGT builds the CGT machinery over the compiled program cp, whose
+// fast machine writes into the campaign's map m.
+func newCGT(cp *bytecode.Program, m *coverage.Map, opts Options) *cgtState {
+	patch := bytecode.NewPatchable(cp, opts.MapSize)
+	// Static hit-count bounds tighten the consumption rule for
+	// feedbacks with compile-time cells (nil otherwise).
+	patch.SetHitBounds(cp.CellHitBounds(opts.Entry))
+	consumed := coverage.NewBitset(opts.MapSize)
+	// The fast machine skips comparison-operand collection: cmp
+	// observations are only ever consumed for inputs that get queued,
+	// and every queued input was retraced on the fully-instrumented
+	// machine, whose result (cmps included) replaces the fast one.
+	// Recording has no effect on execution, steps, or coverage.
+	fastLim := opts.Limits
+	fastLim.MaxCmpObs = 0
+	fast := bytecode.NewMachine(patch.Program(), m, fastLim)
+	fast.SetElide(consumed)
+	return &cgtState{patch: patch, fast: fast, consumed: consumed}
 }
 
 // CGTInfo is the CGT engine's observability snapshot, surfaced for
@@ -130,85 +152,39 @@ func (f *Fuzzer) replanCGT() {
 	f.cgt.replans++
 }
 
-// executeCGT is execute for the CGT engine: run the patched fast
-// machine, decide novelty from the partial map, and retrace under full
-// instrumentation only when the canonical map is actually needed. It
-// must mutate Stats and the virgin maps exactly as execute does.
-func (f *Fuzzer) executeCGT(data []byte) execOutcome {
-	f.cov.Reset()
-	res, faultMsg, ok := f.runProtectedOn(f.cgt.fast, data, true)
-	f.stats.Execs++
-	switch f.curStage {
-	case stageSeed:
-		f.stats.SeedExecs++
-	case stageHavoc:
-		f.stats.HavocExecs++
-	case stageSplice:
-		f.stats.SpliceExecs++
-	case stageCmplog:
-		f.stats.CmplogExecs++
-	}
-	if !ok {
-		// Quarantined like execute: injected faults fire before the
-		// fast run (same pre-increment exec index as the other
-		// engines), and mid-run injected panics abort the fast run at
-		// the exact step they would abort the pristine one — patched
-		// opcodes charge no steps. No retrace: the execution
-		// contributes nothing to the campaign.
-		f.recordFault(data, faultMsg)
-		f.cov.Reset()
-		return execOutcome{res: vm.Result{Status: vm.StatusOK}}
-	}
+// retraceIfRead finishes a successful fast-path execution whose
+// partial map the virgin map has already merged (verdict nov): when the
+// campaign will read the map itself rather than just the verdict, it
+// re-executes data under the pristine fully-instrumented machine and
+// returns that result, leaving the full classified map in f.cov.
+// Otherwise it returns the fast result untouched.
+func (f *Fuzzer) retraceIfRead(data []byte, res vm.Result, nov coverage.Novelty) vm.Result {
 	f.cgt.fastExecs++
-	f.stats.TotalSteps += res.Steps
+	// The map is read on novelty (the input is being queued and its
+	// classified indices recorded), on any crash (crash-virgin dedup
+	// needs full-map bits), and with an empty queue (AddSeed reads the
+	// map back unconditionally for the first seed). A timeout without
+	// novelty needs no retrace: probes charge no steps, so the fast run
+	// timed out at the identical step.
+	if nov == coverage.NoNew && res.Status != vm.StatusCrash && len(f.queue) > 0 {
+		return res
+	}
+	f.cgt.retraces++
+	if f.tel != nil {
+		defer f.tel.StartSpan(telemetry.StageRetrace)()
+	}
+	f.cov.Reset()
+	// No fault injection on the retrace: the injector already passed
+	// for this exec index, and charging it twice would desync the fault
+	// schedule from the default engine.
+	full, _, ok := f.runProtected(f.mach, data, false)
+	if !ok {
+		return res
+	}
+	// No virgin re-merge: the partial merge already cleared every bit
+	// the full map could (an elided cell's remaining virgin bits are
+	// unreachable by construction). Steps were counted once; the
+	// retrace's are identical.
 	f.cov.ClassifySparse()
-	nov := f.virgin.MergeSparse(f.cov)
-
-	// Retrace when the campaign will read the map itself rather than
-	// just the merge verdict: novelty (the input is being queued and
-	// its classified indices recorded), any crash (crash-virgin
-	// dedup needs full-map bits), or an empty queue (AddSeed reads
-	// the map back unconditionally for the first seed). A timeout
-	// without novelty needs none — probes charge no steps, so the
-	// fast run timed out at the identical step and only the Timeouts
-	// counter is touched.
-	if nov != coverage.NoNew || res.Status == vm.StatusCrash || len(f.queue) == 0 {
-		f.cgt.retraces++
-		var endSpan func()
-		if f.tel != nil {
-			endSpan = f.tel.StartSpan(telemetry.StageRetrace)
-		}
-		f.cov.Reset()
-		// No fault injection on the retrace: the injector already
-		// passed for this exec index, and charging it twice would
-		// desync the fault schedule from the other engines.
-		full, _, fullOK := f.runProtectedOn(f.mach, data, false)
-		if endSpan != nil {
-			endSpan()
-		}
-		if fullOK {
-			res = full
-			f.cov.ClassifySparse()
-			// No virgin re-merge: the partial merge above already
-			// cleared every bit the full map could (an elided cell's
-			// remaining virgin bits are unreachable by construction).
-			// Steps were counted once; the retrace's are identical.
-		}
-	}
-
-	out := execOutcome{res: res, novelty: nov}
-	if nov != coverage.NoNew {
-		out.cov = f.cov.Indices()
-	}
-	switch res.Status {
-	case vm.StatusTimeout:
-		f.stats.Timeouts++
-	case vm.StatusCrash:
-		f.stats.CrashExecs++
-		if f.crashVirgin.MergeSparse(f.cov) != coverage.NoNew {
-			f.stats.AFLUniqueCrashes++
-		}
-		f.recordCrash(data, res.Crash)
-	}
-	return out
+	return full
 }

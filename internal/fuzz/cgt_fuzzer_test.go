@@ -70,30 +70,26 @@ func TestCGTEngineSelection(t *testing.T) {
 	if _, ok := f.CGTInfo(); !ok {
 		t.Fatal("CGTInfo not available on the cgt engine")
 	}
-	fb, err := New(compileT(t, cgtSrc), cgtOpts(EngineBytecode))
+	fb, err := New(compileT(t, cgtSrc), cgtOpts(EngineAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fb.EngineName() != "bytecode" {
+		t.Fatalf("EngineName = %q, want bytecode", fb.EngineName())
+	}
 	if _, ok := fb.CGTInfo(); ok {
 		t.Fatal("CGTInfo claims to exist on the bytecode engine")
-	}
-	// Extension feedbacks have no lowering, so like EngineBytecode the
-	// CGT engine must refuse them at construction.
-	opts := cgtOpts(EngineCGT)
-	opts.Feedback = instrument.FeedbackPath2
-	if _, err := New(compileT(t, cgtSrc), opts); err == nil {
-		t.Fatal("EngineCGT accepted a feedback with no bytecode lowering")
 	}
 }
 
 // TestCGTReportMatchesBytecode is the engine's in-package contract: a
 // CGT campaign's final report — stats, queue, crashes, history, every
-// field — is deeply identical to the same campaign on EngineBytecode,
+// field — is deeply identical to the same campaign on EngineAuto,
 // and the engine actually elides probes and avoids retraces while
 // getting there.
 func TestCGTReportMatchesBytecode(t *testing.T) {
 	const budget = 20000
-	_, want := runCampaign(t, cgtOpts(EngineBytecode), budget)
+	_, want := runCampaign(t, cgtOpts(EngineAuto), budget)
 	if len(want.Bugs) == 0 {
 		t.Fatalf("bytecode baseline found no bugs in %d execs", want.Stats.Execs)
 	}
@@ -132,7 +128,7 @@ func TestCGTFaultInjectionParity(t *testing.T) {
 		return opts
 	}
 	const budget = 12000
-	_, want := runCampaign(t, mk(EngineBytecode), budget)
+	_, want := runCampaign(t, mk(EngineAuto), budget)
 	if want.Stats.InternalFaults == 0 {
 		t.Fatalf("fault injector never fired in %d execs", want.Stats.Execs)
 	}
@@ -153,7 +149,7 @@ func TestCGTTightLimitsParity(t *testing.T) {
 		return opts
 	}
 	const budget = 8000
-	_, want := runCampaign(t, mk(EngineBytecode), budget)
+	_, want := runCampaign(t, mk(EngineAuto), budget)
 	if want.Stats.Timeouts == 0 {
 		t.Fatalf("tight limits produced no timeouts in %d execs", want.Stats.Execs)
 	}

@@ -11,17 +11,12 @@ import (
 )
 
 // edgeRunner returns an exec function replaying inputs under exact
-// edge instrumentation into m. It runs on the bytecode engine (the
-// compilation is cached process-wide), with the tracer interpreter as
-// the defensive fallback; both are differentially identical, so corpus
-// replay tooling is engine-agnostic.
+// edge instrumentation into m, on the bytecode engine (the compilation
+// is cached process-wide).
 func edgeRunner(prog *cfg.Program, m *coverage.Map, entry string, limits vm.Limits) func(in []byte) vm.Result {
-	if cp, ok := instrument.CompiledFor(instrument.FeedbackEdge, prog, instrument.Config{}); ok {
-		mach := bytecode.NewMachine(cp, m, limits)
-		return func(in []byte) vm.Result { return mach.Run(entry, in) }
-	}
-	tr := instrument.NewEdgeTracer(prog, m)
-	return func(in []byte) vm.Result { return vm.Run(prog, entry, in, tr, limits) }
+	cp, _ := instrument.CompiledFor(instrument.FeedbackEdge, prog, instrument.Config{})
+	mach := bytecode.NewMachine(cp, m, limits)
+	return func(in []byte) vm.Result { return mach.Run(entry, in) }
 }
 
 // edgeMapSize returns the smallest power-of-two map that gives every
@@ -138,10 +133,11 @@ func StripCrashers(prog *cfg.Program, inputs [][]byte, entry string, limits vm.L
 	if limits == (vm.Limits{}) {
 		limits = vm.DefaultLimits()
 	}
+	// Only the status matters; the map just saturates across runs.
+	run := edgeRunner(prog, coverage.NewMap(edgeMapSize(prog)), entry, limits)
 	var out [][]byte
 	for _, in := range inputs {
-		res := vm.Run(prog, entry, in, vm.NullTracer{}, limits)
-		if res.Status == vm.StatusOK {
+		if run(in).Status == vm.StatusOK {
 			out = append(out, in)
 		}
 	}

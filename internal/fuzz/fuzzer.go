@@ -29,37 +29,27 @@ import (
 	"repro/internal/vm"
 )
 
-// Engine selects the execution engine for a campaign.
+// Engine selects the execution engine for a campaign. Every engine
+// runs the compiled bytecode (package bytecode); the reference
+// interpreter (package vm) is the test oracle, not a campaign engine.
 type Engine int
 
 // Engines.
 const (
-	// EngineAuto (the default) runs the compiled bytecode engine when
-	// the selected feedback has a lowering, and falls back to the
-	// reference interpreter for the extension feedbacks that do not.
+	// EngineAuto (the default) runs the compiled bytecode engine.
 	EngineAuto Engine = iota
-	// EngineBytecode requires the bytecode engine; New fails when the
-	// feedback has no lowering.
-	EngineBytecode
-	// EngineInterp forces the reference CFG-walking interpreter.
-	EngineInterp
 	// EngineCGT runs the coverage-guided tracing engine: the compiled
 	// bytecode engine plus self-patching probe elision with
 	// coverage-preserving retrace (see cgt.go). Campaign results are
-	// byte-identical to EngineBytecode; like it, New fails when the
-	// feedback has no lowering.
+	// byte-identical to EngineAuto.
 	EngineCGT
 )
 
-// String names the engine selection.
+// String names the engine selection; ParseEngine reads it back.
 func (e Engine) String() string {
 	switch e {
 	case EngineAuto:
-		return "auto"
-	case EngineBytecode:
 		return "bytecode"
-	case EngineInterp:
-		return "interp"
 	case EngineCGT:
 		return "cgt"
 	}
@@ -69,16 +59,12 @@ func (e Engine) String() string {
 // ParseEngine parses an -engine flag value.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "auto", "":
+	case "bytecode", "auto", "":
 		return EngineAuto, nil
-	case "bytecode":
-		return EngineBytecode, nil
-	case "interp", "interpreter":
-		return EngineInterp, nil
 	case "cgt":
 		return EngineCGT, nil
 	}
-	return EngineAuto, fmt.Errorf("fuzz: unknown engine %q (want auto, bytecode, cgt, or interp)", s)
+	return EngineAuto, fmt.Errorf("fuzz: unknown engine %q (want bytecode or cgt)", s)
 }
 
 // Profile selects the base-fuzzer capability set.
@@ -122,12 +108,12 @@ type Options struct {
 	// stack hash (default true via New).
 	KeepCrashInputs bool
 	// FaultInjector, when non-nil, is consulted before every execution
-	// and simulates an interpreter panic when it returns true. It exists
+	// and simulates an engine panic when it returns true. It exists
 	// for the campaign durability fault-injection tests; see also
 	// vm.Limits.InjectPanicAtStep for panics injected mid-execution.
 	FaultInjector func(execs int64, data []byte) bool
-	// Engine selects the execution engine (EngineAuto by default: the
-	// compiled bytecode engine with interpreter fallback).
+	// Engine selects the execution engine (EngineAuto, the compiled
+	// bytecode engine, by default).
 	Engine Engine
 	// AnalysisGuide enables analysis-guided fuzzing: interprocedural
 	// input-dependency facts (package analysis/interproc) focus havoc's
@@ -311,10 +297,10 @@ type Stats struct {
 	// Appendix C (Table IX) contrasts this over-counting criterion with
 	// stack-hash clustering.
 	AFLUniqueCrashes int64
-	// InternalFaults counts executions quarantined because the
-	// interpreter (or instrumentation) panicked. These are harness
-	// defects, not findings against the program under test; the campaign
-	// survives them and records the triggering inputs.
+	// InternalFaults counts executions quarantined because the engine
+	// panicked. These are harness defects, not findings against the
+	// program under test; the campaign survives them and records the
+	// triggering inputs.
 	InternalFaults int64
 	// Per-stage execution attribution: which stage issued each
 	// execution. Deterministic (counts, not times), checkpointed with
@@ -350,8 +336,8 @@ func stageName(s uint8) string {
 	return "?"
 }
 
-// InternalFault is one quarantined harness failure: a panic during
-// vm.Run recovered by the fuzz loop instead of killing the campaign.
+// InternalFault is one quarantined harness failure: a panic during an
+// execution recovered by the fuzz loop instead of killing the campaign.
 // Faults are deduplicated by message; Input is the first trigger.
 type InternalFault struct {
 	Msg     string
@@ -365,11 +351,8 @@ type Fuzzer struct {
 	prog *cfg.Program
 	opts Options
 	rng  *rand.Rand
-	// Exactly one of tracer/mach drives executions: mach is the compiled
-	// bytecode engine (probes inlined, no tracer), tracer the reference
-	// interpreter's instrumentation callback.
-	tracer vm.Tracer
-	mach   *bytecode.Machine
+	// mach is the compiled bytecode engine, probes inlined.
+	mach *bytecode.Machine
 	// cgt, when non-nil, selects the coverage-guided tracing engine:
 	// executions dispatch to its patched fast machine and mach becomes
 	// the retrace (full-instrumentation) machine. See cgt.go.
@@ -392,7 +375,7 @@ type Fuzzer struct {
 
 	stats   Stats
 	history []HistPoint
-	// faults lists quarantined interpreter panics (capped; the full
+	// faults lists quarantined engine panics (capped; the full
 	// count is in stats.InternalFaults).
 	faults []InternalFault
 
@@ -487,41 +470,14 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 		opts.Instr.Facts = facts
 		guide = newGuide(prog, facts, opts.Feedback, opts.MapSize, opts.Instr)
 	}
-	m := coverage.NewMap(opts.MapSize)
-	var mach *bytecode.Machine
-	var cgt *cgtState
-	if opts.Engine != EngineInterp {
-		if cp, ok := instrument.CompiledFor(opts.Feedback, prog, opts.Instr); ok {
-			mach = bytecode.NewMachine(cp, m, opts.Limits)
-			if opts.Engine == EngineCGT {
-				patch := bytecode.NewPatchable(cp, opts.MapSize)
-				// Static hit-count bounds tighten the consumption rule
-				// for feedbacks with compile-time cells (nil otherwise).
-				patch.SetHitBounds(cp.CellHitBounds(opts.Entry))
-				consumed := coverage.NewBitset(opts.MapSize)
-				// The fast machine skips comparison-operand collection:
-				// cmp observations are only ever consumed for inputs
-				// that get queued, and every queued input was retraced
-				// on the fully-instrumented machine, whose result
-				// (cmps included) replaces the fast one. Recording has
-				// no effect on execution, steps, or coverage.
-				fastLim := opts.Limits
-				fastLim.MaxCmpObs = 0
-				fast := bytecode.NewMachine(patch.Program(), m, fastLim)
-				fast.SetElide(consumed)
-				cgt = &cgtState{patch: patch, fast: fast, consumed: consumed}
-			}
-		} else if opts.Engine != EngineAuto {
-			return nil, fmt.Errorf("fuzz: feedback %v has no bytecode lowering (use -engine=interp or auto)", opts.Feedback)
-		}
+	cp, ok := instrument.CompiledFor(opts.Feedback, prog, opts.Instr)
+	if !ok {
+		return nil, fmt.Errorf("fuzz: unknown feedback %v", opts.Feedback)
 	}
-	var tr vm.Tracer
-	if mach == nil {
-		var err error
-		tr, err = instrument.New(opts.Feedback, prog, m, opts.Instr)
-		if err != nil {
-			return nil, err
-		}
+	m := coverage.NewMap(opts.MapSize)
+	var cgt *cgtState
+	if opts.Engine == EngineCGT {
+		cgt = newCGT(cp, m, opts)
 	}
 	src := newCountingSource(opts.Seed)
 	f := &Fuzzer{
@@ -529,8 +485,7 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 		opts:        opts,
 		rng:         rand.New(src),
 		rngSrc:      src,
-		tracer:      tr,
-		mach:        mach,
+		mach:        bytecode.NewMachine(cp, m, opts.Limits),
 		cgt:         cgt,
 		cov:         m,
 		virgin:      coverage.NewVirgin(opts.MapSize),
@@ -633,19 +588,13 @@ type execOutcome struct {
 	cov     []uint32
 }
 
-// runProtected executes one input with panic isolation: a panic inside
-// the interpreter or instrumentation (a harness defect, possibly
-// injected by the fault harness) is recovered and reported via ok=false
-// instead of unwinding through the fuzz loop and killing the campaign.
-func (f *Fuzzer) runProtected(data []byte) (res vm.Result, faultMsg string, ok bool) {
-	return f.runProtectedOn(f.mach, data, true)
-}
-
-// runProtectedOn is runProtected on an explicit machine (nil selects
-// the reference interpreter); inject gates the fault-injection hook so
-// the CGT engine's retrace re-execution does not consume a second
-// injector decision for the same exec index.
-func (f *Fuzzer) runProtectedOn(mach *bytecode.Machine, data []byte, inject bool) (res vm.Result, faultMsg string, ok bool) {
+// runProtected executes one input on mach with panic isolation: a panic
+// inside the engine (a harness defect, possibly injected by the fault
+// harness) is recovered and reported via ok=false instead of unwinding
+// through the fuzz loop and killing the campaign. inject gates the
+// fault-injection hook so the CGT engine's retrace re-execution does
+// not consume a second injector decision for the same exec index.
+func (f *Fuzzer) runProtected(mach *bytecode.Machine, data []byte, inject bool) (res vm.Result, faultMsg string, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			faultMsg = fmt.Sprint(r)
@@ -657,42 +606,25 @@ func (f *Fuzzer) runProtectedOn(mach *bytecode.Machine, data []byte, inject bool
 			panic("fuzz: injected execution fault")
 		}
 	}
-	if mach != nil {
-		return mach.Run(f.opts.Entry, data), "", true
-	}
-	return vm.Run(f.prog, f.opts.Entry, data, f.tracer, f.opts.Limits), "", true
+	return mach.Run(f.opts.Entry, data), "", true
 }
 
 // EngineName reports which execution engine the campaign runs on.
 func (f *Fuzzer) EngineName() string {
 	if f.cgt != nil {
-		return "cgt"
+		return EngineCGT.String()
 	}
-	if f.mach != nil {
-		return "bytecode"
-	}
-	return "interp"
+	return EngineAuto.String()
 }
 
-// BytecodeInstrs returns the compiled program's flat instruction count
-// (0 when the campaign runs on the reference interpreter).
-func (f *Fuzzer) BytecodeInstrs() int {
-	if f.mach != nil {
-		return f.mach.Program().NumInstrs()
-	}
-	return 0
-}
+// BytecodeInstrs returns the compiled program's flat instruction count.
+func (f *Fuzzer) BytecodeInstrs() int { return f.mach.Program().NumInstrs() }
 
 // BytecodeNops reports how many compiled instruction slots are counted
-// nops (dead stores reclaimed by the optimizer); 0 for the interpreter.
-func (f *Fuzzer) BytecodeNops() int {
-	if f.mach != nil {
-		return f.mach.Program().NumNops()
-	}
-	return 0
-}
+// nops (dead stores reclaimed by the optimizer).
+func (f *Fuzzer) BytecodeNops() int { return f.mach.Program().NumNops() }
 
-// recordFault quarantines one interpreter panic as an internal-fault
+// recordFault quarantines one engine panic as an internal-fault
 // finding, deduplicated by message.
 func (f *Fuzzer) recordFault(data []byte, msg string) {
 	f.stats.InternalFaults++
@@ -718,13 +650,17 @@ func (f *Fuzzer) recordFault(data []byte, msg string) {
 	}
 }
 
-// execute runs one input and folds novelty into the virgin map.
+// execute runs one input and folds novelty into the virgin map. The
+// CGT engine runs its patched fast machine instead and retraces under
+// full instrumentation only when the campaign reads the map itself
+// (see cgt.go); everything else is shared.
 func (f *Fuzzer) execute(data []byte) execOutcome {
+	mach := f.mach
 	if f.cgt != nil {
-		return f.executeCGT(data)
+		mach = f.cgt.fast
 	}
 	f.cov.Reset()
-	res, faultMsg, ok := f.runProtected(data)
+	res, faultMsg, ok := f.runProtected(mach, data, true)
 	f.stats.Execs++
 	switch f.curStage {
 	case stageSeed:
@@ -739,7 +675,10 @@ func (f *Fuzzer) execute(data []byte) execOutcome {
 	if !ok {
 		// The execution is quarantined: its (possibly partial) coverage
 		// is discarded so the virgin maps and queue see a no-op, and the
-		// input is kept as an internal-fault record.
+		// input is kept as an internal-fault record. A mid-run injected
+		// panic aborts the CGT fast run at the exact step it would abort
+		// the pristine one (patched opcodes charge no steps), and there
+		// is no retrace.
 		f.recordFault(data, faultMsg)
 		f.cov.Reset()
 		return execOutcome{res: vm.Result{Status: vm.StatusOK}}
@@ -747,6 +686,9 @@ func (f *Fuzzer) execute(data []byte) execOutcome {
 	f.stats.TotalSteps += res.Steps
 	f.cov.ClassifySparse()
 	nov := f.virgin.MergeSparse(f.cov)
+	if f.cgt != nil {
+		res = f.retraceIfRead(data, res, nov)
+	}
 	out := execOutcome{res: res, novelty: nov}
 	if nov != coverage.NoNew {
 		out.cov = f.cov.Indices()
@@ -1395,7 +1337,7 @@ func (f *Fuzzer) cmplogStage(e *Entry, cmps []vm.CmpObs) {
 	prevStage := f.curStage
 	f.curStage = stageCmplog
 	defer func() { f.curStage = prevStage }()
-	if f.mach != nil && len(cmps) > 0 {
+	if len(cmps) > 0 {
 		// The bytecode machine's Result.Cmps aliases its pooled buffer,
 		// which the executions this stage performs would clobber mid-walk;
 		// snapshot it first.

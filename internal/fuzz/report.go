@@ -52,7 +52,7 @@ type Report struct {
 	History []HistPoint
 	// MapCount is the number of coverage map indices ever touched.
 	MapCount int
-	// Faults lists quarantined internal faults (interpreter panics the
+	// Faults lists quarantined internal faults (engine panics the
 	// campaign survived); the total count is Stats.InternalFaults.
 	Faults []InternalFault
 	// Poison lists quarantined poison-input findings (fleet-level worker

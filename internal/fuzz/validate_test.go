@@ -20,8 +20,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative status period", Options{StatusPeriod: -time.Second}, "StatusPeriod"},
 		{"negative status every", Options{StatusEvery: -1}, "StatusEvery"},
 		{"unknown engine", Options{Engine: Engine(99)}, "engine"},
-		{"bytecode engine", Options{Engine: EngineBytecode}, ""},
-		{"interp engine", Options{Engine: EngineInterp}, ""},
+		{"bytecode engine", Options{Engine: EngineAuto}, ""},
 		{"cgt engine", Options{Engine: EngineCGT}, ""},
 		{"unknown profile", Options{Profile: Profile(99)}, "profile"},
 		{
@@ -52,16 +51,15 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestParseEngine pins the flag surface: every engine name round-trips
-// through ParseEngine/String, and the unknown-name error enumerates
-// every valid spelling so CLI users see the full menu.
+// through ParseEngine/String, the retired interpreter engine is
+// rejected, and the unknown-name error enumerates every valid engine
+// so CLI users see the full menu.
 func TestParseEngine(t *testing.T) {
 	round := map[string]Engine{
-		"":            EngineAuto,
-		"auto":        EngineAuto,
-		"bytecode":    EngineBytecode,
-		"interp":      EngineInterp,
-		"interpreter": EngineInterp,
-		"cgt":         EngineCGT,
+		"":         EngineAuto,
+		"auto":     EngineAuto,
+		"bytecode": EngineAuto,
+		"cgt":      EngineCGT,
 	}
 	for name, want := range round {
 		got, err := ParseEngine(name)
@@ -69,18 +67,20 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for _, e := range []Engine{EngineBytecode, EngineInterp, EngineCGT} {
+	for _, e := range []Engine{EngineAuto, EngineCGT} {
 		if back, err := ParseEngine(e.String()); err != nil || back != e {
 			t.Errorf("engine %v does not round-trip through its String %q", e, e.String())
 		}
 	}
-	_, err := ParseEngine("turbo")
-	if err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
-	}
-	for _, name := range []string{"auto", "bytecode", "cgt", "interp"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("ParseEngine error %q does not list engine %q", err, name)
+	for _, bad := range []string{"turbo", "interp", "interpreter"} {
+		_, err := ParseEngine(bad)
+		if err == nil {
+			t.Fatalf("ParseEngine accepted engine %q", bad)
+		}
+		for _, name := range []string{"bytecode", "cgt"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("ParseEngine error %q does not list engine %q", err, name)
+			}
 		}
 	}
 }

@@ -18,7 +18,11 @@ import (
 //     SelectivePathTracer.
 //
 // Both reuse the Ball-Larus runtime plans of PathTracer and differ only
-// in how completed path IDs reach the coverage map.
+// in how completed path IDs reach the coverage map. Like every tracer
+// they are the reference semantics: campaigns run their bytecode
+// lowerings (lowerSpec: Spec.Path2 for the 2-grams, FnSpec.Edge for the
+// per-function switch), which the differential suites hold to the
+// tracers' maps byte for byte.
 
 // Extension feedbacks (continuing the Feedback enumeration).
 const (
@@ -157,9 +161,7 @@ type SelectivePathTracer struct {
 // NewSelectivePathTracer builds the selective tracer. Threshold zero
 // defaults to 256 paths.
 func NewSelectivePathTracer(p *cfg.Program, m *coverage.Map, cfg Config) (*SelectivePathTracer, error) {
-	if cfg.SelectiveMaxPaths == 0 {
-		cfg.SelectiveMaxPaths = 256
-	}
+	cfg = cfg.withDefaults()
 	pt, err := NewPathTracer(p, m, cfg)
 	if err != nil {
 		return nil, err

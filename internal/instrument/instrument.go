@@ -8,10 +8,12 @@
 //     discussed in §VII),
 //   - a PathAFL-like whole-program path-hash feedback (Appendix C).
 //
-// Tracers are constructed once per (program, feedback) pair — the
-// analogue of compile-time instrumentation — and reused across
-// executions; the caller owns the coverage map and resets it between
-// runs.
+// Tracers are constructed once per (program, feedback) pair and reused
+// across executions; the caller owns the coverage map and resets it
+// between runs. They drive the reference interpreter, the test oracle.
+// Campaigns run each feedback's compile-time lowering instead
+// (CompiledFor), which the differential suites hold to the tracers'
+// maps byte for byte.
 package instrument
 
 import (
@@ -129,6 +131,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PathAFLSegment <= 0 {
 		c.PathAFLSegment = 32
+	}
+	if c.SelectiveMaxPaths == 0 {
+		c.SelectiveMaxPaths = 256
 	}
 	return c
 }

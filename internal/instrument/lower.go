@@ -24,9 +24,8 @@ type compileKey struct {
 var compileCache sync.Map // compileKey -> *bytecode.Program
 
 // CompiledFor lowers prog's fb instrumentation into a compiled
-// bytecode program, memoized process-wide. ok is false when fb has no
-// bytecode lowering (the extension feedbacks keep tracer-based
-// semantics and run on the reference interpreter).
+// bytecode program, memoized process-wide. Every feedback New accepts
+// has a lowering; ok is false only for an unknown feedback.
 func CompiledFor(fb Feedback, prog *cfg.Program, c Config) (cp *bytecode.Program, ok bool) {
 	c = c.withDefaults()
 	kc := c
@@ -65,7 +64,13 @@ func lowerSpec(fb Feedback, prog *cfg.Program, c Config) (bytecode.Spec, bool) {
 	case FeedbackNGram:
 		return bytecode.Spec{Kind: bytecode.ProbeNGram, NGram: c.NGram, Fns: baseFns(blockBase(prog))}, true
 	case FeedbackPath:
-		return pathSpec(prog, c), true
+		return pathSpec(prog, c, false), true
+	case FeedbackPath2:
+		spec := pathSpec(prog, c, false)
+		spec.Path2 = true
+		return spec, true
+	case FeedbackSelective:
+		return pathSpec(prog, c, true), true
 	case FeedbackPathAFL:
 		base := edgeBase(prog)
 		fns := make([]bytecode.FnSpec, len(prog.Funcs))
@@ -90,17 +95,25 @@ func baseFns(base []uint32) []bytecode.FnSpec {
 }
 
 // pathSpec mirrors NewPathTracer's plan construction, including the
-// hash-mode fallback for functions whose path counts overflow.
-func pathSpec(prog *cfg.Program, c Config) bytecode.Spec {
+// hash-mode fallback for functions whose path counts overflow. With
+// selective set it mirrors NewSelectivePathTracer instead: functions
+// with more than c.SelectiveMaxPaths acyclic paths, or too many to
+// encode, get edge probes.
+func pathSpec(prog *cfg.Program, c Config, selective bool) bytecode.Spec {
 	spec := bytecode.Spec{
 		Kind:    bytecode.ProbePath,
 		MixHash: c.Mix == MixHash,
 		Fns:     make([]bytecode.FnSpec, len(prog.Funcs)),
 	}
+	base := edgeBase(prog)
 	for i, f := range prog.Funcs {
 		fs := &spec.Fns[i]
 		fs.Salt = fnSalt(i)
 		enc, err := balllarus.Encode(f)
+		if selective && (err != nil || enc.NumPaths > uint64(c.SelectiveMaxPaths)) {
+			*fs = bytecode.FnSpec{Edge: true, Base: base[i]}
+			continue
+		}
 		if err != nil {
 			fs.HashMode = true
 			continue

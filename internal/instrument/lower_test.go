@@ -17,7 +17,7 @@ func TestCompiledForMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fb := range []Feedback{FeedbackEdge, FeedbackPath, FeedbackBlock, FeedbackNGram, FeedbackPathAFL} {
+	for _, fb := range []Feedback{FeedbackEdge, FeedbackPath, FeedbackBlock, FeedbackNGram, FeedbackPathAFL, FeedbackPath2, FeedbackSelective} {
 		first, ok := CompiledFor(fb, prog, Config{})
 		if !ok {
 			t.Fatalf("%v: no lowering", fb)
@@ -60,17 +60,19 @@ func TestCompiledForKeyedByConfig(t *testing.T) {
 	}
 }
 
-// TestCompiledForExtensionsFallBack pins that the extension feedbacks
-// report no lowering, forcing engine selection back to the reference
-// interpreter rather than silently mis-instrumenting.
-func TestCompiledForExtensionsFallBack(t *testing.T) {
+// TestCompiledForEveryFeedback pins that every feedback New accepts
+// has a lowering, and that only an unknown one reports none.
+func TestCompiledForEveryFeedback(t *testing.T) {
 	prog, err := subjects.Get("cflow").Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fb := range []Feedback{FeedbackPath2, FeedbackSelective} {
-		if cp, ok := CompiledFor(fb, prog, Config{}); ok || cp != nil {
-			t.Fatalf("%v: expected no bytecode lowering", fb)
+	for fb := range feedbackNames {
+		if cp, ok := CompiledFor(fb, prog, Config{}); !ok || cp == nil {
+			t.Errorf("%v: no bytecode lowering", fb)
 		}
+	}
+	if cp, ok := CompiledFor(Feedback(99), prog, Config{}); ok || cp != nil {
+		t.Error("unknown feedback lowered")
 	}
 }

@@ -27,20 +27,14 @@ const (
 var ExtensionNames = []Name{Interleave, Path2, Selective}
 
 // RunExtension dispatches an extension configuration; it also accepts
-// the standard names, so callers can treat the union uniformly.
+// the standard names, so callers can treat the union uniformly. Only
+// interleave needs it: Run already runs the single-phase path2 and
+// selective.
 func RunExtension(name Name, prog *cfg.Program, cfgr Config) (*Outcome, error) {
-	switch name {
-	case Interleave:
+	if name == Interleave {
 		return RunInterleave(prog, cfgr)
-	case Path2:
-		cfgr.Opts.Feedback = instrument.FeedbackPath2
-		return runSingle(prog, cfgr)
-	case Selective:
-		cfgr.Opts.Feedback = instrument.FeedbackSelective
-		return runSingle(prog, cfgr)
-	default:
-		return Run(name, prog, cfgr)
 	}
+	return Run(name, prog, cfgr)
 }
 
 // RunInterleave alternates exploration (edge) and exploitation (path)

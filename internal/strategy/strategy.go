@@ -82,29 +82,21 @@ func (c Config) roundBudget() int64 {
 	return rb
 }
 
-// Run dispatches a named configuration.
+// Run dispatches a named configuration: every single-phase name
+// SingleConfig knows, and the round-based cull, cull_r, and opp.
 func Run(name Name, prog *cfg.Program, cfgr Config) (*Outcome, error) {
+	if fb, profile, ok := SingleConfig(name); ok {
+		cfgr.Opts.Feedback = fb
+		cfgr.Opts.Profile = profile
+		return runSingle(prog, cfgr)
+	}
 	switch name {
-	case Path:
-		cfgr.Opts.Feedback = instrument.FeedbackPath
-		return runSingle(prog, cfgr)
-	case PCGuard:
-		cfgr.Opts.Feedback = instrument.FeedbackEdge
-		return runSingle(prog, cfgr)
 	case Cull:
 		return RunCull(prog, cfgr)
 	case CullR:
 		return RunCullRandom(prog, cfgr)
 	case Opp:
 		return RunOpportunistic(prog, cfgr)
-	case PathAFL:
-		cfgr.Opts.Feedback = instrument.FeedbackPathAFL
-		cfgr.Opts.Profile = fuzz.ProfileAFL
-		return runSingle(prog, cfgr)
-	case AFL:
-		cfgr.Opts.Feedback = instrument.FeedbackEdge
-		cfgr.Opts.Profile = fuzz.ProfileAFL
-		return runSingle(prog, cfgr)
 	}
 	return nil, &UnknownNameError{Name: name}
 }

@@ -1,6 +1,7 @@
 package strategy_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cfg"
@@ -45,6 +46,43 @@ func TestRunAllConfigurations(t *testing.T) {
 		}
 		t.Logf("%-8s execs=%d queue=%d bugs=%d rounds=%d",
 			name, out.Report.Stats.Execs, out.Report.QueueLen, len(out.Report.Bugs), out.Rounds)
+	}
+}
+
+// TestRunCoversSingleConfig pins that Run runs every single-phase name
+// SingleConfig knows, with SingleConfig's feedback and profile: driving
+// the same campaign by hand gives an identical report.
+func TestRunCoversSingleConfig(t *testing.T) {
+	p := flvProg(t)
+	names := append(append([]strategy.Name(nil), strategy.AllNames...), strategy.ExtensionNames...)
+	single := 0
+	for _, name := range names {
+		fb, profile, ok := strategy.SingleConfig(name)
+		if !ok {
+			continue
+		}
+		single++
+		cfgr := baseConfig(2000)
+		out, err := strategy.Run(name, p, cfgr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		opts := cfgr.Opts
+		opts.Feedback, opts.Profile = fb, profile
+		f, err := fuzz.New(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range cfgr.Seeds {
+			f.AddSeed(s)
+		}
+		f.Fuzz(cfgr.Budget)
+		if !reflect.DeepEqual(out.Report, f.Report()) {
+			t.Errorf("%s: Run's report differs from a %v/%v campaign", name, fb, profile)
+		}
+	}
+	if single != 6 {
+		t.Errorf("SingleConfig accepts %d of the known names, want 6", single)
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// Stage identifies a fuzzer stage for span tracing. The set mirrors
-// AFL's stage taxonomy; StageSplice and StageTrim exist for engines
-// that run them as separate timed stages (this repo's fuzzer
-// interleaves splice inside havoc and has no trim stage, so those two
-// are attributed via exec counters rather than spans).
+// Stage identifies a fuzzer stage for span tracing. The set follows
+// AFL's stage taxonomy where this fuzzer has a timed stage: splice runs
+// inside havoc (attributed by exec counters, not spans) and there is no
+// trim stage.
 type Stage uint8
 
 // Stages.
@@ -19,12 +18,8 @@ const (
 	StageCalibrate Stage = iota
 	// StageHavoc covers one queue entry's havoc/splice budget.
 	StageHavoc
-	// StageSplice is reserved for engines with a separate splice stage.
-	StageSplice
 	// StageCmplog covers the input-to-state stage of one entry.
 	StageCmplog
-	// StageTrim is reserved for engines with a trim stage.
-	StageTrim
 	// StageCheckpoint covers writing one campaign checkpoint.
 	StageCheckpoint
 	// StageRetrace covers the CGT engine's full-instrumentation
@@ -34,7 +29,7 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"calibrate", "havoc", "splice", "cmplog", "trim", "checkpoint", "retrace",
+	"calibrate", "havoc", "cmplog", "checkpoint", "retrace",
 }
 
 // String names the stage.
