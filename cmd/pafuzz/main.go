@@ -59,8 +59,7 @@ func main() {
 		list        = flag.Bool("list", false, "list benchmark subjects and exit")
 		showCrash   = flag.Bool("crashes", false, "print full reports for unique crashes")
 		engineName  = flag.String("engine", "bytecode", "execution engine: bytecode|cgt (cgt adds self-patching probe elision with coverage-preserving retrace)")
-		statusEvery = flag.Int64("status-every", 50000, "execution-count fallback between status lines (0 disables status)")
-		statusPer   = flag.Duration("status-period", time.Second, "wall-clock interval between status lines")
+		statusPer   = flag.Duration("status-period", time.Second, "wall-clock interval between status lines, which is also the telemetry sampling tick (0 disables the status line)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live metrics on this address (Prometheus at /metrics, JSON at /snapshot.json, dashboard at /)")
 		workers     = flag.Int("workers", 1, "parallel fuzzing workers (>1 requires -o and a single-phase -fuzzer; -budget is per worker)")
 		syncEvery   = flag.Int64("sync-every", 20000, "per-worker executions between fleet corpus syncs (0 disables)")
@@ -69,7 +68,6 @@ func main() {
 		chaosEvery  = flag.Int64("chaos-every", 0, "fault injection: panic each worker's first attempt once past this exec count (0 disables; for supervision smoke tests)")
 		analysisLvl = flag.String("analysis", "", "static-analysis strictness: strict runs the IR and bytecode verifiers on every compile (default off)")
 		opt         = flag.Bool("opt", true, "enable verified bytecode optimization passes (constant folding, dead code)")
-		reach       = flag.Bool("reach", false, "boost power-schedule energy by static crash-site reachability")
 		guide       = flag.Bool("analysis-guide", false, "analysis-guided fuzzing: focus mutations on input-dependency byte ranges, boost unexplored input-dependent branches, skip input-independent cmplog sites")
 		journalOn   = flag.Bool("journal", true, "write the structured event journal under <state>/journal (durable campaigns; inspect with paprof -journal)")
 		stopAfter   = flag.Int64("stop-after", 0, "interrupt the campaign once the exec counter reaches this (reproducible interruption for resume/journal smoke tests)")
@@ -102,10 +100,6 @@ func main() {
 		Log:         os.Stderr,
 		StopAfter:   *stopAfter,
 	}
-	if *statusEvery > 0 {
-		fleetOpts.Status = os.Stderr
-		fleetOpts.StatusEvery = *statusPer
-	}
 	if *chaosEvery > 0 {
 		n := *chaosEvery
 		fleetOpts.Chaos = func(worker, gen int, execs int64) fleet.ChaosAction {
@@ -121,10 +115,10 @@ func main() {
 			fatalf("-resume requires -o <state dir>")
 		}
 		if fleet.HasManifest(campaign.OSFS{}, *stateDir) {
-			resumeFleetCampaign(*stateDir, fleetOpts, engine, *metricsAddr, *showCrash, *journalOn)
+			resumeFleetCampaign(*stateDir, fleetOpts, engine, *statusPer, *metricsAddr, *showCrash, *journalOn)
 			return
 		}
-		resumeCampaign(*stateDir, *ckptEvery, *showCrash, engine, *statusEvery, *statusPer, *metricsAddr, *journalOn, *stopAfter)
+		resumeCampaign(*stateDir, *ckptEvery, *showCrash, engine, *statusPer, *metricsAddr, *journalOn, *stopAfter)
 		return
 	}
 
@@ -189,11 +183,12 @@ func main() {
 		if fb, profile, ok := strategy.SingleConfig(strategy.Name(*fuzzerName)); ok {
 			rec := startTelemetry(telemetry.Info{
 				Banner:   banner,
+				Engine:   engine.String(),
 				Feedback: *fuzzerName,
 				Seed:     *seed,
 				Budget:   *budget,
 				PID:      os.Getpid(),
-			}, *stateDir, *metricsAddr)
+			}, *stateDir, *metricsAddr, *statusPer)
 			attachCartography(rec, target.Prog, fb, 0, banner)
 			opts := fuzz.Options{
 				Feedback:        fb,
@@ -203,15 +198,8 @@ func main() {
 				KeepCrashInputs: true,
 				Engine:          engine,
 				Instr:           icfg,
-				ReachBoost:      *reach,
 				AnalysisGuide:   *guide,
-				Status:          os.Stderr,
-				StatusPeriod:    *statusPer,
-				StatusEvery:     *statusEvery,
 				Telemetry:       rec,
-			}
-			if *statusEvery <= 0 {
-				opts.Status = nil
 			}
 			jw := openJournal(*stateDir, *journalOn, rec)
 			if *workers > 1 {
@@ -253,9 +241,9 @@ func main() {
 	}
 
 	// Round-based configurations restart their counters every round, so
-	// only the live endpoint is offered — plot_data/fuzzer_stats (which
-	// AFL defines as monotone) are reserved for durable single-config
-	// campaigns above.
+	// only the status line and the live endpoint are offered —
+	// plot_data/fuzzer_stats (which AFL defines as monotone) are
+	// reserved for durable single-config campaigns above.
 	rec := startTelemetry(telemetry.Info{
 		Banner:   banner,
 		Engine:   engine.String(),
@@ -263,7 +251,7 @@ func main() {
 		Seed:     *seed,
 		Budget:   *budget,
 		PID:      os.Getpid(),
-	}, "", *metricsAddr)
+	}, "", *metricsAddr, *statusPer)
 	camp := core.Campaign{
 		Fuzzer:          strategy.Name(*fuzzerName),
 		Budget:          *budget,
@@ -273,14 +261,8 @@ func main() {
 		KeepCrashInputs: *stateDir != "",
 		Engine:          engine,
 		Instr:           icfg,
-		ReachBoost:      *reach,
 		AnalysisGuide:   *guide,
-		StatusPeriod:    *statusPer,
-		StatusEvery:     *statusEvery,
 		Telemetry:       rec,
-	}
-	if *statusEvery > 0 {
-		camp.Status = os.Stderr
 	}
 	out, err := target.Fuzz(camp)
 	closeTelemetry(rec)
@@ -324,15 +306,22 @@ func closeJournal(jw *journal.Writer) {
 	}
 }
 
-// startTelemetry builds the campaign's telemetry recorder: AFL-style
-// fuzzer_stats/plot_data under stateDir (when set) and the live HTTP
-// endpoint on metricsAddr (when set). Returns nil when neither output
-// is requested — the campaign then skips all telemetry work.
-func startTelemetry(info telemetry.Info, stateDir, metricsAddr string) *telemetry.Recorder {
-	if stateDir == "" && metricsAddr == "" {
+// startTelemetry builds the campaign's telemetry recorder, the one live
+// view of the campaign: the status line on stderr (when statusPeriod is
+// positive), AFL-style fuzzer_stats/plot_data under stateDir (when set)
+// and the live HTTP endpoint on metricsAddr (when set), all fed by one
+// collector ticking every statusPeriod (every second when the line is
+// off). Returns nil when no output is requested — the campaign then
+// skips all telemetry work.
+func startTelemetry(info telemetry.Info, stateDir, metricsAddr string, statusPeriod time.Duration) *telemetry.Recorder {
+	if statusPeriod <= 0 && stateDir == "" && metricsAddr == "" {
 		return nil
 	}
-	rec := telemetry.New(telemetry.Config{Info: info})
+	cfg := telemetry.Config{Info: info}
+	if statusPeriod > 0 {
+		cfg.Status = os.Stderr
+	}
+	rec := telemetry.New(cfg)
 	if stateDir != "" {
 		if err := rec.AttachAFLOutput(stateDir); err != nil {
 			warnf("telemetry output: %v", err)
@@ -347,18 +336,17 @@ func startTelemetry(info telemetry.Info, stateDir, metricsAddr string) *telemetr
 			go http.Serve(ln, rec.Handler())
 		}
 	}
-	rec.StartCollector(time.Second)
+	rec.StartCollector(statusPeriod)
 	return rec
 }
 
-// fillEngineInfo completes the recorder's identity once the fuzzer is
-// built and the engine selection has resolved.
+// fillEngineInfo completes the recorder's identity with the compiled
+// program's size once the fuzzer is built.
 func fillEngineInfo(rec *telemetry.Recorder, f *fuzz.Fuzzer) {
 	if rec == nil || f == nil {
 		return
 	}
 	info := rec.Info()
-	info.Engine = f.EngineName()
 	info.Instrs = f.BytecodeInstrs()
 	info.Nops = f.BytecodeNops()
 	rec.SetInfo(info)
@@ -376,7 +364,7 @@ func closeTelemetry(rec *telemetry.Recorder) {
 // resumeCampaign reloads the newest valid checkpoint under dir,
 // reconstructs the target from its metadata, and runs the campaign to
 // completion (or the next interruption).
-func resumeCampaign(dir string, ckptEvery int64, showCrash bool, engine fuzz.Engine, statusEvery int64, statusPer time.Duration, metricsAddr string, journalOn bool, stopAfter int64) {
+func resumeCampaign(dir string, ckptEvery int64, showCrash bool, engine fuzz.Engine, statusPer time.Duration, metricsAddr string, journalOn bool, stopAfter int64) {
 	ck, warns, err := campaign.LoadLatest(campaign.OSFS{}, dir)
 	for _, w := range warns {
 		warnf("%s", w)
@@ -404,11 +392,12 @@ func resumeCampaign(dir string, ckptEvery int64, showCrash bool, engine fuzz.Eng
 	// campaign's rows continue the original series gaplessly.
 	rec := startTelemetry(telemetry.Info{
 		Banner:   banner + "/" + meta.Fuzzer,
+		Engine:   engine.String(),
 		Feedback: meta.Fuzzer,
 		Seed:     meta.Seed,
 		Budget:   meta.Budget,
 		PID:      os.Getpid(),
-	}, dir, metricsAddr)
+	}, dir, metricsAddr, statusPer)
 	attachCartography(rec, target.Prog, fb, meta.MapSize, banner+"/"+meta.Fuzzer)
 	opts := fuzz.Options{
 		Feedback:        fb,
@@ -419,12 +408,7 @@ func resumeCampaign(dir string, ckptEvery int64, showCrash bool, engine fuzz.Eng
 		KeepCrashInputs: true,
 		Engine:          engine,
 		AnalysisGuide:   meta.Guide,
-		StatusPeriod:    statusPer,
-		StatusEvery:     statusEvery,
 		Telemetry:       rec,
-	}
-	if statusEvery > 0 {
-		opts.Status = os.Stderr
 	}
 	// Attach → fuzz.Restore truncates the journal back to the
 	// checkpoint's event count; the replayed executions re-emit an
@@ -479,7 +463,7 @@ func targetFromMeta(meta campaign.Meta) *core.Target {
 // workers' own checkpoints. The manifest's fleet shape (worker count,
 // sync cadence, restart budget) overrides the flags — resuming with
 // different values would break determinism.
-func resumeFleetCampaign(dir string, fo fleet.Options, engine fuzz.Engine, metricsAddr string, showCrash bool, journalOn bool) {
+func resumeFleetCampaign(dir string, fo fleet.Options, engine fuzz.Engine, statusPer time.Duration, metricsAddr string, showCrash bool, journalOn bool) {
 	man, err := fleet.LoadManifest(campaign.OSFS{}, dir)
 	if err != nil {
 		fatalf("fleet manifest: %v", err)
@@ -496,11 +480,12 @@ func resumeFleetCampaign(dir string, fo fleet.Options, engine fuzz.Engine, metri
 	}
 	rec := startTelemetry(telemetry.Info{
 		Banner:   banner + "/" + meta.Fuzzer,
+		Engine:   engine.String(),
 		Feedback: meta.Fuzzer,
 		Seed:     meta.Seed,
 		Budget:   meta.Budget,
 		PID:      os.Getpid(),
-	}, dir, metricsAddr)
+	}, dir, metricsAddr, statusPer)
 	attachCartography(rec, target.Prog, fb, meta.MapSize, banner+"/"+meta.Fuzzer+" (fleet)")
 	opts := fuzz.Options{
 		Feedback:        fb,

@@ -2,17 +2,15 @@
 // IR: graph utilities (predecessors, reverse postorder, dominator and
 // post-dominator trees), a generic bit-vector dataflow solver with the
 // classic instances (liveness, reaching definitions, definite
-// assignment), interval/constant propagation, static crash-site
-// reachability, and an IR verifier.
+// assignment), interval/constant propagation, and an IR verifier.
 //
 // The paper's contribution lives entirely in per-function CFG
 // transformations (DAG conversion, Ball-Larus numbering, probe
 // placement); this package is what proves those transformations
 // preserve the invariants they depend on. The verifier runs after
 // every instrumentation and bytecode-compile pass under
-// -analysis=strict (on by default in tests), the reachability analysis
-// seeds the fuzzer's power schedule (the PrescientFuzz observation),
-// and the interval analysis backs the palint subject linter.
+// -analysis=strict (on by default in tests), and the interval analysis
+// backs the palint subject linter.
 package analysis
 
 import "repro/internal/cfg"

@@ -223,33 +223,3 @@ func TestIntervalsPruneConstBranch(t *testing.T) {
 		t.Fatal("no edge was marked infeasible")
 	}
 }
-
-func TestReachCountsSites(t *testing.T) {
-	prog, err := cfg.Compile(`
-		func helper(a) { return a[0]; }
-		func safe(a) { return a + 1; }
-		func main(input) {
-			if (len(input) > 0) { return helper(input); }
-			return safe(3);
-		}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReach(prog)
-	if r.NumSites() == 0 {
-		t.Fatal("no crash sites found (helper loads, main calls len)")
-	}
-	mainIdx := prog.ByName["main"]
-	helperIdx := prog.ByName["helper"]
-	safeIdx := prog.ByName["safe"]
-	if r.Func(helperIdx) == 0 {
-		t.Fatal("helper contains a load but reaches 0 sites")
-	}
-	if r.Func(safeIdx) != 0 {
-		t.Fatalf("safe cannot fault but reaches %d sites", r.Func(safeIdx))
-	}
-	if r.Func(mainIdx) < r.Func(helperIdx) {
-		t.Fatalf("main (calls helper) reaches %d sites, helper reaches %d",
-			r.Func(mainIdx), r.Func(helperIdx))
-	}
-}

@@ -43,7 +43,6 @@ func TestVerifyLanggenCorpus(t *testing.T) {
 			ReachingDefs(f)
 			IntervalsOf(f)
 		}
-		NewReach(prog)
 	}
 }
 

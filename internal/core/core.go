@@ -15,8 +15,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/balllarus"
 	"repro/internal/cfg"
@@ -82,23 +80,13 @@ type Campaign struct {
 	// Instr tunes instrumentation construction (analysis strictness,
 	// optimizer toggle, mixing modes).
 	Instr instrument.Config
-	// ReachBoost enables the static crash-site reachability term in
-	// the power schedule.
-	ReachBoost bool
 	// AnalysisGuide enables analysis-guided fuzzing (interprocedural
 	// input-dependency facts steering mutation, scheduling, cmplog,
 	// and CGT elision; see fuzz.Options.AnalysisGuide).
 	AnalysisGuide bool
-	// Status, when non-nil, receives periodic one-line campaign status
-	// (engine, execs/sec, queue, coverage).
-	Status io.Writer
-	// StatusPeriod is the wall-clock interval between status lines
-	// (default 1s when Status is set).
-	StatusPeriod time.Duration
-	// StatusEvery is the execution-count fallback between status lines.
-	StatusEvery int64
 	// Telemetry, when non-nil, receives counter snapshots and stage
-	// spans from the campaign (observation only).
+	// spans from the campaign (observation only); a recorder with a
+	// Status writer and a running collector prints the status line.
 	Telemetry *telemetry.Recorder
 }
 
@@ -125,11 +113,7 @@ func (t *Target) Fuzz(c Campaign) (*Outcome, error) {
 			KeepCrashInputs: c.KeepCrashInputs,
 			Engine:          c.Engine,
 			Instr:           c.Instr,
-			ReachBoost:      c.ReachBoost,
 			AnalysisGuide:   c.AnalysisGuide,
-			Status:          c.Status,
-			StatusPeriod:    c.StatusPeriod,
-			StatusEvery:     c.StatusEvery,
 			Telemetry:       c.Telemetry,
 		},
 		Budget:      c.Budget,

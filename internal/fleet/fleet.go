@@ -88,7 +88,8 @@ type Options struct {
 	// Log receives supervisor warnings and lifecycle notes.
 	Log io.Writer
 	// Telemetry, when non-nil, receives per-worker snapshots
-	// (PublishWorker) and fleet aggregates (Publish).
+	// (PublishWorker) and fleet aggregates (Publish); its collector
+	// renders them as fuzzer_stats, plot_data and the status line.
 	Telemetry *telemetry.Recorder
 	// Journal, when non-nil, is the supervisor-owned event journal every
 	// worker shares (fuzz.Options.JournalShared): worker events carry
@@ -96,11 +97,6 @@ type Options struct {
 	// quarantine) interleave under the writer's own lock, and worker
 	// restores never truncate the shared stream.
 	Journal *journal.Writer
-	// Status, when non-nil, receives a wall-clock fleet status line
-	// (aggregate execs, exec rate, novelty, crashes, worker liveness)
-	// every StatusEvery (default 1s). Observation only.
-	Status      io.Writer
-	StatusEvery time.Duration
 	// StopAfter, when positive, interrupts the fleet once any worker's
 	// exec counter reaches it — the reproducible mid-run (and, chosen
 	// near a sync boundary, mid-sync) interruption the resume tests use.
@@ -141,9 +137,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FS == nil {
 		o.FS = campaign.OSFS{}
-	}
-	if o.StatusEvery <= 0 {
-		o.StatusEvery = time.Second
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -276,13 +269,12 @@ func (s *Supervisor) workerDir(i int) string {
 }
 
 // workerOpts derives worker i's fuzz options from the base options:
-// its own RNG stream, no status writer or recorder (the supervisor owns
-// observability — per-worker recorders would clobber each other's
-// single publish slot).
+// its own RNG stream and no recorder (the supervisor owns observability
+// — per-worker recorders would clobber each other's single publish
+// slot).
 func (s *Supervisor) workerOpts(i int) fuzz.Options {
 	o := s.base
 	o.Seed = WorkerSeed(s.meta.Seed, i)
-	o.Status = nil
 	o.Telemetry = nil
 	o.KeepCrashInputs = true
 	// All workers append to the one supervisor-owned journal; the shared
@@ -400,13 +392,11 @@ func (s *Supervisor) Run() (*Result, error) {
 		return nil, fmt.Errorf("fleet: Run before Start/Attach")
 	}
 	s.startWatchdog()
-	stopStatus := s.startStatus()
 	for _, w := range s.workers {
 		s.wg.Add(1)
 		go s.manage(w)
 	}
 	s.wg.Wait()
-	stopStatus()
 	s.stopWatchdog()
 
 	s.mu.Lock()
@@ -461,80 +451,6 @@ func (s *Supervisor) Run() (*Result, error) {
 	res.Merged = merged
 	s.publishAggregateLocked()
 	return res, nil
-}
-
-// startStatus launches the wall-clock status-line printer and returns
-// its stop function (a no-op when no Status writer is configured). Each
-// tick prints the fleet aggregate — total execs, exec rate over the
-// tick, novelty (queue adds), queue depth, crash counters — plus worker
-// liveness. Observation only: it reads telemetry snapshots and
-// heartbeat counters, never campaign state.
-func (s *Supervisor) startStatus() func() {
-	if s.opts.Status == nil {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(s.opts.StatusEvery)
-		defer t.Stop()
-		start := time.Now()
-		var lastExecs int64
-		lastTick := start
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-t.C:
-				c := s.statusCounters()
-				dt := now.Sub(lastTick).Seconds()
-				var rate float64
-				if dt > 0 {
-					rate = float64(c.Execs-lastExecs) / dt
-				}
-				lastExecs, lastTick = c.Execs, now
-				live, total := s.liveWorkers()
-				fmt.Fprintf(s.opts.Status,
-					"fleet %s | execs %d (%.0f/s) | new %d | queue %d | crashes %d | bugs %d | workers %d/%d\n",
-					now.Sub(start).Truncate(time.Second), c.Execs, rate,
-					c.Added, c.QueueLen, c.UniqueCrashes, c.UniqueBugs, live, total)
-			}
-		}
-	}()
-	return func() { close(stop); <-done }
-}
-
-// statusCounters returns the freshest fleet aggregate available: summed
-// telemetry worker snapshots when a recorder is attached, else just the
-// heartbeat exec counters (the other fields read zero).
-func (s *Supervisor) statusCounters() telemetry.Counters {
-	if rec := s.opts.Telemetry; rec != nil {
-		if c := rec.AggregateWorkers(); c.Execs > 0 {
-			return c
-		}
-	}
-	var c telemetry.Counters
-	s.mu.Lock()
-	for _, w := range s.workers {
-		c.Execs += w.beatExecs.Load()
-	}
-	s.mu.Unlock()
-	return c
-}
-
-// liveWorkers counts workers still participating (not done, retired, or
-// stopped).
-func (s *Supervisor) liveWorkers() (live, total int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range s.workers {
-		switch w.state {
-		case stIdle, stRunning, stBackoff:
-			live++
-		}
-	}
-	return live, len(s.workers)
 }
 
 // harvest restores a retired worker's last checkpoint and reports its
@@ -797,6 +713,9 @@ func (s *Supervisor) attempt(w *worker, gen int, out chan<- attemptResult) {
 	rep, interrupted, err := r.Run()
 	res.rep, res.interrupted, res.err = rep, interrupted, err
 	res.execs = f.Execs()
+	// The attempt's final counters reach the recorder before the manage
+	// loop sees its result, so before Run's closing aggregate.
+	s.publishWorkerTelemetry(w, gen, f)
 }
 
 // pubIndexFor derives a worker's publication start index on resume: its

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fuzz"
 	"repro/internal/instrument"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -151,6 +152,33 @@ func TestSingleWorkerByteIdentity(t *testing.T) {
 	}
 	if res.Restarts != 0 || len(res.Quarantined) != 0 {
 		t.Fatalf("clean 1-worker fleet recorded restarts=%d quarantined=%d", res.Restarts, len(res.Quarantined))
+	}
+}
+
+// TestFleetTelemetryExact: every worker publishes its final counters
+// when its runner returns, so the fleet aggregate the recorder ends
+// with matches the merged report's exec count and carries the workers'
+// coverage.
+func TestFleetTelemetryExact(t *testing.T) {
+	rec := telemetry.New(telemetry.Config{})
+	opts := fleetOpts(2)
+	opts.Telemetry = rec
+	res := runFleet(t, t.TempDir(), opts)
+	if res.Interrupted {
+		t.Fatal("fleet reported interrupted")
+	}
+	s := rec.Latest()
+	if s == nil {
+		t.Fatal("no fleet aggregate published")
+	}
+	if s.Execs != res.Merged.Stats.Execs {
+		t.Errorf("aggregate execs %d != merged report execs %d", s.Execs, res.Merged.Stats.Execs)
+	}
+	if s.CoverageCount == 0 || s.MapSize == 0 || s.CoverageCount > s.MapSize {
+		t.Errorf("aggregate coverage %d of a %d-cell map, want 0 < coverage <= map", s.CoverageCount, s.MapSize)
+	}
+	if s.FleetWorkers != 2 || s.FleetActive != 0 {
+		t.Errorf("fleet liveness %d/%d at the end, want 0/2", s.FleetActive, s.FleetWorkers)
 	}
 }
 

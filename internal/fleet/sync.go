@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/fuzz"
 	"repro/internal/journal"
-	"repro/internal/telemetry"
 )
 
 // syncState is one attempt's local sync bookkeeping, derived on resume
@@ -93,25 +92,17 @@ func (s *Supervisor) syncPoint(w *worker, gen int, st *syncState, f *fuzz.Fuzzer
 			s.mu.Unlock()
 			return !pending
 		}
-		if S <= 0 {
-			s.mu.Unlock()
-			if execs := f.Execs(); execs-w.lastTelem.Load() >= 1000 {
-				w.lastTelem.Store(execs)
-				s.publishWorkerTelemetry(w, f)
-			}
-			return true
-		}
-		e := int(f.Execs() / S)
-		if e <= st.lastSynced {
+		if S <= 0 || int(f.Execs()/S) <= st.lastSynced {
 			s.mu.Unlock()
 			// Telemetry at a paced cadence, not every boundary — the
 			// aggregate publish takes the supervisor lock.
 			if execs := f.Execs(); execs-w.lastTelem.Load() >= 1000 {
 				w.lastTelem.Store(execs)
-				s.publishWorkerTelemetry(w, f)
+				s.publishWorkerTelemetry(w, gen, f)
 			}
 			return true
 		}
+		e := int(f.Execs() / S)
 
 		// Publish the entries added since the previous sync. A replaying
 		// attempt finds its (deterministic, identical) publication already
@@ -194,34 +185,24 @@ func (s *Supervisor) releasedLocked(e int) bool {
 	return true
 }
 
-// publishWorkerTelemetry pushes this worker's counters and a fleet
-// aggregate to the recorder. Observation only, at sync-point cadence.
-func (s *Supervisor) publishWorkerTelemetry(w *worker, f *fuzz.Fuzzer) {
+// publishWorkerTelemetry pushes this worker attempt's counters and a
+// fleet aggregate to the recorder. Observation only, at sync-point
+// cadence and once more when the attempt's runner returns. An abandoned
+// generation publishes nothing, so its counters never overwrite its
+// replacement's.
+func (s *Supervisor) publishWorkerTelemetry(w *worker, gen int, f *fuzz.Fuzzer) {
 	rec := s.opts.Telemetry
 	if rec == nil {
 		return
 	}
-	st := f.StatsSnapshot()
-	rec.PublishWorker(w.id, telemetry.Counters{
-		Execs:            st.Execs,
-		Timeouts:         st.Timeouts,
-		CrashExecs:       st.CrashExecs,
-		TotalSteps:       st.TotalSteps,
-		Cycles:           int64(st.Cycles),
-		Added:            st.Added,
-		UniqueCrashes:    int64(f.UniqueCrashes()),
-		UniqueBugs:       int64(f.UniqueBugs()),
-		AFLUniqueCrashes: st.AFLUniqueCrashes,
-		InternalFaults:   st.InternalFaults,
-		QueueLen:         int64(f.QueueLen()),
-		SeedExecs:        st.SeedExecs,
-		HavocExecs:       st.HavocExecs,
-		SpliceExecs:      st.SpliceExecs,
-		CmplogExecs:      st.CmplogExecs,
-	})
+	c := f.Counters()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if w.gen != gen {
+		return
+	}
+	rec.PublishWorker(w.id, c)
 	s.publishAggregateLocked()
-	s.mu.Unlock()
 }
 
 // publishAggregateLocked publishes the fleet-wide snapshot: summed

@@ -13,12 +13,9 @@ package fuzz
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
-	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/interproc"
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
@@ -119,38 +116,18 @@ type Options struct {
 	// input-dependency facts (package analysis/interproc) focus havoc's
 	// byte mutations on the dependency ranges of rare frontier
 	// branches, boost the power schedule toward input-dependent
-	// unexplored branches (the analysis generalization of ReachBoost),
-	// skip provably input-independent cmplog sites, and let the CGT
-	// engine elide probes of statically-dead path cells. See guide.go.
+	// unexplored branches, skip provably input-independent cmplog
+	// sites, and let the CGT engine elide probes of statically-dead
+	// path cells. See guide.go.
 	// Off by default; campaigns with it off are byte-identical to
 	// previous behaviour.
 	AnalysisGuide bool
-	// ReachBoost enables the static crash-site reachability term in
-	// the power schedule: entries whose coverage borders many
-	// statically reachable crash sites get up to twice the havoc
-	// budget (a PrescientFuzz-style prior). Only the exact-index
-	// feedbacks (edge, block, pathafl's edge component) support the
-	// map-index inversion; others silently skip the boost. The weights
-	// are recomputed from the program on resume, so checkpoints are
-	// unaffected.
-	ReachBoost bool
-	// Status, when non-nil, receives a periodic one-line campaign status
-	// (engine, execs/sec, queue, coverage, crashes).
-	Status io.Writer
-	// StatusPeriod is the wall-clock interval between status lines
-	// (default 1s when Status is set). Wall-clock pacing keeps slow or
-	// tight-limit subjects from going silent; it is display-only and
-	// never feeds back into campaign state.
-	StatusPeriod time.Duration
-	// StatusEvery is the exec-count fallback between status lines
-	// (default 50000): a line is also emitted whenever this many
-	// executions pass without one, so a stalled clock cannot silence
-	// the campaign either.
-	StatusEvery int64
 	// Telemetry, when non-nil, receives counter snapshots and stage
 	// spans. Publishing happens only at queue-entry boundaries (never
 	// inside the exec loop) and is strictly observational: attaching a
-	// recorder cannot change what the campaign does.
+	// recorder cannot change what the campaign does. The recorder's
+	// collector turns the snapshots into the series, the AFL files and
+	// the live status line.
 	Telemetry *telemetry.Recorder
 	// Journal, when non-nil, receives structured campaign lifecycle
 	// events (seed calibration, novelty, crashes, cycles, CGT replans).
@@ -188,12 +165,6 @@ func (o Options) Validate() error {
 	}
 	if o.HistorySamples < 0 {
 		return fmt.Errorf("fuzz: HistorySamples %d is negative", o.HistorySamples)
-	}
-	if o.StatusPeriod < 0 {
-		return fmt.Errorf("fuzz: StatusPeriod %v is negative", o.StatusPeriod)
-	}
-	if o.StatusEvery < 0 {
-		return fmt.Errorf("fuzz: StatusEvery %d is negative", o.StatusEvery)
 	}
 	if o.Engine < EngineAuto || o.Engine > EngineCGT {
 		return fmt.Errorf("fuzz: unknown engine %d", int(o.Engine))
@@ -383,12 +354,6 @@ type Fuzzer struct {
 	sumSteps int64
 	sumCov   int64
 
-	// reachW maps coverage-map indices to static crash-site
-	// reachability counts (Options.ReachBoost); reachMax is the
-	// program-wide maximum, the boost's normalizer.
-	reachW   []int
-	reachMax int
-
 	// guide holds the analysis-guided state (Options.AnalysisGuide;
 	// nil otherwise), and covCount the per-cell queue coverage counts
 	// behind its rarity ordering — derived state, rebuilt on restore.
@@ -423,11 +388,6 @@ type Fuzzer struct {
 	// Returning false stops Fuzz early (graceful shutdown).
 	hook func(*Fuzzer) bool
 
-	// Status-line pacing (display only; never feeds back into campaign
-	// state, so determinism is unaffected).
-	statusAt    time.Time
-	statusExecs int64
-
 	// curStage attributes executions to the stage that issued them
 	// (stage counters in Stats); maxDepth tracks the deepest mutation
 	// chain in the queue. Both are deterministic campaign state.
@@ -436,10 +396,10 @@ type Fuzzer struct {
 
 	// tel, when non-nil, receives counter snapshots and stage spans —
 	// observation only, at queue-entry granularity. nextPublish paces
-	// the snapshot copies (display only, like statusAt): the collector
-	// samples at wall-clock intervals, so publishing every boundary
-	// would pay the queue scans thousands of times per second for
-	// snapshots nobody reads.
+	// the snapshot copies (display only): the collector samples at
+	// wall-clock intervals, so publishing every boundary would pay the
+	// queue scans thousands of times per second for snapshots nobody
+	// reads.
 	tel         *telemetry.Recorder
 	nextPublish int64
 
@@ -501,9 +461,6 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 	if guide != nil {
 		f.covCount = make(map[uint32]int)
 	}
-	if opts.ReachBoost {
-		f.reachW, f.reachMax = reachWeights(prog, opts.Feedback, opts.MapSize)
-	}
 	f.mut = &mutator{
 		rng:    f.rng,
 		maxLen: opts.MaxInputLen,
@@ -525,12 +482,6 @@ func (f *Fuzzer) Execs() int64 { return f.stats.Execs }
 // it mutates nothing (Report re-culls the favored corpus), so it is
 // safe to call from boundary hooks without perturbing determinism.
 func (f *Fuzzer) StatsSnapshot() Stats { return f.stats }
-
-// UniqueCrashes returns the number of unique crashes by stack hash.
-func (f *Fuzzer) UniqueCrashes() int { return len(f.crashes) }
-
-// UniqueBugs returns the number of unique ground-truth bugs found.
-func (f *Fuzzer) UniqueBugs() int { return len(f.bugs) }
 
 // QueueLen returns the current queue size.
 func (f *Fuzzer) QueueLen() int { return len(f.queue) }
@@ -943,21 +894,9 @@ func (f *Fuzzer) energy(e *Entry) int {
 	if e.Handicap > 0 {
 		score *= 1.5
 	}
-	if f.reachMax > 0 {
-		// Static crash-site reachability prior: inputs whose coverage
-		// borders the most reachable danger get up to 2x budget.
-		best := 0
-		for _, i := range e.Cov {
-			if int(i) < len(f.reachW) && f.reachW[i] > best {
-				best = f.reachW[i]
-			}
-		}
-		score *= 1 + float64(best)/float64(f.reachMax)
-	}
 	if f.guide != nil && f.guide.wMax > 0 {
 		// Analysis-guided frontier prior: inputs bordering the most
-		// input-dependent unexplored branch sides get up to 2x budget
-		// (the interprocedural generalization of the reach boost).
+		// input-dependent unexplored branch sides get up to 2x budget.
 		best := 0
 		for _, i := range e.Cov {
 			if int(i) < len(f.guide.w) && f.guide.w[i] > best {
@@ -984,53 +923,6 @@ func maxF(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// reachWeights inverts the coverage-map index space back to program
-// locations and annotates each with its static crash-site reachability
-// count. Only feedbacks with exact (non-hashed) indices can be
-// inverted: edge and pathafl use index = edgeBase(fn) + e, block uses
-// index = blockBase(fn) + b, mirroring the instrument package's ID
-// assignment. For other feedbacks it returns (nil, 0), disabling the
-// boost. Colliding indices keep the larger count.
-func reachWeights(prog *cfg.Program, fb instrument.Feedback, mapSize int) ([]int, int) {
-	var edgeIndexed bool
-	switch fb {
-	case instrument.FeedbackEdge, instrument.FeedbackPathAFL:
-		edgeIndexed = true
-	case instrument.FeedbackBlock:
-		edgeIndexed = false
-	default:
-		return nil, 0
-	}
-	r := analysis.NewReach(prog)
-	w := make([]int, mapSize)
-	mask := uint32(mapSize - 1)
-	maxW := 0
-	note := func(idx uint32, c int) {
-		i := idx & mask
-		if c > w[i] {
-			w[i] = c
-		}
-		if c > maxW {
-			maxW = c
-		}
-	}
-	var base uint32
-	for fi, f := range prog.Funcs {
-		if edgeIndexed {
-			for e := range f.Edges {
-				note(base+uint32(e), r.Block(fi, f.Edges[e].To))
-			}
-			base += uint32(len(f.Edges))
-		} else {
-			for b := range f.Blocks {
-				note(base+uint32(b), r.Block(fi, b))
-			}
-			base += uint32(len(f.Blocks))
-		}
-	}
-	return w, maxW
 }
 
 // processNew enqueues a novel input produced during fuzzing; parent is
@@ -1123,9 +1015,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 				f.sample()
 				f.nextSample += f.sampleEvery
 			}
-			if f.opts.Status != nil {
-				f.maybeStatus()
-			}
 			if f.tel != nil && f.stats.Execs >= f.nextPublish {
 				f.publishTelemetry()
 				f.nextPublish = f.stats.Execs + telemetryEvery
@@ -1160,39 +1049,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 	}
 }
 
-// maybeStatus emits the periodic status line: engine, execution count,
-// measured execs/sec over the last interval, and campaign counters.
-// Pacing is wall-clock first (StatusPeriod, default 1s) with an
-// exec-count fallback (StatusEvery), so slow or tight-limit subjects
-// report on time while fast ones cannot flood the terminal between
-// clock reads. Display only: nothing here feeds back into campaign
-// state.
-func (f *Fuzzer) maybeStatus() {
-	now := time.Now()
-	if f.statusAt.IsZero() {
-		f.statusAt, f.statusExecs = now, f.stats.Execs
-		return
-	}
-	period := f.opts.StatusPeriod
-	if period <= 0 {
-		period = time.Second
-	}
-	every := f.opts.StatusEvery
-	if every <= 0 {
-		every = 50000
-	}
-	if now.Sub(f.statusAt) < period && f.stats.Execs-f.statusExecs < every {
-		return
-	}
-	rate := 0.0
-	if dt := now.Sub(f.statusAt).Seconds(); dt > 0 {
-		rate = float64(f.stats.Execs-f.statusExecs) / dt
-	}
-	fmt.Fprintf(f.opts.Status, "[pafuzz] engine=%s execs=%d rate=%.0f/s queue=%d cov=%d crashes=%d bugs=%d\n",
-		f.EngineName(), f.stats.Execs, rate, len(f.queue), f.coveredCount(), f.stats.CrashExecs, len(f.bugs))
-	f.statusAt, f.statusExecs = now, f.stats.Execs
-}
-
 // Telemetry returns the attached recorder (nil when telemetry is off).
 func (f *Fuzzer) Telemetry() *telemetry.Recorder { return f.tel }
 
@@ -1204,27 +1060,26 @@ func (f *Fuzzer) Telemetry() *telemetry.Recorder { return f.tel }
 const telemetryEvery = 1000
 
 // publishTelemetry copies the campaign counters into the recorder —
-// one snapshot per queue-entry boundary, the only place the campaign
-// touches the telemetry layer.
+// one snapshot per paced queue-entry boundary, the only place the
+// campaign touches the telemetry layer.
 func (f *Fuzzer) publishTelemetry() {
-	if f.tel == nil {
-		return
+	if f.tel != nil {
+		f.tel.Publish(f.Counters())
 	}
+}
+
+// Counters maps the campaign state to the telemetry counter set: the
+// one mapping behind every snapshot a single campaign or a fleet worker
+// publishes. It reads state without mutating it, so it is safe at any
+// boundary.
+func (f *Fuzzer) Counters() telemetry.Counters {
 	pending := int64(0)
 	for _, e := range f.queue {
 		if !e.WasFuzzed {
 			pending++
 		}
 	}
-	var fastExecs, retraces, replans, elided, patchSites int64
-	if f.cgt != nil {
-		fastExecs = f.cgt.fastExecs
-		retraces = f.cgt.retraces
-		replans = f.cgt.replans
-		elided = int64(f.cgt.elided)
-		patchSites = int64(f.cgt.patch.NumSites())
-	}
-	f.tel.Publish(telemetry.Counters{
+	c := telemetry.Counters{
 		Execs:            f.stats.Execs,
 		Timeouts:         f.stats.Timeouts,
 		CrashExecs:       f.stats.CrashExecs,
@@ -1248,12 +1103,15 @@ func (f *Fuzzer) publishTelemetry() {
 		HavocExecs:       f.stats.HavocExecs,
 		SpliceExecs:      f.stats.SpliceExecs,
 		CmplogExecs:      f.stats.CmplogExecs,
-		FastExecs:        fastExecs,
-		Retraces:         retraces,
-		Replans:          replans,
-		ElidedProbes:     elided,
-		PatchSites:       patchSites,
-	})
+	}
+	if f.cgt != nil {
+		c.FastExecs = f.cgt.fastExecs
+		c.Retraces = f.cgt.retraces
+		c.Replans = f.cgt.replans
+		c.ElidedProbes = int64(f.cgt.elided)
+		c.PatchSites = int64(f.cgt.patch.NumSites())
+	}
+	return c
 }
 
 func (f *Fuzzer) sample() {

@@ -370,74 +370,3 @@ func TestSkipProbabilities(t *testing.T) {
 		t.Errorf("fresh-entry skip rate off: %d/2000", got)
 	}
 }
-
-// TestReachBoostEnergy checks the static-reachability term of the
-// power schedule: with ReachBoost on, an entry covering the dangerous
-// function (many reachable crash sites past its blocks) earns more
-// energy than one covering only safe code, and the boost never exceeds
-// the documented 2x.
-func TestReachBoostEnergy(t *testing.T) {
-	p := compileT(t, `
-func danger(input, arr) {
-    var i = 0;
-    while (i < len(input)) {
-        arr[input[i]] = input[i] / (input[i] - 7);
-        i = i + 1;
-    }
-    return arr[0];
-}
-
-func safe(x) {
-    return x + 1;
-}
-
-func main(input) {
-    if (len(input) < 1) { return safe(0); }
-    if (input[0] == 'd') {
-        var arr = alloc(8);
-        return danger(input, arr);
-    }
-    return safe(1);
-}`)
-	f, err := New(p, Options{Feedback: instrument.FeedbackEdge, Seed: 3, MapSize: 1 << 12, ReachBoost: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.reachMax == 0 {
-		t.Fatal("edge feedback should produce reach weights")
-	}
-	// Find a covered index with the maximum weight and one with zero.
-	var hot, cold uint32
-	foundHot, foundCold := false, false
-	for i, w := range f.reachW {
-		if w == f.reachMax && !foundHot {
-			hot, foundHot = uint32(i), true
-		}
-		if w == 0 && !foundCold {
-			cold, foundCold = uint32(i), true
-		}
-	}
-	if !foundHot || !foundCold {
-		t.Fatalf("expected both hot and cold indices (max=%d)", f.reachMax)
-	}
-	f.sumSteps, f.sumCov = 100, 1
-	f.queue = append(f.queue, &Entry{})
-	eHot := f.energy(&Entry{Steps: 100, Cov: []uint32{hot}, Data: []byte("x")})
-	eCold := f.energy(&Entry{Steps: 100, Cov: []uint32{cold}, Data: []byte("x")})
-	if eHot <= eCold {
-		t.Errorf("reach boost missing: hot=%d cold=%d", eHot, eCold)
-	}
-	if eHot > 2*eCold {
-		t.Errorf("reach boost exceeds 2x: hot=%d cold=%d", eHot, eCold)
-	}
-
-	// Hashed-index feedbacks cannot invert the map: the boost must be
-	// silently disabled rather than wrong.
-	fp, err := New(p, Options{Feedback: instrument.FeedbackPath, Seed: 3, MapSize: 1 << 12, ReachBoost: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp.reachMax != 0 || fp.reachW != nil {
-		t.Errorf("path feedback should not produce reach weights (max=%d)", fp.reachMax)
-	}
-}

@@ -11,8 +11,7 @@
 //     explored side). Needs an exact-index feedback (edge, block,
 //     pathafl) to invert map indices back to branches.
 //   - Power schedule: entries adjacent to statically-input-dependent
-//     but unexplored branch sides get up to twice the havoc budget, the
-//     analysis generalization of Options.ReachBoost.
+//     but unexplored branch sides get up to twice the havoc budget.
 //   - Cmplog skip: observed comparisons whose (operator, operand
 //     intervals) signature matches only input-independent static sites
 //     are skipped — value substitution there is provably fruitless.
@@ -88,8 +87,8 @@ type guideState struct {
 }
 
 // newGuide builds the guide state for a campaign. Branch projection
-// needs an exact (non-hashed) index feedback, mirroring reachWeights;
-// other feedbacks keep the cmplog-skip and dead-cell channels only.
+// needs an exact (non-hashed) index feedback; other feedbacks keep the
+// cmplog-skip and dead-cell channels only.
 func newGuide(prog *cfg.Program, facts *interproc.Facts, fb instrument.Feedback, mapSize int, ic instrument.Config) *guideState {
 	g := &guideState{
 		facts:     facts,

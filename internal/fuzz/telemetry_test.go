@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +62,44 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestStatusOutputIsDisplayOnly: enabling the status line must not
+// change campaign results (it reads the clock, so this guards against
+// accidental feedback into fuzzing decisions). The line is a view of
+// the collector's samples, so a collector ticking as fast as it can,
+// printing every sample, must leave the campaign untouched.
+func TestStatusOutputIsDisplayOnly(t *testing.T) {
+	p := compileT(t, fig1)
+	run := func(rec *telemetry.Recorder) *Report {
+		f, err := New(p, Options{
+			Feedback:  instrument.FeedbackPath,
+			Seed:      9,
+			MapSize:   1 << 12,
+			Telemetry: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.AddSeed([]byte("hello"))
+		f.Fuzz(15000)
+		return f.Report()
+	}
+	plain := run(nil)
+	var status bytes.Buffer
+	live := telemetry.New(telemetry.Config{Status: &status})
+	live.StartCollector(time.Microsecond)
+	noisy := run(live)
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Stats, noisy.Stats) || plain.QueueLen != noisy.QueueLen {
+		t.Errorf("status line perturbed the campaign:\nplain: %+v\nnoisy: %+v", plain.Stats, noisy.Stats)
+	}
+	lines := strings.Split(strings.TrimSpace(status.String()), "\n")
+	if last := lines[len(lines)-1]; !strings.Contains(last, fmt.Sprintf(" execs_done=%d ", noisy.Stats.Execs)) {
+		t.Errorf("final status line %q does not report execs_done=%d", last, noisy.Stats.Execs)
+	}
+}
+
 // TestStageExecsPartitionExecs: every execution is attributed to
 // exactly one stage, so the per-stage counters sum to the total.
 func TestStageExecsPartitionExecs(t *testing.T) {
@@ -80,88 +119,4 @@ func TestStageExecsPartitionExecs(t *testing.T) {
 	if st.SeedExecs == 0 || st.HavocExecs == 0 {
 		t.Errorf("expected nonzero seed (%d) and havoc (%d) execs", st.SeedExecs, st.HavocExecs)
 	}
-}
-
-// TestStatusWallClockPacing: with a tiny period every boundary emits a
-// line even when the exec fallback is unreachable.
-func TestStatusWallClockPacing(t *testing.T) {
-	p := compileT(t, fig1)
-	var buf bytes.Buffer
-	f, err := New(p, Options{
-		Feedback:     instrument.FeedbackPath,
-		Seed:         1,
-		MapSize:      1 << 12,
-		Status:       &buf,
-		StatusPeriod: time.Nanosecond,
-		StatusEvery:  1 << 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.AddSeed([]byte("hello"))
-	f.Fuzz(5000)
-	lines := strings.Count(buf.String(), "\n")
-	if lines == 0 {
-		t.Fatal("wall-clock pacing emitted no status lines")
-	}
-	if !strings.Contains(buf.String(), "[pafuzz] engine=") {
-		t.Errorf("unexpected status format: %q", firstLine(buf.String()))
-	}
-}
-
-// TestStatusExecFallback: with an unreachable period, the exec-count
-// fallback still keeps the campaign talking.
-func TestStatusExecFallback(t *testing.T) {
-	p := compileT(t, fig1)
-	var buf bytes.Buffer
-	f, err := New(p, Options{
-		Feedback:     instrument.FeedbackPath,
-		Seed:         1,
-		MapSize:      1 << 12,
-		Status:       &buf,
-		StatusPeriod: time.Hour,
-		StatusEvery:  1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.AddSeed([]byte("hello"))
-	f.Fuzz(10000)
-	if strings.Count(buf.String(), "\n") == 0 {
-		t.Fatal("exec-count fallback emitted no status lines")
-	}
-}
-
-// TestStatusOutputIsDisplayOnly: enabling the status line must not
-// change campaign results (it reads the clock, so this guards against
-// accidental feedback into fuzzing decisions).
-func TestStatusOutputIsDisplayOnly(t *testing.T) {
-	p := compileT(t, fig1)
-	run := func(status *bytes.Buffer) *Report {
-		opts := Options{Feedback: instrument.FeedbackPath, Seed: 9, MapSize: 1 << 12}
-		if status != nil {
-			opts.Status = status
-			opts.StatusPeriod = time.Nanosecond
-		}
-		f, err := New(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.AddSeed([]byte("hello"))
-		f.Fuzz(15000)
-		return f.Report()
-	}
-	plain := run(nil)
-	var buf bytes.Buffer
-	noisy := run(&buf)
-	if !reflect.DeepEqual(plain.Stats, noisy.Stats) || plain.QueueLen != noisy.QueueLen {
-		t.Errorf("status line perturbed the campaign:\nplain: %+v\nnoisy: %+v", plain.Stats, noisy.Stats)
-	}
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -17,8 +16,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"non-power-of-two map size", Options{MapSize: 3000}, "power of two"},
 		{"negative max input len", Options{MaxInputLen: -5}, "MaxInputLen"},
 		{"negative history samples", Options{HistorySamples: -1}, "HistorySamples"},
-		{"negative status period", Options{StatusPeriod: -time.Second}, "StatusPeriod"},
-		{"negative status every", Options{StatusEvery: -1}, "StatusEvery"},
 		{"unknown engine", Options{Engine: Engine(99)}, "engine"},
 		{"bytecode engine", Options{Engine: EngineAuto}, ""},
 		{"cgt engine", Options{Engine: EngineCGT}, ""},

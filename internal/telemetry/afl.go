@@ -83,6 +83,19 @@ func FormatFuzzerStats(s *Snapshot, info Info, rate float64, startUnix, nowUnix 
 	return []byte(b.String())
 }
 
+// FormatStatus renders the live status line for one sample: the
+// snapshot's counters under their fuzzer_stats names, the sampled exec
+// rate, and, for a fleet aggregate, how many of its workers are active.
+func FormatStatus(s *Snapshot, p Point, info Info) string {
+	line := fmt.Sprintf("[pafuzz] %s run_time=%d execs_done=%d execs_per_sec=%.0f corpus_count=%d edges_found=%d saved_crashes=%d unique_crashes=%d saved_hangs=%d target_mode=%s",
+		info.Banner, int64(s.Elapsed.Seconds()), s.Execs, p.ExecsPerSec, s.QueueLen,
+		s.CoverageCount, s.UniqueBugs, s.UniqueCrashes, s.Timeouts, info.Engine)
+	if s.FleetWorkers > 0 {
+		line += fmt.Sprintf(" fleet_active=%d/%d", s.FleetActive, s.FleetWorkers)
+	}
+	return line
+}
+
 // Version tags the telemetry schema in fuzzer_stats.
 const Version = "4.0"
 

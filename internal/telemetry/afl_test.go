@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -64,6 +65,29 @@ func TestFuzzerStatsGolden(t *testing.T) {
 func TestPlotRowGolden(t *testing.T) {
 	row := FormatPlotRow(goldenSnapshot(), 137.25, 90)
 	checkGolden(t, "plot_row.golden", []byte(PlotHeader+"\n"+row+"\n"))
+}
+
+// TestStatusGolden pins the live status line a collector sample
+// writes: one single-campaign sample and one fleet aggregate, whose
+// line adds the active-worker count.
+func TestStatusGolden(t *testing.T) {
+	var buf bytes.Buffer
+	sample := func(c Counters) {
+		clk := newFakeClock()
+		r := New(Config{Info: goldenInfo(), Now: clk.now, Status: &buf})
+		clk.advance(90 * time.Second)
+		r.Publish(c)
+		if _, ok := r.Sample(); !ok {
+			t.Fatal("sample not taken")
+		}
+	}
+	sample(goldenSnapshot().Counters)
+	fleet := Aggregate(goldenSnapshot().Counters, Counters{
+		Execs: 9000, QueueLen: 31, CoverageCount: 22, UniqueCrashes: 1, UniqueBugs: 1, MapSize: 65536,
+	})
+	fleet.FleetWorkers, fleet.FleetActive = 2, 1
+	sample(fleet)
+	checkGolden(t, "status.golden", buf.Bytes())
 }
 
 // TestPlotRowShape pins the AFL++ column contract independent of the

@@ -6,8 +6,10 @@ import (
 )
 
 func TestAggregateSumsAndMaxes(t *testing.T) {
-	a := Counters{Execs: 100, UniqueBugs: 2, QueueLen: 5, MaxDepth: 3, MapSize: 1 << 12}
-	b := Counters{Execs: 50, UniqueBugs: 1, QueueLen: 7, MaxDepth: 9}
+	a := Counters{Execs: 100, UniqueBugs: 2, QueueLen: 5, MaxDepth: 3, MapSize: 1 << 12,
+		CoverageCount: 4000, CoverageBits: 30, ElidedProbes: 8, PatchSites: 20}
+	b := Counters{Execs: 50, UniqueBugs: 1, QueueLen: 7, MaxDepth: 9, MapSize: 1 << 12,
+		CoverageCount: 3000, CoverageBits: 45, ElidedProbes: 12, PatchSites: 20}
 	got := Aggregate(a, b)
 	if got.Execs != 150 || got.UniqueBugs != 3 || got.QueueLen != 12 {
 		t.Fatalf("cumulative fields not summed: %+v", got)
@@ -17,6 +19,17 @@ func TestAggregateSumsAndMaxes(t *testing.T) {
 	}
 	if got.MapSize != 1<<12 {
 		t.Fatalf("MapSize = %d, want the first non-zero value", got.MapSize)
+	}
+	// Workers cover one map and run one program: a sum of their
+	// coverage could exceed the map, so the aggregate takes the maximum.
+	if got.CoverageCount != 4000 || got.CoverageBits != 45 {
+		t.Fatalf("coverage = %d/%d, want max 4000/45", got.CoverageCount, got.CoverageBits)
+	}
+	if got.ElidedProbes != 12 || got.PatchSites != 20 {
+		t.Fatalf("CGT plan = %d/%d, want max 12/20", got.ElidedProbes, got.PatchSites)
+	}
+	if got.CoverageCount > got.MapSize {
+		t.Fatalf("aggregate coverage %d exceeds the %d-cell map", got.CoverageCount, got.MapSize)
 	}
 }
 

@@ -36,7 +36,10 @@ type Point struct {
 // derivePoint folds a snapshot (and the previous sampled one, which
 // may be nil) into a series point. With no predecessor, rates are
 // computed over the snapshot's whole elapsed time, so the very first
-// sample of a campaign is already meaningful.
+// sample of a campaign is already meaningful. A snapshot with fewer
+// execs than its predecessor comes from a restarted counter set (each
+// round of a round-based strategy runs a fresh fuzzer on the same
+// recorder), so its own totals are the interval's deltas.
 func derivePoint(prev, s *Snapshot) Point {
 	p := Point{
 		Elapsed:        s.Elapsed,
@@ -57,19 +60,16 @@ func derivePoint(prev, s *Snapshot) Point {
 		UniqueCrashes:  s.UniqueCrashes,
 		InternalFaults: s.InternalFaults,
 	}
-	var (
-		dt                              time.Duration
-		execs, added, crashes, timeouts int64
-	)
-	if prev == nil {
-		dt = s.Elapsed
-		execs, added, crashes, timeouts = s.Execs, s.Added, s.CrashExecs, s.Timeouts
-	} else {
-		dt = s.Elapsed - prev.Elapsed
-		execs = s.Execs - prev.Execs
-		added = s.Added - prev.Added
-		crashes = s.CrashExecs - prev.CrashExecs
-		timeouts = s.Timeouts - prev.Timeouts
+	dt := s.Elapsed
+	execs, added, crashes, timeouts := s.Execs, s.Added, s.CrashExecs, s.Timeouts
+	if prev != nil {
+		dt -= prev.Elapsed
+		if s.Execs >= prev.Execs {
+			execs -= prev.Execs
+			added -= prev.Added
+			crashes -= prev.CrashExecs
+			timeouts -= prev.Timeouts
+		}
 	}
 	if sec := dt.Seconds(); sec > 0 {
 		p.ExecsPerSec = float64(execs) / sec

@@ -12,13 +12,14 @@
 // them into a Counters value and Publishes it with a single atomic
 // pointer store. A collector goroutine samples the published snapshot
 // on a wall-clock cadence, derives rates from consecutive samples, and
-// feeds the series, files, and endpoint. Telemetry therefore never
-// feeds back into campaign state, never contends with the exec loop,
-// and adds no work per execution — the invariant the <2% overhead
-// budget (BENCH_PR4.json) and the determinism tests pin down.
+// feeds the series, files, endpoint, and status line. Telemetry
+// therefore never feeds back into campaign state, never contends with
+// the exec loop, and adds no work per execution — the invariant the
+// determinism tests pin down.
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sort"
@@ -92,9 +93,12 @@ type Counters struct {
 
 // Aggregate sums counter sets across fleet workers: cumulative totals
 // and gauge fields alike are added (the fleet-wide queue depth is the
-// sum of per-worker queues), except MaxDepth and CurItem which take the
-// maximum, and MapSize which is per-worker identical so the first
-// non-zero value is kept.
+// sum of per-worker queues), except MapSize, which is per-worker
+// identical so the first non-zero value is kept, and the fields that
+// describe one shared map or program — MaxDepth, CurItem, the coverage
+// gauges and the CGT plan gauges — which take the maximum. Workers
+// cover overlapping cells, so a sum could exceed the map; the maximum
+// is a lower bound on the fleet's union.
 func Aggregate(cs ...Counters) Counters {
 	var out Counters
 	for _, c := range cs {
@@ -112,8 +116,6 @@ func Aggregate(cs ...Counters) Counters {
 		out.Favored += c.Favored
 		out.PendingTotal += c.PendingTotal
 		out.PendingFavored += c.PendingFavored
-		out.CoverageCount += c.CoverageCount
-		out.CoverageBits += c.CoverageBits
 		out.SeedExecs += c.SeedExecs
 		out.HavocExecs += c.HavocExecs
 		out.SpliceExecs += c.SpliceExecs
@@ -121,20 +123,18 @@ func Aggregate(cs ...Counters) Counters {
 		out.FastExecs += c.FastExecs
 		out.Retraces += c.Retraces
 		out.Replans += c.Replans
-		out.ElidedProbes += c.ElidedProbes
-		out.PatchSites += c.PatchSites
 		out.FleetWorkers += c.FleetWorkers
 		out.FleetActive += c.FleetActive
 		out.FleetRestarts += c.FleetRestarts
 		out.FleetWedges += c.FleetWedges
 		out.FleetRetired += c.FleetRetired
 		out.FleetQuarantined += c.FleetQuarantined
-		if c.MaxDepth > out.MaxDepth {
-			out.MaxDepth = c.MaxDepth
-		}
-		if c.CurItem > out.CurItem {
-			out.CurItem = c.CurItem
-		}
+		out.MaxDepth = max(out.MaxDepth, c.MaxDepth)
+		out.CurItem = max(out.CurItem, c.CurItem)
+		out.CoverageCount = max(out.CoverageCount, c.CoverageCount)
+		out.CoverageBits = max(out.CoverageBits, c.CoverageBits)
+		out.ElidedProbes = max(out.ElidedProbes, c.ElidedProbes)
+		out.PatchSites = max(out.PatchSites, c.PatchSites)
 		if out.MapSize == 0 {
 			out.MapSize = c.MapSize
 		}
@@ -165,13 +165,13 @@ func (s *Snapshot) MapDensity() float64 {
 type Info struct {
 	// Banner identifies the campaign, e.g. "flvmeta/cull".
 	Banner string
-	// Engine is the resolved execution engine ("bytecode" or "interp").
+	// Engine is the resolved execution engine ("bytecode" or "cgt").
 	Engine string
 	// Feedback names the coverage feedback mechanism.
 	Feedback string
-	// Instrs is the compiled bytecode instruction count (0 for interp);
-	// Nops is how many of those slots the verified optimization passes
-	// reduced to counted nops.
+	// Instrs is the compiled bytecode instruction count; Nops is how
+	// many of those slots the verified optimization passes reduced to
+	// counted nops.
 	Instrs int
 	Nops   int
 	Seed   int64
@@ -193,6 +193,11 @@ type Config struct {
 	// ElapsedBase offsets Elapsed, carrying wall-clock lineage across a
 	// checkpoint/resume boundary so plot_data stays gapless.
 	ElapsedBase time.Duration
+	// Status, when non-nil, receives one FormatStatus line per sample:
+	// the live status line is a view of the collector's tick. Callers
+	// that Sample concurrently with the collector must pass a writer
+	// that is safe for concurrent use.
+	Status io.Writer
 }
 
 // Recorder is the campaign-side telemetry hub. The publishing side
@@ -211,6 +216,7 @@ type Recorder struct {
 	spans  *spanStore
 	prev   *Snapshot // last sampled snapshot, for rate derivation
 	afl    *AFLOutput
+	status io.Writer
 	// Last durable checkpoint (NoteCheckpoint), surfaced by /healthz:
 	// a durable campaign whose checkpoint age grows without bound is
 	// unhealthy even while its exec counter moves.
@@ -262,6 +268,7 @@ func New(cfg Config) *Recorder {
 		info:   info,
 		series: newSeries(cfg.SeriesCap),
 		spans:  newSpanStore(cfg.SpanCap),
+		status: cfg.Status,
 	}
 }
 
@@ -447,19 +454,20 @@ func (r *Recorder) AttachAFLOutput(dir string) error {
 
 // Sample takes one collector tick: it loads the latest snapshot,
 // derives rates against the previous sample, appends a series point,
-// and — when an AFL output is attached — writes a plot_data row and
-// rewrites fuzzer_stats. It is what the collector goroutine runs on
-// its cadence, and what tests call directly for determinism. It
-// returns the point recorded, or ok=false when nothing has been
-// published yet or the counters have not advanced.
+// writes a plot_data row and rewrites fuzzer_stats when an AFL output
+// is attached, and writes the status line when Config.Status is set.
+// It is what the collector goroutine runs on its cadence, and what
+// tests call directly for determinism. It returns the point recorded,
+// or ok=false when nothing has been published yet or the counters have
+// not advanced.
 func (r *Recorder) Sample() (Point, bool) {
 	s := r.Latest()
 	if s == nil {
 		return Point{}, false
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.prev != nil && r.prev.Elapsed == s.Elapsed && r.prev.Execs == s.Execs {
+		r.mu.Unlock()
 		return Point{}, false
 	}
 	p := derivePoint(r.prev, s)
@@ -467,6 +475,14 @@ func (r *Recorder) Sample() (Point, bool) {
 	r.prev = s
 	if r.afl != nil {
 		r.afl.Append(s, p, r.info)
+	}
+	info := r.info
+	r.mu.Unlock()
+	// Written outside the lock: a stalled terminal must not block the
+	// HTTP handlers. The collector and Close's final sample run one at a
+	// time, so the writer sees one line at a time.
+	if r.status != nil {
+		fmt.Fprintln(r.status, FormatStatus(s, p, info))
 	}
 	return p, true
 }

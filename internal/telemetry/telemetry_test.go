@@ -104,6 +104,35 @@ func TestSampleRates(t *testing.T) {
 	}
 }
 
+// TestSampleRatesSurviveReset: a round-based strategy runs a fresh
+// fuzzer on the same recorder each round, so the published counters
+// restart. The sample after a restart rates the new counters over the
+// interval instead of going negative.
+func TestSampleRatesSurviveReset(t *testing.T) {
+	clk := newFakeClock()
+	r := New(Config{Now: clk.now})
+	clk.advance(time.Second)
+	r.Publish(Counters{Execs: 50000, Added: 40, CrashExecs: 9, Timeouts: 3})
+	if _, ok := r.Sample(); !ok {
+		t.Fatal("first sample not taken")
+	}
+	clk.advance(2 * time.Second)
+	r.Publish(Counters{Execs: 2000, Added: 4, CrashExecs: 2, Timeouts: 0})
+	p, ok := r.Sample()
+	if !ok {
+		t.Fatal("sample after the reset not taken")
+	}
+	if p.ExecsPerSec != 1000 || p.NoveltyPerSec != 2 || p.CrashesPerSec != 1 || p.TimeoutsPerSec != 0 {
+		t.Errorf("post-reset rates = %v/%v/%v/%v, want 1000/2/1/0",
+			p.ExecsPerSec, p.NoveltyPerSec, p.CrashesPerSec, p.TimeoutsPerSec)
+	}
+	for _, pt := range r.Points() {
+		if pt.ExecsPerSec < 0 || pt.NoveltyPerSec < 0 || pt.CrashesPerSec < 0 || pt.TimeoutsPerSec < 0 {
+			t.Errorf("negative rate in series point %+v", pt)
+		}
+	}
+}
+
 // TestSeriesRing verifies the sample ring drops the oldest points.
 func TestSeriesRing(t *testing.T) {
 	clk := newFakeClock()
