@@ -16,8 +16,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"net"
@@ -25,12 +23,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"syscall"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/fuzz"
 	"repro/internal/instrument"
@@ -49,7 +47,7 @@ func main() {
 		subjectName = flag.String("subject", "", "benchmark subject to fuzz (see -list)")
 		srcPath     = flag.String("src", "", "MiniC source file to fuzz instead of a subject")
 		fuzzerName  = flag.String("fuzzer", "path", "configuration: path|pcguard|cull|cull_r|opp|pathafl|afl|path2|selective")
-		budget      = flag.Int64("budget", 200000, "execution budget (the wall-clock analogue)")
+		budget      = flag.Int64("budget", 200000, "execution budget, must be positive (the wall-clock analogue)")
 		roundBudget = flag.Int64("round", 0, "culling round budget (default budget/8)")
 		seed        = flag.Int64("seed", 1, "campaign RNG seed")
 		inDir       = flag.String("i", "", "seed corpus directory (one input per file)")
@@ -110,171 +108,198 @@ func main() {
 		}
 	}
 
+	// The campaign description: built from the flags for a new campaign,
+	// loaded from the newest checkpoint or the fleet manifest on -resume.
+	// Everything below runs from it alone.
+	var (
+		meta campaign.Meta
+		ck   *campaign.Checkpoint
+		man  *fleet.Manifest
+	)
 	if *resume {
 		if *stateDir == "" {
 			fatalf("-resume requires -o <state dir>")
 		}
-		if fleet.HasManifest(campaign.OSFS{}, *stateDir) {
-			resumeFleetCampaign(*stateDir, fleetOpts, engine, *statusPer, *metricsAddr, *showCrash, *journalOn)
-			return
-		}
-		resumeCampaign(*stateDir, *ckptEvery, *showCrash, engine, *statusPer, *metricsAddr, *journalOn, *stopAfter)
-		return
-	}
-
-	var (
-		target *core.Target
-		seeds  [][]byte
-		meta   campaign.Meta
-		err    error
-	)
-	switch {
-	case *subjectName != "":
-		sub := subjects.Get(*subjectName)
-		if sub == nil {
-			fatalf("unknown subject %q (use -list)", *subjectName)
-		}
-		prog, perr := sub.Program()
-		if perr != nil {
-			fatalf("%v", perr)
-		}
-		target = core.FromProgram(prog)
-		seeds = sub.Seeds
-		meta.Subject = sub.Name
-	case *srcPath != "":
-		src, rerr := os.ReadFile(*srcPath)
-		if rerr != nil {
-			fatalf("%v", rerr)
-		}
-		target, err = core.Compile(string(src))
-		if err != nil {
-			fatalf("compile: %v", err)
-		}
-		seeds = [][]byte{[]byte("seed")}
-		sum := sha256.Sum256(src)
-		meta.Source = *srcPath
-		meta.SourceSum = hex.EncodeToString(sum[:])
-	default:
-		fatalf("one of -subject or -src is required (or -list)")
-	}
-
-	if *inDir != "" {
-		loaded := loadSeedDir(*inDir)
-		if len(loaded) == 0 {
-			warnf("seed dir %s yielded no usable inputs; keeping default seeds", *inDir)
+		ck, man = loadState(*stateDir)
+		if man != nil {
+			meta = man.Meta
+			fleetOpts.Workers = man.Workers
 		} else {
-			seeds = loaded
+			meta = ck.Meta
+		}
+	} else {
+		if *subjectName == "" && *srcPath == "" {
+			fatalf("one of -subject or -src is required (or -list)")
+		}
+		if *budget <= 0 {
+			fatalf("-budget must be positive, got %d", *budget)
+		}
+		meta = campaign.Meta{
+			Subject: *subjectName,
+			Source:  *srcPath,
+			Fuzzer:  *fuzzerName,
+			Seed:    *seed,
+			Budget:  *budget,
+			Entry:   "main",
+			Guide:   *guide,
 		}
 	}
-
-	meta.Fuzzer = *fuzzerName
-	meta.Seed = *seed
-	meta.Budget = *budget
-	meta.Entry = target.Entry
-	meta.Guide = *guide
-
-	banner := meta.Subject
-	if banner == "" {
-		banner = filepath.Base(meta.Source)
-	}
-	banner += "/" + *fuzzerName
-
-	if *stateDir != "" {
-		if fb, profile, ok := strategy.SingleConfig(strategy.Name(*fuzzerName)); ok {
-			rec := startTelemetry(telemetry.Info{
-				Banner:   banner,
-				Engine:   engine.String(),
-				Feedback: *fuzzerName,
-				Seed:     *seed,
-				Budget:   *budget,
-				PID:      os.Getpid(),
-			}, *stateDir, *metricsAddr, *statusPer)
-			attachCartography(rec, target.Prog, fb, 0, banner)
-			opts := fuzz.Options{
-				Feedback:        fb,
-				Profile:         profile,
-				Seed:            *seed,
-				Entry:           target.Entry,
-				KeepCrashInputs: true,
-				Engine:          engine,
-				Instr:           icfg,
-				AnalysisGuide:   *guide,
-				Telemetry:       rec,
-			}
-			jw := openJournal(*stateDir, *journalOn, rec)
-			if *workers > 1 {
-				fleetOpts.Telemetry = rec
-				fleetOpts.Journal = jw
-				s := fleet.New(*stateDir, fleetOpts)
-				if err := s.Start(target.Prog, opts, meta, seeds); err != nil {
-					fatalf("%v", err)
-				}
-				fmt.Printf("fleet: %d workers, %d execs each (sync every %d)\n", *workers, *budget, *syncEvery)
-				runFleetDurable(s, *stateDir, *fuzzerName, *showCrash)
-				closeJournal(jw)
-				closeTelemetry(rec)
-				return
-			}
-			opts.Journal = jw
-			r := campaign.NewRunner(*stateDir, campaign.Config{Interval: *ckptEvery, Log: os.Stderr, StopAfter: *stopAfter})
-			if err := r.Start(target.Prog, opts, meta, seeds); err != nil {
-				fatalf("%v", err)
-			}
-			fillEngineInfo(rec, r.Fuzzer())
-			runDurable(r, *stateDir, *fuzzerName, *showCrash)
-			closeJournal(jw)
-			closeTelemetry(rec)
-			return
-		}
-		if *workers > 1 {
-			fatalf("-workers %d requires a single-phase -fuzzer, not round-based configuration %q", *workers, *fuzzerName)
-		}
-		for _, n := range strategy.AllNames {
-			if n == strategy.Name(*fuzzerName) {
-				warnf("configuration %q is round-based and not checkpointable; running non-durable, crashes still saved to %s", *fuzzerName, *stateDir)
-				break
-			}
-		}
-	}
-	if *workers > 1 {
-		fatalf("-workers %d requires -o <state dir>", *workers)
-	}
-
-	// Round-based configurations restart their counters every round, so
-	// only the status line and the live endpoint are offered —
-	// plot_data/fuzzer_stats (which AFL defines as monotone) are
-	// reserved for durable single-config campaigns above.
-	rec := startTelemetry(telemetry.Info{
-		Banner:   banner,
-		Engine:   engine.String(),
-		Feedback: *fuzzerName,
-		Seed:     *seed,
-		Budget:   *budget,
-		PID:      os.Getpid(),
-	}, "", *metricsAddr, *statusPer)
-	camp := core.Campaign{
-		Fuzzer:          strategy.Name(*fuzzerName),
-		Budget:          *budget,
-		RoundBudget:     *roundBudget,
-		Seeds:           seeds,
-		Seed:            *seed,
-		KeepCrashInputs: *stateDir != "",
-		Engine:          engine,
-		Instr:           icfg,
-		AnalysisGuide:   *guide,
-		Telemetry:       rec,
-	}
-	out, err := target.Fuzz(camp)
-	closeTelemetry(rec)
+	prog, seeds, err := meta.Program()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if *stateDir != "" {
-		if err := campaign.WriteCrashInputs(campaign.OSFS{}, *stateDir, out.Report); err != nil {
-			warnf("saving crash inputs: %v", err)
+	if *inDir != "" && !*resume {
+		if loaded := loadSeedDir(*inDir); len(loaded) > 0 {
+			seeds = loaded
+		} else {
+			warnf("seed dir %s yielded no usable inputs; keeping default seeds", *inDir)
 		}
 	}
-	printReport(*fuzzerName, out.Report, out.Rounds, *showCrash)
+
+	fb, profile, single := strategy.SingleConfig(strategy.Name(meta.Fuzzer))
+	asFleet := man != nil || (!*resume && *workers > 1)
+	durable := *stateDir != "" && single
+	switch {
+	case *resume && !single:
+		fatalf("%s: configuration %q is not resumable", *stateDir, meta.Fuzzer)
+	case asFleet && *stateDir == "":
+		fatalf("-workers %d requires -o <state dir>", *workers)
+	case asFleet && !single:
+		fatalf("-workers %d requires a single-phase -fuzzer, not round-based configuration %q", *workers, meta.Fuzzer)
+	case *stateDir != "" && !single && slices.Contains(strategy.AllNames, strategy.Name(meta.Fuzzer)):
+		warnf("configuration %q is round-based and not checkpointable; running non-durable, crashes still saved to %s", meta.Fuzzer, *stateDir)
+	}
+
+	info := telemetry.Info{
+		Banner:   meta.Label(),
+		Engine:   engine.String(),
+		Feedback: meta.Fuzzer,
+		Seed:     meta.Seed,
+		Budget:   meta.Budget,
+		PID:      os.Getpid(),
+	}
+	if single {
+		// The fuzzer compiles the same (program, feedback, config) key,
+		// so this is the process-wide memoized program it will run.
+		cp, _ := instrument.CompiledFor(fb, prog, icfg)
+		info.Instrs, info.Nops = cp.NumInstrs(), cp.NumNops()
+	}
+	// Round-based configurations restart their counters every round, so
+	// they get only the status line and the live endpoint —
+	// plot_data/fuzzer_stats (which AFL defines as monotone) are
+	// reserved for durable single-config campaigns. A resumed campaign's
+	// AttachAFLOutput adopts the existing plot_data's last relative_time
+	// as its elapsed base, so the rows continue the series gaplessly.
+	aflDir := ""
+	if durable {
+		aflDir = *stateDir
+	}
+	rec := startTelemetry(info, aflDir, *metricsAddr, *statusPer)
+	if durable {
+		label := meta.Label()
+		if asFleet {
+			label += " (fleet)"
+		}
+		attachCartography(rec, prog, fb, meta.MapSize, label)
+	}
+	// A resumed single campaign's Attach (fuzz.Restore) truncates the
+	// journal back to the checkpoint's event count, and the replayed
+	// executions re-emit an identical tail. A fleet's journal is
+	// supervisor-shared: worker restores append without truncating, so
+	// peer events survive a resume.
+	jw := openJournal(*stateDir, *journalOn && durable, rec)
+	// The engine, -analysis and -opt are not campaign state: engines
+	// and optimizer settings are byte-identical (the identity suites
+	// enforce this), so a resume re-applies them from the flags.
+	opts := fuzz.Options{
+		Feedback:        fb,
+		Profile:         profile,
+		Seed:            meta.Seed,
+		MapSize:         meta.MapSize,
+		Entry:           meta.Entry,
+		KeepCrashInputs: *stateDir != "",
+		Engine:          engine,
+		Instr:           icfg,
+		AnalysisGuide:   meta.Guide,
+		Telemetry:       rec,
+		Journal:         jw,
+	}
+
+	switch {
+	case asFleet:
+		fleetOpts.Telemetry = rec
+		fleetOpts.Journal = jw
+		s := fleet.New(*stateDir, fleetOpts)
+		if man != nil {
+			err = s.Attach(prog, opts, man)
+		} else {
+			err = s.Start(prog, opts, meta, seeds)
+		}
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if man != nil {
+			fmt.Printf("resuming %s fleet: %d workers, %d execs each\n", meta.Fuzzer, man.Workers, meta.Budget)
+		} else {
+			fmt.Printf("fleet: %d workers, %d execs each (sync every %d)\n", *workers, meta.Budget, *syncEvery)
+		}
+		driveFleet(s, *stateDir, meta.Fuzzer, *showCrash)
+	case durable:
+		r := campaign.NewRunner(*stateDir, campaign.Config{Interval: *ckptEvery, Log: os.Stderr, StopAfter: *stopAfter})
+		if ck != nil {
+			err = r.Attach(prog, opts, ck)
+		} else {
+			err = r.Start(prog, opts, meta, seeds)
+		}
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if ck != nil {
+			fmt.Printf("resuming %s campaign at %d/%d execs\n", meta.Fuzzer, r.Fuzzer().Execs(), meta.Budget)
+		}
+		driveCampaign(r, *stateDir, meta.Fuzzer, *showCrash)
+	default:
+		out, err := strategy.Run(strategy.Name(meta.Fuzzer), prog, strategy.Config{
+			Opts:        opts,
+			Budget:      meta.Budget,
+			RoundBudget: *roundBudget,
+			Seeds:       seeds,
+		})
+		closeTelemetry(rec)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if *stateDir != "" {
+			if err := campaign.WriteCrashInputs(campaign.OSFS{}, *stateDir, out.Report); err != nil {
+				warnf("saving crash inputs: %v", err)
+			}
+		}
+		printReport(meta.Fuzzer, out.Report, out.Rounds, *showCrash)
+		return
+	}
+	closeJournal(jw)
+	closeTelemetry(rec)
+}
+
+// loadState loads the campaign to resume from a state directory: the
+// fleet manifest when there is one, else the newest valid checkpoint
+// (older ones are fallbacks for a torn newest).
+func loadState(dir string) (*campaign.Checkpoint, *fleet.Manifest) {
+	if fleet.HasManifest(campaign.OSFS{}, dir) {
+		man, err := fleet.LoadManifest(campaign.OSFS{}, dir)
+		if err != nil {
+			fatalf("fleet manifest: %v", err)
+		}
+		return nil, man
+	}
+	ck, warns, err := campaign.LoadLatest(campaign.OSFS{}, dir)
+	for _, w := range warns {
+		warnf("%s", w)
+	}
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return ck, nil
 }
 
 // openJournal opens (or resumes) the structured event journal under
@@ -283,7 +308,7 @@ func main() {
 // When a recorder is active the journal directory is registered so the
 // metrics endpoint can serve /genealogy.
 func openJournal(stateDir string, enabled bool, rec *telemetry.Recorder) *journal.Writer {
-	if !enabled || stateDir == "" {
+	if !enabled {
 		return nil
 	}
 	jw, err := journal.Open(filepath.Join(stateDir, "journal"), journal.Options{})
@@ -340,18 +365,6 @@ func startTelemetry(info telemetry.Info, stateDir, metricsAddr string, statusPer
 	return rec
 }
 
-// fillEngineInfo completes the recorder's identity with the compiled
-// program's size once the fuzzer is built.
-func fillEngineInfo(rec *telemetry.Recorder, f *fuzz.Fuzzer) {
-	if rec == nil || f == nil {
-		return
-	}
-	info := rec.Info()
-	info.Instrs = f.BytecodeInstrs()
-	info.Nops = f.BytecodeNops()
-	rec.SetInfo(info)
-}
-
 func closeTelemetry(rec *telemetry.Recorder) {
 	if rec == nil {
 		return
@@ -361,171 +374,31 @@ func closeTelemetry(rec *telemetry.Recorder) {
 	}
 }
 
-// resumeCampaign reloads the newest valid checkpoint under dir,
-// reconstructs the target from its metadata, and runs the campaign to
-// completion (or the next interruption).
-func resumeCampaign(dir string, ckptEvery int64, showCrash bool, engine fuzz.Engine, statusPer time.Duration, metricsAddr string, journalOn bool, stopAfter int64) {
-	ck, warns, err := campaign.LoadLatest(campaign.OSFS{}, dir)
-	for _, w := range warns {
-		warnf("%s", w)
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	meta := ck.Meta
-	target := targetFromMeta(meta)
-
-	fb, profile, ok := strategy.SingleConfig(strategy.Name(meta.Fuzzer))
-	if !ok {
-		fatalf("checkpointed configuration %q is not resumable", meta.Fuzzer)
-	}
-	// The engine is not part of campaign state: CGT campaigns are
-	// byte-identical to bytecode ones (the engine identity suites
-	// enforce this), so a campaign checkpointed under one engine
-	// resumes deterministically under either.
-	banner := meta.Subject
-	if banner == "" {
-		banner = filepath.Base(meta.Source)
-	}
-	// AttachAFLOutput (inside startTelemetry) adopts the existing
-	// plot_data's last relative_time as the elapsed base, so the resumed
-	// campaign's rows continue the original series gaplessly.
-	rec := startTelemetry(telemetry.Info{
-		Banner:   banner + "/" + meta.Fuzzer,
-		Engine:   engine.String(),
-		Feedback: meta.Fuzzer,
-		Seed:     meta.Seed,
-		Budget:   meta.Budget,
-		PID:      os.Getpid(),
-	}, dir, metricsAddr, statusPer)
-	attachCartography(rec, target.Prog, fb, meta.MapSize, banner+"/"+meta.Fuzzer)
-	opts := fuzz.Options{
-		Feedback:        fb,
-		Profile:         profile,
-		Seed:            meta.Seed,
-		MapSize:         meta.MapSize,
-		Entry:           meta.Entry,
-		KeepCrashInputs: true,
-		Engine:          engine,
-		AnalysisGuide:   meta.Guide,
-		Telemetry:       rec,
-	}
-	// Attach → fuzz.Restore truncates the journal back to the
-	// checkpoint's event count; the replayed executions re-emit an
-	// identical tail, keeping the resumed journal gapless.
-	jw := openJournal(dir, journalOn, rec)
-	opts.Journal = jw
-	r := campaign.NewRunner(dir, campaign.Config{Interval: ckptEvery, Log: os.Stderr, StopAfter: stopAfter})
-	if err := r.Attach(target.Prog, opts, ck); err != nil {
-		fatalf("%v", err)
-	}
-	fillEngineInfo(rec, r.Fuzzer())
-	fmt.Printf("resuming %s campaign at %d/%d execs\n", meta.Fuzzer, r.Fuzzer().Execs(), meta.Budget)
-	runDurable(r, dir, meta.Fuzzer, showCrash)
-	closeJournal(jw)
-	closeTelemetry(rec)
-}
-
-// targetFromMeta reconstructs the fuzzed target from checkpoint or
-// manifest metadata, refusing to resume against drifted sources.
-func targetFromMeta(meta campaign.Meta) *core.Target {
-	switch {
-	case meta.Subject != "":
-		sub := subjects.Get(meta.Subject)
-		if sub == nil {
-			fatalf("checkpoint references unknown subject %q", meta.Subject)
-		}
-		prog, perr := sub.Program()
-		if perr != nil {
-			fatalf("%v", perr)
-		}
-		return core.FromProgram(prog)
-	case meta.Source != "":
-		src, rerr := os.ReadFile(meta.Source)
-		if rerr != nil {
-			fatalf("checkpointed source: %v", rerr)
-		}
-		sum := sha256.Sum256(src)
-		if got := hex.EncodeToString(sum[:]); got != meta.SourceSum {
-			fatalf("source %s changed since the campaign started (sha256 %s, checkpoint has %s); resuming would not be deterministic", meta.Source, got, meta.SourceSum)
-		}
-		target, err := core.Compile(string(src))
-		if err != nil {
-			fatalf("compile: %v", err)
-		}
-		return target
-	}
-	fatalf("checkpoint names neither a subject nor a source file")
-	return nil
-}
-
-// resumeFleetCampaign resumes a fleet from its manifest plus the
-// workers' own checkpoints. The manifest's fleet shape (worker count,
-// sync cadence, restart budget) overrides the flags — resuming with
-// different values would break determinism.
-func resumeFleetCampaign(dir string, fo fleet.Options, engine fuzz.Engine, statusPer time.Duration, metricsAddr string, showCrash bool, journalOn bool) {
-	man, err := fleet.LoadManifest(campaign.OSFS{}, dir)
-	if err != nil {
-		fatalf("fleet manifest: %v", err)
-	}
-	meta := man.Meta
-	target := targetFromMeta(meta)
-	fb, profile, ok := strategy.SingleConfig(strategy.Name(meta.Fuzzer))
-	if !ok {
-		fatalf("fleet manifest references non-resumable configuration %q", meta.Fuzzer)
-	}
-	banner := meta.Subject
-	if banner == "" {
-		banner = filepath.Base(meta.Source)
-	}
-	rec := startTelemetry(telemetry.Info{
-		Banner:   banner + "/" + meta.Fuzzer,
-		Engine:   engine.String(),
-		Feedback: meta.Fuzzer,
-		Seed:     meta.Seed,
-		Budget:   meta.Budget,
-		PID:      os.Getpid(),
-	}, dir, metricsAddr, statusPer)
-	attachCartography(rec, target.Prog, fb, meta.MapSize, banner+"/"+meta.Fuzzer+" (fleet)")
-	opts := fuzz.Options{
-		Feedback:        fb,
-		Profile:         profile,
-		Seed:            meta.Seed,
-		MapSize:         meta.MapSize,
-		Entry:           meta.Entry,
-		KeepCrashInputs: true,
-		Engine:          engine,
-		AnalysisGuide:   meta.Guide,
-	}
-	fo.Telemetry = rec
-	// The fleet journal is supervisor-shared: worker restores append to
-	// it without truncation, so peer events survive a resume.
-	jw := openJournal(dir, journalOn, rec)
-	fo.Journal = jw
-	s := fleet.New(dir, fo)
-	if err := s.Attach(target.Prog, opts, man); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("resuming %s fleet: %d workers, %d execs each\n", meta.Fuzzer, man.Workers, meta.Budget)
-	runFleetDurable(s, dir, meta.Fuzzer, showCrash)
-	closeJournal(jw)
-	closeTelemetry(rec)
-}
-
-// runFleetDurable installs signal handling and drives a fleet to
-// completion or interruption.
-func runFleetDurable(s *fleet.Supervisor, dir, fuzzerName string, showCrash bool) {
+// onInterrupt forwards SIGINT/SIGTERM to notify (a Runner's or a
+// Supervisor's, both idempotent across repeats: the first checkpoints
+// and stops gracefully, the second force-exits) until the returned
+// function is called.
+func onInterrupt(notify func()) (stop func()) {
 	sigs := make(chan os.Signal, 4)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 	go func() {
 		for range sigs {
-			fmt.Fprintln(os.Stderr, "pafuzz: interrupt received, checkpointing fleet (again to force-quit)")
-			s.Signal()
+			fmt.Fprintln(os.Stderr, "pafuzz: interrupt received, checkpointing (again to force-quit)")
+			notify()
 		}
 	}()
+	return func() {
+		signal.Stop(sigs) // no sends after Stop returns, so closing is safe
+		close(sigs)
+	}
+}
 
+// driveFleet drives a fleet to completion or interruption and prints its
+// merged report.
+func driveFleet(s *fleet.Supervisor, dir, fuzzerName string, showCrash bool) {
+	stop := onInterrupt(s.Signal)
 	res, err := s.Run()
+	stop()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -550,21 +423,12 @@ func runFleetDurable(s *fleet.Supervisor, dir, fuzzerName string, showCrash bool
 	fmt.Printf("state: %s (manifest %s)\n", dir, filepath.Join(dir, fleet.ManifestName))
 }
 
-// runDurable installs signal handling and drives a durable campaign.
-// Repeated interrupts are handled idempotently by Runner.Signal: the
-// first checkpoints and stops gracefully, the second force-exits.
-func runDurable(r *campaign.Runner, dir, fuzzerName string, showCrash bool) {
-	sigs := make(chan os.Signal, 4)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	go func() {
-		for range sigs {
-			fmt.Fprintln(os.Stderr, "pafuzz: interrupt received, checkpointing (again to force-quit)")
-			r.Signal()
-		}
-	}()
-
+// driveCampaign drives a durable campaign to completion or interruption
+// and prints its report.
+func driveCampaign(r *campaign.Runner, dir, fuzzerName string, showCrash bool) {
+	stop := onInterrupt(r.Signal)
 	rep, interrupted, err := r.Run()
+	stop()
 	if err != nil {
 		fatalf("%v", err)
 	}

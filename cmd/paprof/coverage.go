@@ -7,21 +7,19 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/analysis/interproc"
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/covmap"
 	"repro/internal/fleet"
+	"repro/internal/fuzz"
 	"repro/internal/instrument"
 	"repro/internal/strategy"
-	"repro/internal/subjects"
 )
 
 // explainMeaningCap bounds per-cell meaning listings in -explain: a
@@ -29,20 +27,28 @@ import (
 // the count matters more than the full enumeration.
 const explainMeaningCap = 4
 
-// loadCampaignState reads the newest checkpoint(s) under dir — every
-// worker-N/ subdirectory for fleet state directories, the directory
-// itself otherwise — and returns the campaign metadata plus the union
-// of the final virgin-map cells.
-func loadCampaignState(dir string) (meta campaign.Meta, virgin []coverage.VirginCell, label string) {
+// campaignState is a campaign (or fleet) state directory as paprof
+// reads it: the campaign description and the newest checkpoint
+// snapshot of each worker — one for a single campaign, nil for a fleet
+// worker whose checkpoints are all unusable.
+type campaignState struct {
+	meta  campaign.Meta
+	label string
+	snaps []*fuzz.Snapshot
+}
+
+// loadState reads the newest valid checkpoint under dir, or under
+// every worker-N/ subdirectory of a fleet state directory.
+func loadState(dir string) campaignState {
 	fs := campaign.OSFS{}
 	if fleet.HasManifest(fs, dir) {
 		man, err := fleet.LoadManifest(fs, dir)
 		if err != nil {
 			fatalf("fleet manifest: %v", err)
 		}
-		for i := 0; i < man.Workers; i++ {
-			wdir := filepath.Join(dir, fmt.Sprintf("worker-%d", i))
-			ck, warns, err := campaign.LoadLatest(fs, wdir)
+		st := campaignState{meta: man.Meta, label: man.Meta.Label() + " (fleet)", snaps: make([]*fuzz.Snapshot, man.Workers)}
+		for i := range st.snaps {
+			ck, warns, err := campaign.LoadLatest(fs, filepath.Join(dir, fmt.Sprintf("worker-%d", i)))
 			for _, w := range warns {
 				fmt.Fprintf(os.Stderr, "paprof: worker %d: %s\n", i, w)
 			}
@@ -50,9 +56,9 @@ func loadCampaignState(dir string) (meta campaign.Meta, virgin []coverage.Virgin
 				fmt.Fprintf(os.Stderr, "paprof: worker %d: %v\n", i, err)
 				continue
 			}
-			virgin = append(virgin, ck.Snap.Virgin...)
+			st.snaps[i] = ck.Snap
 		}
-		return man.Meta, virgin, metaLabel(man.Meta) + " (fleet)"
+		return st
 	}
 	ck, warns, err := campaign.LoadLatest(fs, dir)
 	for _, w := range warns {
@@ -61,58 +67,34 @@ func loadCampaignState(dir string) (meta campaign.Meta, virgin []coverage.Virgin
 	if err != nil {
 		fatalf("%v", err)
 	}
-	return ck.Meta, ck.Snap.Virgin, metaLabel(ck.Meta)
+	return campaignState{meta: ck.Meta, label: ck.Meta.Label(), snaps: []*fuzz.Snapshot{ck.Snap}}
 }
 
-// cartographyTarget reconstructs the fuzzed program from checkpoint
-// metadata, refusing drifted sources: a reverse index built against
-// different code would attribute cells to the wrong lines.
-func cartographyTarget(meta campaign.Meta) (*core.Target, error) {
-	switch {
-	case meta.Subject != "":
-		sub := subjects.Get(meta.Subject)
-		if sub == nil {
-			return nil, fmt.Errorf("checkpoint references unknown subject %q", meta.Subject)
+// virgin returns the union of the workers' final virgin-map cells.
+func (st campaignState) virgin() []coverage.VirginCell {
+	var out []coverage.VirginCell
+	for _, snap := range st.snaps {
+		if snap != nil {
+			out = append(out, snap.Virgin...)
 		}
-		prog, err := sub.Program()
-		if err != nil {
-			return nil, err
-		}
-		return core.FromProgram(prog), nil
-	case meta.Source != "":
-		src, err := os.ReadFile(meta.Source)
-		if err != nil {
-			return nil, fmt.Errorf("checkpointed source: %v", err)
-		}
-		sum := sha256.Sum256(src)
-		if got := hex.EncodeToString(sum[:]); got != meta.SourceSum {
-			return nil, fmt.Errorf("source %s changed since the campaign started (sha256 %s, checkpoint has %s); the map layout no longer matches", meta.Source, got, meta.SourceSum)
-		}
-		target, err := core.Compile(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("compile: %v", err)
-		}
-		return target, nil
 	}
-	return nil, fmt.Errorf("checkpoint names neither a subject nor a source file")
+	return out
 }
 
 // cartographyIndex builds the reverse coverage-map index for a
-// campaign's exact instrumentation layout.
+// campaign's exact instrumentation layout. A source campaign whose
+// file changed since is refused: an index built against different
+// code would attribute cells to the wrong lines.
 func cartographyIndex(meta campaign.Meta) (*covmap.Index, error) {
 	fb, _, ok := strategy.SingleConfig(strategy.Name(meta.Fuzzer))
 	if !ok {
 		return nil, fmt.Errorf("configuration %q is not a single-feedback campaign; cartography needs one fixed map layout", meta.Fuzzer)
 	}
-	target, err := cartographyTarget(meta)
+	prog, _, err := meta.Program()
 	if err != nil {
 		return nil, err
 	}
-	mapSize := meta.MapSize
-	if mapSize == 0 {
-		mapSize = coverage.DefaultMapSize
-	}
-	return covmap.New(target.Prog, fb, instrument.Config{}, mapSize)
+	return covmap.New(prog, fb, instrument.Config{}, cmp.Or(meta.MapSize, coverage.DefaultMapSize))
 }
 
 // runExplain prints the program meaning of every cell the campaign's
@@ -120,14 +102,14 @@ func cartographyIndex(meta campaign.Meta) (*covmap.Index, error) {
 // fails to resolve — that would mean the reverse index disagrees with
 // the runtime instrumentation.
 func runExplain(dir string) {
-	meta, virgin, label := loadCampaignState(dir)
-	ix, err := cartographyIndex(meta)
+	st := loadState(dir)
+	ix, err := cartographyIndex(st.meta)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	obs := covmap.FromVirgin(virgin)
+	obs := covmap.FromVirgin(st.virgin())
 	fmt.Printf("coverage map explanation: %s (feedback %s, map size %d)\n\n",
-		label, ix.Feedback, ix.MapSize)
+		st.label, ix.Feedback, ix.MapSize)
 	unresolved := 0
 	for _, o := range obs {
 		ms := ix.Resolve(o.Cell)
@@ -157,14 +139,14 @@ func runExplain(dir string) {
 // written as a self-contained HTML page. Exit status 1 if any observed
 // cell is unresolvable.
 func runCoverageReport(dir, htmlOut string) {
-	meta, virgin, label := loadCampaignState(dir)
-	ix, err := cartographyIndex(meta)
+	st := loadState(dir)
+	ix, err := cartographyIndex(st.meta)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	obs := covmap.FromVirgin(virgin)
+	obs := covmap.FromVirgin(st.virgin())
 	rep := ix.BuildReport(obs, covmap.Options{
-		Label: label,
+		Label: st.label,
 		Facts: interproc.ForProgram(ix.Prog),
 	})
 	rep.WriteText(os.Stdout)

@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/campaign"
-	"repro/internal/fleet"
 	"repro/internal/fuzz"
 	"repro/internal/journal"
 )
@@ -76,7 +74,13 @@ func runJournal(dir string) {
 // discovery-attribution table, and path-rarity histogram. With htmlOut
 // the same report is written as a self-contained HTML page.
 func runGenealogy(dir, htmlOut string) {
-	corpus, meta, label := loadProvenance(dir)
+	st := loadState(dir)
+	var corpus []journal.CorpusMeta
+	for i, snap := range st.snaps {
+		if snap != nil {
+			corpus = append(corpus, fuzz.SnapshotProvenance(snap, i)...)
+		}
+	}
 	if len(corpus) == 0 {
 		fatalf("no corpus provenance under %s (no usable checkpoint?)", dir)
 	}
@@ -91,12 +95,12 @@ func runGenealogy(dir, htmlOut string) {
 	// campaigns whose map layout cannot be reconstructed (multi-phase
 	// strategies, drifted sources) — those just render raw cell indices.
 	var resolve journal.CellResolver
-	if ix, err := cartographyIndex(meta); err == nil {
+	if ix, err := cartographyIndex(st.meta); err == nil {
 		resolve = ix.CellLabel
 	} else {
 		fmt.Fprintf(os.Stderr, "paprof: no cell attribution: %v\n", err)
 	}
-	journal.Attribution(os.Stdout, label, corpus)
+	journal.Attribution(os.Stdout, st.label, corpus)
 	fmt.Println()
 	journal.Rarity(os.Stdout, corpus)
 	fmt.Println()
@@ -108,55 +112,12 @@ func runGenealogy(dir, htmlOut string) {
 		journal.CoverageDelta(os.Stdout, events, resolve)
 	}
 	if htmlOut != "" {
-		page := journal.HTMLReport("paprof genealogy", label, corpus, events, resolve)
+		page := journal.HTMLReport("paprof genealogy", st.label, corpus, events, resolve)
 		if err := os.WriteFile(htmlOut, page, 0o644); err != nil {
 			fatalf("writing %s: %v", htmlOut, err)
 		}
 		fmt.Printf("\nHTML report: %s\n", htmlOut)
 	}
-}
-
-// loadProvenance reads corpus provenance from the newest checkpoint(s)
-// under dir: every worker-N/ subdirectory for fleet state directories,
-// the directory itself otherwise. The campaign metadata rides along so
-// callers can reconstruct the coverage-map layout.
-func loadProvenance(dir string) (corpus []journal.CorpusMeta, meta campaign.Meta, label string) {
-	fs := campaign.OSFS{}
-	if fleet.HasManifest(fs, dir) {
-		man, err := fleet.LoadManifest(fs, dir)
-		if err != nil {
-			fatalf("fleet manifest: %v", err)
-		}
-		for i := 0; i < man.Workers; i++ {
-			wdir := filepath.Join(dir, fmt.Sprintf("worker-%d", i))
-			ck, warns, err := campaign.LoadLatest(fs, wdir)
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "paprof: worker %d: %s\n", i, w)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paprof: worker %d: %v\n", i, err)
-				continue
-			}
-			corpus = append(corpus, fuzz.SnapshotProvenance(ck.Snap, i)...)
-		}
-		return corpus, man.Meta, metaLabel(man.Meta) + " (fleet)"
-	}
-	ck, warns, err := campaign.LoadLatest(fs, dir)
-	for _, w := range warns {
-		fmt.Fprintf(os.Stderr, "paprof: %s\n", w)
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return fuzz.SnapshotProvenance(ck.Snap, 0), ck.Meta, metaLabel(ck.Meta)
-}
-
-func metaLabel(meta campaign.Meta) string {
-	name := meta.Subject
-	if name == "" {
-		name = filepath.Base(meta.Source)
-	}
-	return name + "/" + meta.Fuzzer
 }
 
 func dirExists(path string) bool {

@@ -23,11 +23,11 @@ import (
 
 	"repro/internal/analysis/interproc"
 	"repro/internal/bytecode"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/fuzz"
 	"repro/internal/instrument"
-	"repro/internal/subjects"
 	"repro/internal/vm"
 )
 
@@ -109,30 +109,15 @@ func main() {
 		}()
 	}
 
-	var target *core.Target
-	switch {
-	case *subjectName != "":
-		sub := subjects.Get(*subjectName)
-		if sub == nil {
-			fatalf("unknown subject %q", *subjectName)
-		}
-		prog, err := sub.Program()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		target = core.FromProgram(prog)
-	case *srcPath != "":
-		src, err := os.ReadFile(*srcPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		target, err = core.Compile(string(src))
-		if err != nil {
-			fatalf("compile: %v", err)
-		}
-	default:
+	if *subjectName == "" && *srcPath == "" {
 		fatalf("one of -subject or -src is required")
 	}
+	meta := campaign.Meta{Subject: *subjectName, Source: *srcPath}
+	prog, _, err := meta.Program()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	target := core.FromProgram(prog)
 
 	if *factsDump {
 		interproc.ForProgram(target.Prog).Dump(os.Stdout)

@@ -8,6 +8,7 @@
 // paper.
 //
 // The root package holds the benchmark suite (bench_test.go); the
-// library lives under internal/ (see internal/core for the facade) and
+// library lives under internal/ (campaigns run through
+// internal/strategy.Run, durable ones through internal/campaign) and
 // the executables under cmd/.
 package repro

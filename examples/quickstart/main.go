@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/strategy"
 )
 
@@ -66,11 +67,10 @@ func main() {
 		firstAt := int64(-1)
 		const trials = 3
 		for seed := int64(1); seed <= trials; seed++ {
-			out, err := target.Fuzz(core.Campaign{
-				Fuzzer: name,
+			out, err := strategy.Run(name, target.Prog, strategy.Config{
+				Opts:   fuzz.Options{Seed: seed},
 				Budget: budget,
 				Seeds:  seeds,
-				Seed:   seed,
 			})
 			if err != nil {
 				log.Fatal(err)

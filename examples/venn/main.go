@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/strategy"
 	"repro/internal/subjects"
 	"repro/internal/triage"
@@ -24,18 +24,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	target := core.FromProgram(prog)
 
 	const runs = 3
 	const budget = 80000
 	bugsOf := func(name strategy.Name) triage.Set[string] {
 		all := triage.NewSet[string]()
 		for seed := int64(1); seed <= runs; seed++ {
-			out, err := target.Fuzz(core.Campaign{
-				Fuzzer: name,
+			out, err := strategy.Run(name, prog, strategy.Config{
+				Opts:   fuzz.Options{Seed: seed},
 				Budget: budget,
 				Seeds:  sub.Seeds,
-				Seed:   seed,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -1,16 +1,12 @@
-// Package core is the public facade of the reproduction: it wires the
-// MiniC frontend, the Ball-Larus path instrumentation, the AFL++-like
-// fuzzer, and the exploration-biasing strategies into a small API.
-//
-// Typical use:
+// Package core wraps a compiled MiniC program with the Figure 1
+// machinery: per-function Ball-Larus path statistics, the standalone
+// path profiler, and uninstrumented execution. It does not fuzz;
+// campaigns run through strategy.Run on Target.Prog:
 //
 //	t, err := core.Compile(src)
-//	out, err := t.Fuzz(core.Campaign{Fuzzer: "cull", Budget: 200000})
-//
-// or, for the standalone path-profiling machinery of Figure 1:
-//
 //	prof, err := t.PathProfiler()
 //	prof.Profile("main", input, vm.DefaultLimits())
+//	out, err := strategy.Run(strategy.Cull, t.Prog, strategy.Config{Budget: 200000})
 package core
 
 import (
@@ -18,10 +14,7 @@ import (
 
 	"repro/internal/balllarus"
 	"repro/internal/cfg"
-	"repro/internal/fuzz"
 	"repro/internal/instrument"
-	"repro/internal/strategy"
-	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -29,7 +22,7 @@ import (
 type Target struct {
 	// Prog is the lowered program.
 	Prog *cfg.Program
-	// Entry is the fuzzing entry point ("main").
+	// Entry is the entry function ("main").
 	Entry string
 }
 
@@ -49,78 +42,6 @@ func Compile(src string) (*Target, error) {
 // FromProgram wraps an already-lowered program.
 func FromProgram(prog *cfg.Program) *Target {
 	return &Target{Prog: prog, Entry: "main"}
-}
-
-// Campaign configures a fuzzing campaign against a target.
-type Campaign struct {
-	// Fuzzer names the configuration: path, pcguard, cull, cull_r, opp,
-	// pathafl, or afl (default path).
-	Fuzzer strategy.Name
-	// Budget is the execution budget (default 100000).
-	Budget int64
-	// RoundBudget overrides the culling round length (default
-	// Budget/8).
-	RoundBudget int64
-	// Seeds is the initial corpus (a built-in fallback seed is used if
-	// empty).
-	Seeds [][]byte
-	// Seed is the RNG seed (default 1).
-	Seed int64
-	// MapSize is the coverage map size (default
-	// coverage.DefaultMapSize).
-	MapSize int
-	// Limits bounds individual executions.
-	Limits vm.Limits
-	// KeepCrashInputs retains the first crashing input per unique crash,
-	// so callers can save or replay them.
-	KeepCrashInputs bool
-	// Engine selects the execution engine (fuzz.EngineAuto, the compiled
-	// bytecode engine, by default; or fuzz.EngineCGT).
-	Engine fuzz.Engine
-	// Instr tunes instrumentation construction (analysis strictness,
-	// optimizer toggle, mixing modes).
-	Instr instrument.Config
-	// AnalysisGuide enables analysis-guided fuzzing (interprocedural
-	// input-dependency facts steering mutation, scheduling, cmplog,
-	// and CGT elision; see fuzz.Options.AnalysisGuide).
-	AnalysisGuide bool
-	// Telemetry, when non-nil, receives counter snapshots and stage
-	// spans from the campaign (observation only); a recorder with a
-	// Status writer and a running collector prints the status line.
-	Telemetry *telemetry.Recorder
-}
-
-// Outcome re-exports the strategy outcome.
-type Outcome = strategy.Outcome
-
-// Fuzz runs one campaign and returns its outcome.
-func (t *Target) Fuzz(c Campaign) (*Outcome, error) {
-	if c.Fuzzer == "" {
-		c.Fuzzer = strategy.Path
-	}
-	if c.Budget <= 0 {
-		c.Budget = 100000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	cfgr := strategy.Config{
-		Opts: fuzz.Options{
-			Seed:            c.Seed,
-			MapSize:         c.MapSize,
-			Entry:           t.Entry,
-			Limits:          c.Limits,
-			KeepCrashInputs: c.KeepCrashInputs,
-			Engine:          c.Engine,
-			Instr:           c.Instr,
-			AnalysisGuide:   c.AnalysisGuide,
-			Telemetry:       c.Telemetry,
-		},
-		Budget:      c.Budget,
-		RoundBudget: c.RoundBudget,
-		Seeds:       c.Seeds,
-	}
-	return strategy.Run(c.Fuzzer, t.Prog, cfgr)
 }
 
 // PathProfiler builds the standalone Ball-Larus profiler for the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/strategy"
 	"repro/internal/vm"
 )
 
@@ -39,43 +38,6 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := core.Compile("nonsense"); err == nil {
 		t.Error("parse error not surfaced")
-	}
-}
-
-func TestFuzzFacade(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test")
-	}
-	target, err := core.Compile(demo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := target.Fuzz(core.Campaign{
-		Fuzzer: strategy.PCGuard,
-		Budget: 20000,
-		Seeds:  [][]byte{[]byte("hi")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Report.Bugs) == 0 {
-		t.Errorf("magic-byte abort not found in %d execs", out.Report.Stats.Execs)
-	}
-}
-
-func TestFuzzDefaults(t *testing.T) {
-	target, err := core.Compile(demo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero-valued campaign: defaults kick in (path feedback, default
-	// budget). Use a small budget to keep the test fast.
-	out, err := target.Fuzz(core.Campaign{Budget: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Report.Stats.Execs < 2000 {
-		t.Errorf("execs = %d", out.Report.Stats.Execs)
 	}
 }
 

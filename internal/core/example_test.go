@@ -5,12 +5,14 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/fuzz"
+	"repro/internal/strategy"
 	"repro/internal/vm"
 )
 
-// Example demonstrates the facade end to end: compile a MiniC program
-// with a path-dependent bug, fuzz it with the path-aware feedback, and
-// print what was found. (Budgets are execution counts; the campaign is
+// Example compiles a MiniC program with a path-dependent bug, fuzzes
+// it with the path-aware feedback through strategy.Run, and prints
+// what was found. (Budgets are execution counts; the campaign is
 // deterministic, which is what makes this an Example.)
 func Example() {
 	target, err := core.Compile(`
@@ -28,11 +30,10 @@ func main(input) {
 	if err != nil {
 		panic(err)
 	}
-	out, err := target.Fuzz(core.Campaign{
-		Fuzzer: "path",
+	out, err := strategy.Run(strategy.Path, target.Prog, strategy.Config{
+		Opts:   fuzz.Options{Seed: 5},
 		Budget: 60000,
 		Seeds:  [][]byte{[]byte("abcd")},
-		Seed:   5,
 	})
 	if err != nil {
 		panic(err)

@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	cfg2 "repro/internal/cfg"
-	"repro/internal/fleet"
 	"repro/internal/fuzz"
 	"repro/internal/instrument"
 	"repro/internal/strategy"
@@ -62,15 +60,6 @@ type Config struct {
 	// Instr tunes instrumentation construction for every campaign
 	// (analysis strictness, optimizer toggle).
 	Instr instrument.Config
-	// FleetWorkers, when > 1, runs every single-phase configuration as a
-	// supervised fleet of that many workers (Budget is then per worker);
-	// round-based configurations fall back to their usual single-process
-	// run. Results stay deterministic: fleet corpus sync is exec-count
-	// scheduled.
-	FleetWorkers int
-	// FleetSyncEvery is the fleet corpus-sync cadence in per-worker
-	// execs (default Budget/5; 0 keeps the default).
-	FleetSyncEvery int64
 }
 
 func (c Config) withDefaults() Config {
@@ -308,62 +297,15 @@ func runOne(cfg Config, subject string, f strategy.Name, run int) (*RunResult, e
 		Run:     run,
 		EdgeSet: triage.NewSet[uint32](),
 	}
-	if fb, profile, ok := strategy.SingleConfig(f); ok && cfg.FleetWorkers > 1 {
-		rep, err := runFleet(cfg, prog, fb, profile, f, sc)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s run %d (fleet): %w", subject, f, run, err)
-		}
-		rr.Report = rep
-		rr.Rounds = 1
-	} else {
-		out, err := strategy.Run(f, prog, sc)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s run %d: %w", subject, f, run, err)
-		}
-		rr.Report = out.Report
-		rr.Phase1 = out.Phase1
-		rr.Rounds = out.Rounds
+	out, err := strategy.Run(f, prog, sc)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s run %d: %w", subject, f, run, err)
 	}
+	rr.Report = out.Report
+	rr.Phase1 = out.Phase1
+	rr.Rounds = out.Rounds
 	for id := range fuzz.ShowMap(prog, rr.Report.Queue, "main", vm.DefaultLimits()) {
 		rr.EdgeSet.Add(id)
 	}
 	return rr, nil
-}
-
-// runFleet executes one evaluation campaign as a supervised worker
-// fleet in a throwaway state directory. Budget is per worker; the
-// merged report (cross-worker dedup, concatenated corpus) stands in
-// for the single-fuzzer report, and stays deterministic because fleet
-// corpus sync is exec-count scheduled.
-func runFleet(cfg Config, prog *cfg2.Program, fb instrument.Feedback, profile fuzz.Profile, f strategy.Name, sc strategy.Config) (*fuzz.Report, error) {
-	dir, err := os.MkdirTemp("", "pafuzz-fleet-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	syncEvery := cfg.FleetSyncEvery
-	if syncEvery <= 0 {
-		syncEvery = cfg.Budget / 5
-	}
-	opts := sc.Opts
-	opts.Feedback = fb
-	opts.Profile = profile
-	opts.Entry = "main"
-	s := fleet.New(dir, fleet.Options{
-		Workers:   cfg.FleetWorkers,
-		SyncEvery: syncEvery,
-		CkptEvery: cfg.Budget, // checkpoint zero plus the final one: enough for a throwaway dir
-	})
-	meta := campaign.Meta{Fuzzer: string(f), Seed: opts.Seed, Budget: cfg.Budget, MapSize: opts.MapSize, Entry: "main"}
-	if err := s.Start(prog, opts, meta, sc.Seeds); err != nil {
-		return nil, err
-	}
-	res, err := s.Run()
-	if err != nil {
-		return nil, err
-	}
-	if res.Interrupted {
-		return nil, fmt.Errorf("fleet run interrupted unexpectedly")
-	}
-	return res.Merged, nil
 }

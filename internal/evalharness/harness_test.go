@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/strategy"
 )
 
@@ -109,43 +108,6 @@ func TestSuiteDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("suite not deterministic: queue %d vs %d", a, b)
-	}
-}
-
-// TestSuiteFleetModeDeterministic pins fleet-mode evaluation: the same
-// configuration run twice as a 2-worker fleet produces byte-identical
-// merged reports, so eval output regeneration stays reproducible with
-// parallel workers.
-func TestSuiteFleetModeDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test")
-	}
-	run := func() []byte {
-		sr, err := RunSuite(Config{
-			Subjects:       []string{"flvmeta"},
-			Fuzzers:        []strategy.Name{strategy.Path},
-			Runs:           1,
-			Budget:         15000,
-			MapSize:        1 << 13,
-			BaseSeed:       3,
-			FleetWorkers:   2,
-			FleetSyncEvery: 5000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := sr.Runs("flvmeta", strategy.Path)[0].Report
-		if rep.Stats.Execs < 2*15000 {
-			t.Fatalf("fleet run executed %d execs, want 2 workers x 15000", rep.Stats.Execs)
-		}
-		data, err := campaign.CanonicalReport(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	if a, b := run(), run(); !bytes.Equal(a, b) {
-		t.Errorf("fleet-mode suite not deterministic (%d vs %d canonical bytes)", len(a), len(b))
 	}
 }
 

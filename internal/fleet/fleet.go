@@ -449,7 +449,7 @@ func (s *Supervisor) Run() (*Result, error) {
 	}
 	merged.QueueLen = len(merged.Queue)
 	res.Merged = merged
-	s.publishAggregateLocked()
+	s.publishAggregateLocked(merged)
 	return res, nil
 }
 

@@ -158,7 +158,8 @@ func TestSingleWorkerByteIdentity(t *testing.T) {
 // TestFleetTelemetryExact: every worker publishes its final counters
 // when its runner returns, so the fleet aggregate the recorder ends
 // with matches the merged report's exec count and carries the workers'
-// coverage.
+// coverage, and the closing publish carries the merged report's
+// deduplicated unique crash and bug counts.
 func TestFleetTelemetryExact(t *testing.T) {
 	rec := telemetry.New(telemetry.Config{})
 	opts := fleetOpts(2)
@@ -179,6 +180,10 @@ func TestFleetTelemetryExact(t *testing.T) {
 	}
 	if s.FleetWorkers != 2 || s.FleetActive != 0 {
 		t.Errorf("fleet liveness %d/%d at the end, want 0/2", s.FleetActive, s.FleetWorkers)
+	}
+	if s.UniqueBugs != int64(len(res.Merged.Bugs)) || s.UniqueCrashes != int64(len(res.Merged.Crashes)) {
+		t.Errorf("aggregate unique bugs/crashes %d/%d != merged report %d/%d",
+			s.UniqueBugs, s.UniqueCrashes, len(res.Merged.Bugs), len(res.Merged.Crashes))
 	}
 }
 

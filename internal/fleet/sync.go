@@ -202,12 +202,14 @@ func (s *Supervisor) publishWorkerTelemetry(w *worker, gen int, f *fuzz.Fuzzer) 
 		return
 	}
 	rec.PublishWorker(w.id, c)
-	s.publishAggregateLocked()
+	s.publishAggregateLocked(nil)
 }
 
 // publishAggregateLocked publishes the fleet-wide snapshot: summed
-// worker counters plus the supervision counters.
-func (s *Supervisor) publishAggregateLocked() {
+// worker counters plus the supervision counters. Run's closing publish
+// passes the merged report, whose deduplicated unique crash and bug
+// counts replace the aggregate's per-worker lower bounds.
+func (s *Supervisor) publishAggregateLocked(merged *fuzz.Report) {
 	rec := s.opts.Telemetry
 	if rec == nil {
 		return
@@ -228,5 +230,9 @@ func (s *Supervisor) publishAggregateLocked() {
 	agg.FleetRestarts = int64(s.restarts)
 	agg.FleetWedges = int64(s.wedges)
 	agg.FleetQuarantined = int64(len(s.quar))
+	if merged != nil {
+		agg.UniqueCrashes = int64(len(merged.Crashes))
+		agg.UniqueBugs = int64(len(merged.Bugs))
+	}
 	rec.Publish(agg)
 }

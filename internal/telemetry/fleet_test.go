@@ -6,12 +6,12 @@ import (
 )
 
 func TestAggregateSumsAndMaxes(t *testing.T) {
-	a := Counters{Execs: 100, UniqueBugs: 2, QueueLen: 5, MaxDepth: 3, MapSize: 1 << 12,
+	a := Counters{Execs: 100, UniqueBugs: 2, UniqueCrashes: 3, QueueLen: 5, MaxDepth: 3, MapSize: 1 << 12,
 		CoverageCount: 4000, CoverageBits: 30, ElidedProbes: 8, PatchSites: 20}
-	b := Counters{Execs: 50, UniqueBugs: 1, QueueLen: 7, MaxDepth: 9, MapSize: 1 << 12,
+	b := Counters{Execs: 50, UniqueBugs: 1, UniqueCrashes: 4, QueueLen: 7, MaxDepth: 9, MapSize: 1 << 12,
 		CoverageCount: 3000, CoverageBits: 45, ElidedProbes: 12, PatchSites: 20}
 	got := Aggregate(a, b)
-	if got.Execs != 150 || got.UniqueBugs != 3 || got.QueueLen != 12 {
+	if got.Execs != 150 || got.QueueLen != 12 {
 		t.Fatalf("cumulative fields not summed: %+v", got)
 	}
 	if got.MaxDepth != 9 {
@@ -27,6 +27,11 @@ func TestAggregateSumsAndMaxes(t *testing.T) {
 	}
 	if got.ElidedProbes != 12 || got.PatchSites != 20 {
 		t.Fatalf("CGT plan = %d/%d, want max 12/20", got.ElidedProbes, got.PatchSites)
+	}
+	// Workers find overlapping bugs: a sum would over-count what the
+	// merged report dedups, so the unique counts take the maximum too.
+	if got.UniqueBugs != 2 || got.UniqueCrashes != 4 {
+		t.Fatalf("unique bugs/crashes = %d/%d, want max 2/4", got.UniqueBugs, got.UniqueCrashes)
 	}
 	if got.CoverageCount > got.MapSize {
 		t.Fatalf("aggregate coverage %d exceeds the %d-cell map", got.CoverageCount, got.MapSize)

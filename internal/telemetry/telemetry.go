@@ -95,10 +95,13 @@ type Counters struct {
 // and gauge fields alike are added (the fleet-wide queue depth is the
 // sum of per-worker queues), except MapSize, which is per-worker
 // identical so the first non-zero value is kept, and the fields that
-// describe one shared map or program — MaxDepth, CurItem, the coverage
-// gauges and the CGT plan gauges — which take the maximum. Workers
-// cover overlapping cells, so a sum could exceed the map; the maximum
-// is a lower bound on the fleet's union.
+// describe one shared map, program or finding set — MaxDepth, CurItem,
+// the coverage gauges, the CGT plan gauges and the unique crash and
+// bug counts — which take the maximum. Workers cover overlapping cells
+// and find overlapping bugs, so a sum could exceed the map and
+// over-count findings; the maximum is a lower bound on the fleet's
+// union (the fleet supervisor's closing publish replaces the unique
+// counts with the merged report's exact ones).
 func Aggregate(cs ...Counters) Counters {
 	var out Counters
 	for _, c := range cs {
@@ -108,8 +111,6 @@ func Aggregate(cs ...Counters) Counters {
 		out.TotalSteps += c.TotalSteps
 		out.Cycles += c.Cycles
 		out.Added += c.Added
-		out.UniqueCrashes += c.UniqueCrashes
-		out.UniqueBugs += c.UniqueBugs
 		out.AFLUniqueCrashes += c.AFLUniqueCrashes
 		out.InternalFaults += c.InternalFaults
 		out.QueueLen += c.QueueLen
@@ -133,6 +134,8 @@ func Aggregate(cs ...Counters) Counters {
 		out.CurItem = max(out.CurItem, c.CurItem)
 		out.CoverageCount = max(out.CoverageCount, c.CoverageCount)
 		out.CoverageBits = max(out.CoverageBits, c.CoverageBits)
+		out.UniqueCrashes = max(out.UniqueCrashes, c.UniqueCrashes)
+		out.UniqueBugs = max(out.UniqueBugs, c.UniqueBugs)
 		out.ElidedProbes = max(out.ElidedProbes, c.ElidedProbes)
 		out.PatchSites = max(out.PatchSites, c.PatchSites)
 		if out.MapSize == 0 {
@@ -160,8 +163,7 @@ func (s *Snapshot) MapDensity() float64 {
 }
 
 // Info is the static campaign identity surfaced in fuzzer_stats and
-// the endpoint. Fields unknown at construction (the resolved engine,
-// the compiled instruction count) may be filled in later via SetInfo.
+// the endpoint, fixed when the recorder is built.
 type Info struct {
 	// Banner identifies the campaign, e.g. "flvmeta/cull".
 	Banner string
@@ -208,10 +210,10 @@ type Recorder struct {
 	now   func() time.Time
 	start time.Time
 	base  time.Duration
+	info  Info
 	cur   atomic.Pointer[Snapshot]
 
 	mu     sync.Mutex
-	info   Info
 	series *series
 	spans  *spanStore
 	prev   *Snapshot // last sampled snapshot, for rate derivation
@@ -345,23 +347,8 @@ func (r *Recorder) AggregateWorkers() Counters {
 	return Aggregate(cs...)
 }
 
-// SetInfo replaces the campaign identity (e.g. once the resolved
-// engine is known).
-func (r *Recorder) SetInfo(info Info) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if info.GoVersion == "" {
-		info.GoVersion = runtime.Version()
-	}
-	r.info = info
-}
-
 // Info returns the campaign identity.
-func (r *Recorder) Info() Info {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.info
-}
+func (r *Recorder) Info() Info { return r.info }
 
 // Elapsed returns wall-clock time since the recorder started, offset
 // by any resumed base.
@@ -476,13 +463,12 @@ func (r *Recorder) Sample() (Point, bool) {
 	if r.afl != nil {
 		r.afl.Append(s, p, r.info)
 	}
-	info := r.info
 	r.mu.Unlock()
 	// Written outside the lock: a stalled terminal must not block the
 	// HTTP handlers. The collector and Close's final sample run one at a
 	// time, so the writer sees one line at a time.
 	if r.status != nil {
-		fmt.Fprintln(r.status, FormatStatus(s, p, info))
+		fmt.Fprintln(r.status, FormatStatus(s, p, r.info))
 	}
 	return p, true
 }

@@ -155,17 +155,11 @@ func TestSeriesRing(t *testing.T) {
 	}
 }
 
-func TestSetInfo(t *testing.T) {
-	r := New(Config{Info: Info{Banner: "a/b", Seed: 3}})
-	if r.Info().GoVersion == "" {
-		t.Error("New should default GoVersion")
-	}
-	info := r.Info()
-	info.Engine = "bytecode"
-	r.SetInfo(info)
+func TestInfoDefaultsGoVersion(t *testing.T) {
+	r := New(Config{Info: Info{Banner: "a/b", Engine: "bytecode", Seed: 3}})
 	got := r.Info()
-	if got.Engine != "bytecode" || got.Banner != "a/b" || got.GoVersion == "" {
-		t.Errorf("Info after SetInfo = %+v", got)
+	if got.Engine != "bytecode" || got.Banner != "a/b" || got.Seed != 3 || got.GoVersion == "" {
+		t.Errorf("Info = %+v, want the configured identity with GoVersion defaulted", got)
 	}
 }
 
