@@ -66,7 +66,6 @@ func main() {
 		chaosEvery  = flag.Int64("chaos-every", 0, "fault injection: panic each worker's first attempt once past this exec count (0 disables; for supervision smoke tests)")
 		analysisLvl = flag.String("analysis", "", "static-analysis strictness: strict runs the IR and bytecode verifiers on every compile (default off)")
 		opt         = flag.Bool("opt", true, "enable verified bytecode optimization passes (constant folding, dead code)")
-		guide       = flag.Bool("analysis-guide", false, "analysis-guided fuzzing: focus mutations on input-dependency byte ranges, boost unexplored input-dependent branches, skip input-independent cmplog sites")
 		journalOn   = flag.Bool("journal", true, "write the structured event journal under <state>/journal (durable campaigns; inspect with paprof -journal)")
 		stopAfter   = flag.Int64("stop-after", 0, "interrupt the campaign once the exec counter reaches this (reproducible interruption for resume/journal smoke tests)")
 	)
@@ -141,7 +140,6 @@ func main() {
 			Seed:    *seed,
 			Budget:  *budget,
 			Entry:   "main",
-			Guide:   *guide,
 		}
 	}
 	prog, seeds, err := meta.Program()
@@ -220,7 +218,6 @@ func main() {
 		KeepCrashInputs: *stateDir != "",
 		Engine:          engine,
 		Instr:           icfg,
-		AnalysisGuide:   meta.Guide,
 		Telemetry:       rec,
 		Journal:         jw,
 	}

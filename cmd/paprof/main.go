@@ -38,7 +38,7 @@ func main() {
 		inputStr    = flag.String("input", "", "input bytes (literal)")
 		inputFile   = flag.String("input-file", "", "file holding the input bytes")
 		statsOnly   = flag.Bool("stats", false, "print per-function path statistics only")
-		factsDump   = flag.Bool("facts", false, "print the interprocedural analysis facts (per-branch input-dependency byte ranges, branch correlations, infeasible paths, cmp skip ratio) and exit")
+		factsDump   = flag.Bool("facts", false, "print the interprocedural analysis facts (per-branch input-dependency byte ranges, comparison sites with operand intervals, per-function path counts) and exit")
 		topN        = flag.Int("top", 20, "show the N hottest paths")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile at exit to this file")

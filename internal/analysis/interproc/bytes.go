@@ -153,18 +153,6 @@ func FromInterval(iv analysis.Interval) ByteSet {
 	return s
 }
 
-// Count returns the number of offsets in the set, or -1 for All.
-func (s *ByteSet) Count() int64 {
-	if s.All {
-		return -1
-	}
-	var n int64
-	for _, r := range s.R {
-		n += r.Hi - r.Lo + 1
-	}
-	return n
-}
-
 // String renders the set compactly: "*" for All, "-" for empty,
 // otherwise "[0-3,8,12-15]".
 func (s *ByteSet) String() string {

@@ -27,9 +27,6 @@ func TestByteSetAddRangeMerging(t *testing.T) {
 	if got := s.String(); got != "[0-15]" {
 		t.Fatalf("after overlap merge: %q", got)
 	}
-	if s.Count() != 16 {
-		t.Fatalf("Count = %d", s.Count())
-	}
 	for _, o := range []int64{0, 7, 15} {
 		if !s.Contains(o) {
 			t.Errorf("Contains(%d) = false", o)
@@ -84,7 +81,7 @@ func TestByteSetDegradesToAll(t *testing.T) {
 	if !s.All {
 		t.Fatal("huge range should degrade to All")
 	}
-	if s.Count() != -1 || s.String() != "*" || !s.Contains(1<<40) {
+	if s.String() != "*" || !s.Contains(1<<40) {
 		t.Error("All behavior wrong")
 	}
 	if s.AddRange(1, 2) {

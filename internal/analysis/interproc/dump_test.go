@@ -18,9 +18,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files u
 
 // TestDumpGolden pins the complete facts dump for one subject. The dump
 // is what `paprof -facts` prints: per-branch dependency byte ranges,
-// comparison sites with intervals, branch implications, and the
-// infeasible-path/skip-ratio header. Any analysis change that shifts
-// these facts must consciously regenerate the golden
+// comparison sites with intervals, per-function path counts, and the
+// cmp-site header. Any analysis change that shifts these facts must
+// consciously regenerate the golden
 // (go test ./internal/analysis/interproc -run DumpGolden -update-golden).
 func TestDumpGolden(t *testing.T) {
 	sub := subjects.Get("flvmeta")

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/balllarus"
 	"repro/internal/cfg"
 	"repro/internal/lang"
 )
@@ -24,10 +24,6 @@ type BranchFact struct {
 	// empty Bytes means length-only dependency.
 	Dep   bool
 	Bytes ByteSet
-	// DataDep / DataBytes: the condition value's own taint, excluding
-	// control context — what cmp-style mutation of the condition sees.
-	DataDep   bool
-	DataBytes ByteSet
 	// CondIv is the condition's interval at the branch; a decided
 	// interval (never zero, or always zero) means the intra-procedural
 	// analysis already resolves the branch.
@@ -41,8 +37,7 @@ type BranchFact struct {
 // Presence-only dependency (the comparison runs under input-dependent
 // control but always sees the same values, e.g. a constant-bound loop
 // counter behind a length guard) leaves Dep false: solving such a
-// comparison by value substitution is provably fruitless, which is
-// what the cmplog skip list exploits.
+// comparison by value substitution is provably fruitless.
 type CmpSite struct {
 	Block, Instr int
 	Op           lang.Kind
@@ -60,16 +55,10 @@ type FnFacts struct {
 	// Cmps holds one site per comparison in a reachable block, in
 	// (block, instr) order.
 	Cmps []CmpSite
-	// Ball-Larus path facts. EncodeOK means the function's acyclic
-	// paths are numberable; Walked means every path was abstractly
-	// interpreted (NumPaths within simulateCap), making Infeasible
-	// meaningful: ascending IDs proven impossible to record.
-	EncodeOK   bool
-	Walked     bool
-	NumPaths   uint64
-	Infeasible []uint64
-	// Implications are the proven pairwise branch correlations.
-	Implications []Implication
+	// EncodeOK means the function's acyclic paths are Ball-Larus
+	// numberable, NumPaths of them.
+	EncodeOK bool
+	NumPaths uint64
 
 	branchIdx map[int]int
 }
@@ -91,16 +80,7 @@ type Facts struct {
 	// edges.
 	Reachable []bool
 	Fns       []*FnFacts
-	// AllEnumerable means every function's acyclic paths are numberable
-	// with NumPaths <= cellCap, the precondition for proving feedback
-	// map cells dead (see CellEnumerable consumers in instrument).
-	AllEnumerable bool
 }
-
-// CellCap is the exported path-count bound under which AllEnumerable
-// holds; feedback-cell consumers enumerate up to this many IDs per
-// function.
-const CellCap = cellCap
 
 // factsKey memoizes For per (program, entry) pair.
 type factsKey struct {
@@ -141,12 +121,11 @@ func compute(prog *cfg.Program, entry int) *Facts {
 	t.Solve()
 
 	out := &Facts{
-		Prog:          prog,
-		Entry:         entry,
-		CG:            cg,
-		Reachable:     cg.ReachableFrom(entry),
-		Fns:           make([]*FnFacts, len(prog.Funcs)),
-		AllEnumerable: len(prog.Funcs) > 0,
+		Prog:      prog,
+		Entry:     entry,
+		CG:        cg,
+		Reachable: cg.ReachableFrom(entry),
+		Fns:       make([]*FnFacts, len(prog.Funcs)),
 	}
 	for fi, f := range prog.Funcs {
 		ff := &FnFacts{Name: f.Name, branchIdx: map[int]int{}}
@@ -189,65 +168,35 @@ func compute(prog *cfg.Program, entry int) *Facts {
 			if faulted || blk.Term.Kind != cfg.TermBr {
 				continue
 			}
-			data := cur[blk.Term.Cond]
-			full := data
+			full := cur[blk.Term.Cond]
 			full.joinWith(&ctrl)
 			ff.branchIdx[b] = len(ff.Branches)
 			ff.Branches = append(ff.Branches, BranchFact{
-				Block: b,
-				Pos:   blk.Term.Pos,
-				Dep:   full.Dep, Bytes: full.Bytes,
-				DataDep: data.Dep, DataBytes: data.Bytes,
+				Block:  b,
+				Pos:    blk.Term.Pos,
+				Dep:    full.Dep,
+				Bytes:  full.Bytes,
 				CondIv: env.Val[blk.Term.Cond],
 			})
 		}
-		pf := walkPaths(f, ii)
-		ff.EncodeOK = pf.encodeOK
-		ff.Walked = pf.walked
-		ff.NumPaths = pf.numPaths
-		ff.Infeasible = pf.infeasible
-		ff.Implications = pf.impls
-		sort.Slice(ff.Implications, func(i, j int) bool {
-			a, b := ff.Implications[i], ff.Implications[j]
-			if a.B1 != b.B1 {
-				return a.B1 < b.B1
-			}
-			if a.D1 != b.D1 {
-				return a.D1 && !b.D1
-			}
-			if a.B2 != b.B2 {
-				return a.B2 < b.B2
-			}
-			return a.D2 && !b.D2
-		})
-		if !ff.EncodeOK || ff.NumPaths > cellCap {
-			out.AllEnumerable = false
+		if enc, err := balllarus.Encode(f); err == nil {
+			ff.EncodeOK, ff.NumPaths = true, enc.NumPaths
 		}
 	}
 	return out
 }
 
-// GuideBytes returns the full-closure dependency byte set for branch
-// block b of function fn, with ok=false when the block is not a known
-// (reachable) conditional branch. An input-dependent branch with an
-// empty, non-All set depends on input length only.
-func (fs *Facts) GuideBytes(fn, b int) (ByteSet, bool) {
-	if fn < 0 || fn >= len(fs.Fns) {
-		return ByteSet{}, false
+func isCmpKind(k lang.Kind) bool {
+	switch k {
+	case lang.EQ, lang.NE, lang.LT, lang.LE, lang.GT, lang.GE:
+		return true
 	}
-	bf := fs.Fns[fn].Branch(b)
-	if bf == nil {
-		return ByteSet{}, false
-	}
-	if bf.Dep && bf.Bytes.Empty() {
-		return bf.Bytes, true
-	}
-	return bf.Bytes, true
+	return false
 }
 
 // CmpSkipRatio returns (input-independent comparison sites, total
-// comparison sites) across reachable functions — the static cmplog
-// skip potential surfaced by paprof.
+// comparison sites) across reachable functions: the comparisons whose
+// operand values no input can change, as paprof -facts prints them.
 func (fs *Facts) CmpSkipRatio() (indep, total int) {
 	for fi, ff := range fs.Fns {
 		if !fs.Reachable[fi] {
@@ -263,24 +212,6 @@ func (fs *Facts) CmpSkipRatio() (indep, total int) {
 	return indep, total
 }
 
-// NumInfeasible sums the proven-infeasible path IDs program-wide.
-func (fs *Facts) NumInfeasible() int {
-	n := 0
-	for _, ff := range fs.Fns {
-		n += len(ff.Infeasible)
-	}
-	return n
-}
-
-// NumImplications sums the proven branch correlations program-wide.
-func (fs *Facts) NumImplications() int {
-	n := 0
-	for _, ff := range fs.Fns {
-		n += len(ff.Implications)
-	}
-	return n
-}
-
 // Dump writes a deterministic human-readable rendering of the facts —
 // the backing of paprof -facts and its golden test.
 func (fs *Facts) Dump(w io.Writer) {
@@ -288,8 +219,6 @@ func (fs *Facts) Dump(w io.Writer) {
 	fmt.Fprintf(w, "entry: %s\n", fs.Prog.Funcs[fs.Entry].Name)
 	fmt.Fprintf(w, "functions: %d reachable: %d\n", len(fs.Prog.Funcs), countTrue(fs.Reachable))
 	fmt.Fprintf(w, "cmp sites: %d input-independent: %d\n", total, indep)
-	fmt.Fprintf(w, "infeasible paths: %d implications: %d all-enumerable: %v\n",
-		fs.NumInfeasible(), fs.NumImplications(), fs.AllEnumerable)
 	for fi, f := range fs.Prog.Funcs {
 		ff := fs.Fns[fi]
 		if len(ff.Branches) == 0 && len(ff.Cmps) == 0 && !ff.EncodeOK {
@@ -302,9 +231,6 @@ func (fs *Facts) Dump(w io.Writer) {
 		paths := "paths: not-numberable"
 		if ff.EncodeOK {
 			paths = fmt.Sprintf("paths: %d", ff.NumPaths)
-			if ff.Walked {
-				paths += fmt.Sprintf(" infeasible: %d", len(ff.Infeasible))
-			}
 		}
 		fmt.Fprintf(w, "\nfunc %s (%s, %s)\n", f.Name, reach, paths)
 		for i := range ff.Branches {
@@ -328,10 +254,6 @@ func (fs *Facts) Dump(w io.Writer) {
 				cs.Block, cs.Instr, cs.Pos.Line, cs.Pos.Col, cs.Op, dep,
 				ivString(cs.AIv), ivString(cs.BIv))
 		}
-		for _, im := range ff.Implications {
-			fmt.Fprintf(w, "  implies b%d=%s -> b%d=%s (witness %d)\n",
-				im.B1, dirString(im.D1), im.B2, dirString(im.D2), im.Witness)
-		}
 	}
 }
 
@@ -343,13 +265,6 @@ func countTrue(bs []bool) int {
 		}
 	}
 	return n
-}
-
-func dirString(d bool) string {
-	if d {
-		return "then"
-	}
-	return "else"
 }
 
 func ivString(iv analysis.Interval) string {

@@ -159,60 +159,6 @@ func main(input) {
 	}
 }
 
-func TestInfeasiblePathsAndImplications(t *testing.T) {
-	fs := mustFacts(t, `
-func main(input) {
-    if (len(input) < 1) { return 0; }
-    var x = input[0];
-    var r = 0;
-    if (x > 100) { r = 1; }
-    if (x < 50) { r = r + 2; }
-    return r;
-}
-`)
-	mi := fs.Prog.ByName["main"]
-	ff := fs.Fns[mi]
-	if !ff.Walked {
-		t.Fatal("main should be path-enumerable")
-	}
-	// Exactly one acyclic path takes both then-edges (x > 100 && x < 50)
-	// and the relational refinement proves it contradictory.
-	if len(ff.Infeasible) != 1 {
-		t.Fatalf("infeasible = %v, want exactly 1", ff.Infeasible)
-	}
-	b1 := branchAt(t, fs, "main", 6).Block
-	b2 := branchAt(t, fs, "main", 7).Block
-	found := false
-	for _, im := range ff.Implications {
-		if im.B1 == b1 && im.D1 && im.B2 == b2 && !im.D2 {
-			found = true
-			if im.Witness < 1 {
-				t.Errorf("implication without witness: %+v", im)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("missing implication (x>100 then) => (x<50 else); have %+v", ff.Implications)
-	}
-}
-
-func TestInfeasiblePathsAreConservative(t *testing.T) {
-	// Both branch orders are genuinely reachable: nothing may be
-	// reported infeasible.
-	fs := mustFacts(t, `
-func main(input) {
-    if (len(input) < 2) { return 0; }
-    var r = 0;
-    if (input[0] > 10) { r = 1; }
-    if (input[1] > 10) { r = r + 2; }
-    return r;
-}
-`)
-	if n := fs.NumInfeasible(); n != 0 {
-		t.Errorf("independent branches produced %d infeasible paths", n)
-	}
-}
-
 func TestCmpSkipRatio(t *testing.T) {
 	fs := mustFacts(t, `
 func main(input) {
@@ -320,7 +266,7 @@ func main(input) {
 	var b bytes.Buffer
 	fs.Dump(&b)
 	out := b.String()
-	for _, want := range []string{"entry: main", "cmp sites:", "infeasible paths:", "func main", "branch b"} {
+	for _, want := range []string{"entry: main", "cmp sites:", "func main", "branch b"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}

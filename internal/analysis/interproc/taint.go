@@ -1,20 +1,18 @@
 // Package interproc is the interprocedural layer over the analysis
 // package: a call-graph-based summary framework (bottom-up SCC order,
 // context-insensitive function summaries, whole-program fixpoint over
-// recursive components) with two concrete analyses — input-dependency
-// (taint) tracking which values derive from which input bytes, and
-// branch correlation proving some Ball-Larus acyclic paths infeasible.
+// recursive components) running one concrete analysis,
+// input-dependency (taint) tracking which values derive from which
+// input bytes.
 //
-// The facts it produces feed three consumers: the fuzzer's opt-in
-// analysis-guided mode (mutation byte masks, power-schedule boosts,
-// cmplog skip lists, never-hit path cells for CGT elision), three
-// palint checks, and the paprof -facts inspection dump.
+// The facts it produces feed three consumers: three palint checks, the
+// paprof -facts inspection dump, and the coverage report's frontier,
+// which names the input bytes each half-explored branch depends on.
 //
 // Soundness contract: dependency is OVER-approximated (every byte that
 // can influence a branch outcome at runtime is in the branch's static
-// byte set) and infeasibility is UNDER-approximated (a path is
-// reported infeasible only when no execution can record its ID). The
-// fuzz-level soundness suites pin both directions.
+// byte set). TestDependencyBytesSound pins it against concrete
+// executions.
 package interproc
 
 import (

@@ -88,11 +88,10 @@ type Meta struct {
 	Budget  int64
 	MapSize int
 	Entry   string
-	// Guide records whether the campaign ran analysis-guided
-	// (fuzz.Options.AnalysisGuide); a resume must re-enable it to
-	// reproduce the guided mutation and scheduling decisions. Old
-	// checkpoints decode it as false (gob zero value), matching the
-	// option's default.
+	// Guide marks a campaign that ran with the since-removed
+	// analysis-guided mode. Program refuses such a campaign
+	// (ErrGuided) rather than resume it unguided; new campaigns leave
+	// it false.
 	Guide bool
 }
 

@@ -19,13 +19,22 @@ import (
 // against different code would not be deterministic.
 var ErrSourceChanged = errors.New("campaign: source changed since the campaign started")
 
+// ErrGuided reports a campaign that ran analysis-guided (Meta.Guide):
+// that mode is gone, and resuming the campaign without it would not
+// continue the same campaign.
+var ErrGuided = errors.New("campaign: the campaign ran analysis-guided, a mode this version no longer has; it cannot be resumed")
+
 // Program compiles the program m describes — the benchmark subject it
 // names, else its MiniC source file — and returns it with the default
 // seed corpus: the subject's seeds, or one placeholder seed for a
 // source file. A new source campaign (empty SourceSum) records the
 // source's SHA-256 in m; a campaign that recorded one must still match
-// it, or the error wraps ErrSourceChanged.
+// it, or the error wraps ErrSourceChanged. A guided campaign fails with
+// ErrGuided.
 func (m *Meta) Program() (*cfg.Program, [][]byte, error) {
+	if m.Guide {
+		return nil, nil, ErrGuided
+	}
 	var (
 		prog  *cfg.Program
 		seeds [][]byte

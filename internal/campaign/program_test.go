@@ -39,6 +39,7 @@ func TestMetaProgram(t *testing.T) {
 		{name: "edited source is refused", meta: Meta{Source: edited, SourceSum: recorded}, wantSum: recorded,
 			wantErr: "changed since the campaign started", is: ErrSourceChanged},
 		{name: "neither subject nor source", meta: Meta{Fuzzer: "path"}, wantErr: "neither a subject nor a source file"},
+		{name: "guided campaign is refused", meta: Meta{Subject: "flvmeta", Guide: true}, wantErr: "analysis-guided", is: ErrGuided},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			meta := tc.meta

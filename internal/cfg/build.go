@@ -9,7 +9,7 @@ import (
 
 // Build lowers a parsed and checked program into CFG form. It runs
 // semantic analysis itself if the caller has not (calling sema.Check
-// twice is harmless), so Build(lang.MustParse(src)) is a complete
+// twice is harmless), so Build of lang.Parse's result is a complete
 // frontend invocation.
 func Build(prog *lang.Program) (*Program, error) {
 	if err := sema.Check(prog); err != nil {
@@ -41,16 +41,6 @@ func Compile(src string) (*Program, error) {
 	}
 	p.Source = src
 	return p, nil
-}
-
-// MustCompile is Compile panicking on error, for embedded subjects and
-// tests.
-func MustCompile(src string) *Program {
-	p, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 type loopCtx struct {

@@ -138,16 +138,6 @@ func (f *Fuzzer) replanCGT() {
 		return
 	}
 	f.virgin.ConsumedInto(f.cgt.consumed, f.cgt.patch.CellMasks())
-	if f.guide != nil {
-		// Analysis-guided tightening: cells only statically-infeasible
-		// path IDs can write are never touched by any execution, so
-		// marking them consumed up front cannot suppress novelty — it
-		// only lets elision start before the virgin map proves the same
-		// thing dynamically.
-		for _, c := range f.guide.deadCells {
-			f.cgt.consumed.Set(c)
-		}
-	}
 	f.cgt.elided = f.cgt.patch.Replan(f.cgt.consumed)
 	f.cgt.replans++
 }

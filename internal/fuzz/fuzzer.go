@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/analysis/interproc"
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
 	"repro/internal/coverage"
@@ -112,16 +111,6 @@ type Options struct {
 	// Engine selects the execution engine (EngineAuto, the compiled
 	// bytecode engine, by default).
 	Engine Engine
-	// AnalysisGuide enables analysis-guided fuzzing: interprocedural
-	// input-dependency facts (package analysis/interproc) focus havoc's
-	// byte mutations on the dependency ranges of rare frontier
-	// branches, boost the power schedule toward input-dependent
-	// unexplored branches, skip provably input-independent cmplog
-	// sites, and let the CGT engine elide probes of statically-dead
-	// path cells. See guide.go.
-	// Off by default; campaigns with it off are byte-identical to
-	// previous behaviour.
-	AnalysisGuide bool
 	// Telemetry, when non-nil, receives counter snapshots and stage
 	// spans. Publishing happens only at queue-entry boundaries (never
 	// inside the exec loop) and is strictly observational: attaching a
@@ -354,12 +343,6 @@ type Fuzzer struct {
 	sumSteps int64
 	sumCov   int64
 
-	// guide holds the analysis-guided state (Options.AnalysisGuide;
-	// nil otherwise), and covCount the per-cell queue coverage counts
-	// behind its rarity ordering — derived state, rebuilt on restore.
-	guide    *guideState
-	covCount map[uint32]int
-
 	dictSeen map[string]bool
 
 	// scratch is the reusable candidate buffer of the cmplog stage
@@ -421,15 +404,6 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 	if prog.Func(opts.Entry) == nil {
 		return nil, fmt.Errorf("fuzz: program has no entry function %q", opts.Entry)
 	}
-	var guide *guideState
-	if opts.AnalysisGuide {
-		// The facts ride along in the instrumentation config (where
-		// guided consumers expect them) but never affect lowering, so
-		// the compile below is shared with unguided campaigns.
-		facts := interproc.For(prog, prog.ByName[opts.Entry])
-		opts.Instr.Facts = facts
-		guide = newGuide(prog, facts, opts.Feedback, opts.MapSize, opts.Instr)
-	}
 	cp, ok := instrument.CompiledFor(opts.Feedback, prog, opts.Instr)
 	if !ok {
 		return nil, fmt.Errorf("fuzz: unknown feedback %v", opts.Feedback)
@@ -456,10 +430,6 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 		dictSeen:    make(map[string]bool),
 		tel:         opts.Telemetry,
 		jrnl:        opts.Journal,
-		guide:       guide,
-	}
-	if guide != nil {
-		f.covCount = make(map[uint32]int)
 	}
 	f.mut = &mutator{
 		rng:    f.rng,
@@ -767,7 +737,6 @@ func (f *Fuzzer) enqueue(data []byte, cov []uint32, steps int64, depth, parent i
 		f.maxDepth = depth
 	}
 	f.updateTopRated(e)
-	f.noteCov(e)
 	f.emit(journal.Event{
 		Kind:   journal.KindNovelty,
 		Stage:  stageName(e.Stage),
@@ -894,17 +863,6 @@ func (f *Fuzzer) energy(e *Entry) int {
 	if e.Handicap > 0 {
 		score *= 1.5
 	}
-	if f.guide != nil && f.guide.wMax > 0 {
-		// Analysis-guided frontier prior: inputs bordering the most
-		// input-dependent unexplored branch sides get up to 2x budget.
-		best := 0
-		for _, i := range e.Cov {
-			if int(i) < len(f.guide.w) && f.guide.w[i] > best {
-				best = f.guide.w[i]
-			}
-		}
-		score *= 1 + float64(best)/float64(f.guide.wMax)
-	}
 	limit := 512.0
 	if f.opts.Profile == ProfileAFL {
 		limit = 384
@@ -982,8 +940,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 			// probe-elision plan is recomputed from the virgin map
 			// here and nowhere else inside the loop, so the plan is a
 			// deterministic function of cycle-start campaign state.
-			// Guided campaigns refresh their frontier weights at the
-			// same boundary, for the same determinism property.
 			f.replanCGT()
 			if f.cgt != nil {
 				// Emitted here, not inside replanCGT: Restore replans
@@ -996,7 +952,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 					Sites:  f.cgt.patch.NumSites(),
 				})
 			}
-			f.updateGuide()
 			f.qi, f.qlen = 0, len(f.queue)
 			f.midCycle = true
 		}
@@ -1149,24 +1104,8 @@ func (f *Fuzzer) fuzzOne(e *Entry, budget int64) {
 	if f.tel != nil {
 		defer f.tel.StartSpan(telemetry.StageHavoc)()
 	}
-	var gMask []interproc.ByteRange
-	var gTotal int64
-	if f.guide != nil {
-		gMask, gTotal = f.guideMaskFor(e)
-	}
 	iters := f.energy(e)
 	for i := 0; i < iters && f.stats.Execs < budget; i++ {
-		// The frontier mask focuses alternate iterations only: the even
-		// ones hammer the dependency bytes of the rarest bordering
-		// frontier branch, the odd ones keep the unrestricted havoc that
-		// finds coverage the analysis did not point at. Focusing every
-		// iteration measurably starves broad exploration on subjects
-		// whose frontier branches resist flipping (flvmeta, imginfo).
-		if gTotal > 0 && i%2 == 0 {
-			f.mut.mask, f.mut.maskTotal = gMask, gTotal
-		} else {
-			f.mut.mask, f.mut.maskTotal = nil, 0
-		}
 		var cand []byte
 		if len(f.queue) > 1 && f.rng.Intn(100) < 15 {
 			other := f.queue[f.rng.Intn(len(f.queue))]
@@ -1205,11 +1144,6 @@ func (f *Fuzzer) cmplogStage(e *Entry, cmps []vm.CmpObs) {
 	const maxAttempts = 48
 	for _, obs := range cmps {
 		if obs.A == obs.B {
-			continue
-		}
-		if f.guide != nil && f.guide.skipCmp(obs) {
-			// Every static site matching this observation's signature is
-			// input-independent: substitution can never flip it.
 			continue
 		}
 		// Auto-dictionary: constants under comparison become tokens.

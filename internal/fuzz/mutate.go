@@ -3,8 +3,6 @@ package fuzz
 import (
 	"encoding/binary"
 	"math/rand"
-
-	"repro/internal/analysis/interproc"
 )
 
 // interesting values injected by the havoc stage, per AFL's tables.
@@ -31,36 +29,6 @@ type mutator struct {
 	// records, cmplog) copies.
 	buf []byte
 	spl []byte
-	// mask, when non-empty, restricts the positional byte mutations to
-	// these input offsets (analysis-guided mode; see fuzz/guide.go).
-	// maskTotal caches the offset count. Structural ops (block
-	// insert/delete/copy, splice cuts) stay unrestricted — they change
-	// layout, which no static byte mask describes. A nil mask draws
-	// from the rng exactly as unguided code always did, keeping
-	// default-off campaigns byte-identical.
-	mask      []interproc.ByteRange
-	maskTotal int64
-}
-
-// pos picks a mutation position in [0, n): uniformly over the masked
-// offsets that fit the candidate when a mask is set (falling back to
-// uniform when the drawn offset is beyond the candidate), uniform
-// otherwise.
-func (m *mutator) pos(n int) int {
-	if m.maskTotal > 0 {
-		k := m.rng.Int63n(m.maskTotal)
-		for _, r := range m.mask {
-			if size := r.Hi - r.Lo + 1; k < size {
-				if off := r.Lo + k; off < int64(n) {
-					return int(off)
-				}
-				break
-			} else {
-				k -= size
-			}
-		}
-	}
-	return m.rng.Intn(n)
 }
 
 func (m *mutator) randLen(max int) int {
@@ -142,21 +110,21 @@ func (m *mutator) one(out []byte) []byte {
 	}
 	switch m.rng.Intn(nOps) {
 	case 0: // flip a bit
-		p := m.pos(len(out))
+		p := m.rng.Intn(len(out))
 		out[p] ^= 1 << m.rng.Intn(8)
 	case 1: // set random byte
-		out[m.pos(len(out))] = byte(m.rng.Intn(256))
+		out[m.rng.Intn(len(out))] = byte(m.rng.Intn(256))
 	case 2: // add/sub byte
-		p := m.pos(len(out))
+		p := m.rng.Intn(len(out))
 		out[p] += byte(1 + m.rng.Intn(35))
 	case 3:
-		p := m.pos(len(out))
+		p := m.rng.Intn(len(out))
 		out[p] -= byte(1 + m.rng.Intn(35))
 	case 4: // interesting 8-bit
-		out[m.pos(len(out))] = byte(interesting8[m.rng.Intn(len(interesting8))])
+		out[m.rng.Intn(len(out))] = byte(interesting8[m.rng.Intn(len(interesting8))])
 	case 5: // interesting 16-bit
 		if len(out) >= 2 {
-			p := m.pos(len(out) - 1)
+			p := m.rng.Intn(len(out) - 1)
 			v := uint16(interesting16[m.rng.Intn(len(interesting16))])
 			if m.rng.Intn(2) == 0 {
 				binary.LittleEndian.PutUint16(out[p:], v)
@@ -166,7 +134,7 @@ func (m *mutator) one(out []byte) []byte {
 		}
 	case 6: // add/sub 16-bit
 		if len(out) >= 2 {
-			p := m.pos(len(out) - 1)
+			p := m.rng.Intn(len(out) - 1)
 			v := binary.LittleEndian.Uint16(out[p:])
 			if m.rng.Intn(2) == 0 {
 				v += uint16(1 + m.rng.Intn(35))
@@ -199,7 +167,7 @@ func (m *mutator) one(out []byte) []byte {
 		}
 	case 12: // interesting 32-bit (rich profile)
 		if len(out) >= 4 {
-			p := m.pos(len(out) - 3)
+			p := m.rng.Intn(len(out) - 3)
 			v := uint32(interesting32[m.rng.Intn(len(interesting32))])
 			if m.rng.Intn(2) == 0 {
 				binary.LittleEndian.PutUint32(out[p:], v)

@@ -214,9 +214,6 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	mapSize := uint32(f.cov.Len())
 	f.queue = make([]*Entry, 0, len(snap.Entries))
 	f.topRated = make(map[uint32]*Entry)
-	if f.guide != nil {
-		f.covCount = make(map[uint32]int)
-	}
 	f.sumSteps, f.sumCov = 0, 0
 	// maxDepth is derived state, recomputed from the queue below.
 	f.maxDepth = 0
@@ -261,7 +258,6 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 		// incremental top-rated map exactly (ties keep the earlier
 		// entry, as they did originally).
 		f.updateTopRated(e)
-		f.noteCov(e)
 	}
 	if err := f.virgin.SetCells(snap.Virgin); err != nil {
 		return err
@@ -322,10 +318,7 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	// The CGT patch plan is not checkpointed: it is a pure function of
 	// the virgin map, so a restored campaign replans from the restored
 	// virgin state (the same boundary-determinism rule as cycle starts).
-	// Guide state (frontier weights, coverage counts) is equally
-	// derived and was rebuilt above / is refreshed here.
 	f.replanCGT()
-	f.updateGuide()
 	return nil
 }
 

@@ -24,6 +24,20 @@ func BlockBases(p *cfg.Program) []uint32 { return blockBase(p) }
 // describe hashed cells with the width that actually ran.
 func NGramDefault(c Config) int { return c.withDefaults().NGram }
 
+// PathCellIndex returns the coverage-map cell that a completed
+// Ball-Larus path ID of function fnID lands in under the path feedback,
+// replicating the tracer's mixing formula and Map.Add's index masking
+// (the bytecode lowering uses the same formula, so the three agree).
+// mapSize must be the campaign's power-of-two map size.
+func PathCellIndex(c Config, fnID int, pathID uint64, mapSize int) uint32 {
+	mask := uint32(mapSize - 1)
+	salt := fnSalt(fnID)
+	if c.Mix == MixHash {
+		return uint32(splitmix64(pathID^(uint64(salt)<<32))) & mask
+	}
+	return (uint32(pathID) ^ salt) & mask
+}
+
 // PathAFLTrackedFns reports which functions the pathafl feedback
 // instruments with segment hashing (small functions are pruned), using
 // the same threshold the tracer applies.

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/interproc"
 	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/vm"
@@ -114,12 +113,6 @@ type Config struct {
 	// tests pin its observational equivalence — and the flag exists for
 	// the ablation bench and debugging.
 	NoOpt bool
-	// Facts carries the interprocedural analysis result consumed by
-	// guided-mode clients (analysis-guided mutation, dead path-cell
-	// elision; see guide.go). It never influences tracer construction
-	// or bytecode lowering — the compile cache strips it from its key —
-	// so a nil and non-nil Facts produce byte-identical instrumentation.
-	Facts *interproc.Facts
 }
 
 func (c Config) withDefaults() Config {
@@ -228,10 +221,6 @@ func (t *EdgeTracer) Edge(f *cfg.Func, e int) { t.m.Add(t.base[f.ID] + uint32(e)
 
 // Ret implements vm.Tracer.
 func (t *EdgeTracer) Ret(*cfg.Func, int) {}
-
-// GlobalEdgeID returns the map index the tracer uses for edge e of f,
-// for tools that need to invert the map (the showmap analogue).
-func (t *EdgeTracer) GlobalEdgeID(f *cfg.Func, e int) uint32 { return t.base[f.ID] + uint32(e) }
 
 // BlockTracer implements basic-block coverage (the n=0 rung of the
 // sensitivity ladder).

@@ -9,9 +9,7 @@ import (
 )
 
 // compileKey identifies one compiled (program, feedback, config)
-// triple. Config is comparable (plain scalars plus the Facts pointer),
-// so the whole key is; Facts is stripped before keying because it never
-// affects lowering (guided and unguided campaigns share one compile).
+// triple. Config is comparable (plain scalars), so the whole key is.
 type compileKey struct {
 	prog *cfg.Program
 	fb   Feedback
@@ -28,9 +26,7 @@ var compileCache sync.Map // compileKey -> *bytecode.Program
 // has a lowering; ok is false only for an unknown feedback.
 func CompiledFor(fb Feedback, prog *cfg.Program, c Config) (cp *bytecode.Program, ok bool) {
 	c = c.withDefaults()
-	kc := c
-	kc.Facts = nil
-	key := compileKey{prog: prog, fb: fb, cfg: kc}
+	key := compileKey{prog: prog, fb: fb, cfg: c}
 	if v, hit := compileCache.Load(key); hit {
 		return v.(*bytecode.Program), true
 	}

@@ -28,16 +28,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error. Intended for tests and for
-// embedding subject sources that are known to be valid.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 func (p *Parser) next() {
 	p.tok = p.peek
 	p.peek = p.lex.Next()
