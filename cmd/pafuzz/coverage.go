@@ -37,7 +37,7 @@ func attachCartography(rec *telemetry.Recorder, prog *cfg.Program, fb instrument
 		ixErr error
 	)
 	index := func() (*covmap.Index, error) {
-		once.Do(func() { ix, ixErr = covmap.New(prog, fb, instrument.Config{}, mapSize) })
+		once.Do(func() { ix, ixErr = covmap.New(prog, fb, mapSize) })
 		return ix, ixErr
 	}
 	rec.SetCellResolver(func(cell uint32) string {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/covmap"
 	"repro/internal/fleet"
 	"repro/internal/fuzz"
-	"repro/internal/instrument"
 	"repro/internal/strategy"
 )
 
@@ -94,7 +93,7 @@ func cartographyIndex(meta campaign.Meta) (*covmap.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return covmap.New(prog, fb, instrument.Config{}, cmp.Or(meta.MapSize, coverage.DefaultMapSize))
+	return covmap.New(prog, fb, cmp.Or(meta.MapSize, coverage.DefaultMapSize))
 }
 
 // runExplain prints the program meaning of every cell the campaign's

@@ -7,8 +7,7 @@
 // and an evaluation harness regenerating every table and figure of the
 // paper.
 //
-// The root package holds the benchmark suite (bench_test.go); the
-// library lives under internal/ (campaigns run through
-// internal/strategy.Run, durable ones through internal/campaign) and
-// the executables under cmd/.
+// The library lives under internal/ (campaigns run through
+// internal/strategy.Run, durable ones through internal/campaign), the
+// executables under cmd/, and the campaign benchmark in campbench/.
 package repro

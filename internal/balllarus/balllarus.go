@@ -98,7 +98,8 @@ type Plan struct {
 	// recording when the block returns.
 	RetInc []int64
 	// Probes counts the non-zero increments the plan needs (a proxy
-	// for instrumentation cost, reported by the ablation bench).
+	// for instrumentation cost, reported by paprof -stats and the
+	// quickstart).
 	Probes int
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/subjects"
 )
 
@@ -62,4 +63,26 @@ func TestSubjectsPathRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkBallLarusEncode measures the compile-time numbering cost
+// over all benchmark subjects.
+func BenchmarkBallLarusEncode(b *testing.B) {
+	var funcs []*cfg.Func
+	for _, sub := range subjects.All() {
+		prog, err := sub.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs = append(funcs, prog.Funcs...)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range funcs {
+			if _, err := Encode(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(funcs)), "functions")
 }

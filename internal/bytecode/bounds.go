@@ -25,8 +25,7 @@ import "repro/internal/cfg"
 //     intra-function cycle (its target can reach its source), in
 //     which case it saturates.
 //
-// Cells written by several probes (block feedback funnels every
-// in-edge of a block into one cell, and map-size masking may collide
+// Cells written by several probes (map-size masking may collide
 // arbitrary cells) take the sum of their writers' bounds, since the
 // hit counts add within one execution. Saturation caps everything at
 // boundCap, whose bucket mask is already all eight bits, so imprecise
@@ -148,14 +147,13 @@ func fnInvocationBounds(g *cfg.Program, entry string) []int {
 
 // CellHitBounds returns, per raw (pre-mask) map cell, an upper bound
 // on the hit count one execution entered at entry can accumulate
-// there. It is defined only for feedbacks whose probes all carry
-// compile-time map indices — edge and block coverage — and returns nil
-// otherwise (or when entry is unknown), which disables the refinement.
-// The cell enumeration mirrors the compiler's probe lowering: edge
-// feedback writes Base+edge per CFG edge; block feedback writes Base
-// at function entry and Base+target per CFG edge.
+// there. It is defined only for edge feedback, whose probes all carry
+// compile-time map indices, and returns nil otherwise (or when entry
+// is unknown), which disables the refinement. The cell enumeration
+// mirrors the compiler's probe lowering: edge feedback writes
+// Base+edge per CFG edge.
 func (p *Program) CellHitBounds(entry string) map[uint32]int {
-	if p.src == nil || (p.spec.Kind != ProbeEdge && p.spec.Kind != ProbeBlock) {
+	if p.src == nil || p.spec.Kind != ProbeEdge {
 		return nil
 	}
 	fb := fnInvocationBounds(p.src, entry)
@@ -163,26 +161,19 @@ func (p *Program) CellHitBounds(entry string) map[uint32]int {
 		return nil
 	}
 	out := make(map[uint32]int)
-	add := func(cell uint32, n int) { out[cell] = satAdd(out[cell], n) }
 	for fi, f := range p.src.Funcs {
 		var fs FnSpec
 		if fi < len(p.spec.Fns) {
 			fs = p.spec.Fns[fi]
 		}
 		reach := funcReach(f)
-		if p.spec.Kind == ProbeBlock {
-			add(fs.Base, fb[fi])
-		}
 		for e, ed := range f.Edges {
 			n := fb[fi]
 			if reach[ed.To][ed.From] {
 				n = satMul(n, boundCap)
 			}
-			if p.spec.Kind == ProbeBlock {
-				add(fs.Base+uint32(ed.To), n)
-			} else {
-				add(fs.Base+uint32(e), n)
-			}
+			cell := fs.Base + uint32(e)
+			out[cell] = satAdd(out[cell], n)
 		}
 	}
 	return out

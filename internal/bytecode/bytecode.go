@@ -19,8 +19,8 @@
 //   - block/instruction re-resolution: jump targets, callee entry
 //     points, and builtin identities are resolved at compile time into
 //     absolute program counters and specialised opcodes;
-//   - tracer interface dispatch: each feedback mechanism (edge, block,
-//     n-gram, Ball-Larus path with its 2-gram and selective variants,
+//   - tracer interface dispatch: each feedback mechanism (edge,
+//     Ball-Larus path with its 2-gram and selective variants,
 //     PathAFL-like) is lowered at compile time to probe instructions
 //     placed exactly where its events fire, writing straight into the
 //     coverage map;
@@ -33,7 +33,6 @@ package bytecode
 import (
 	"repro/internal/balllarus"
 	"repro/internal/cfg"
-	"repro/internal/coverage"
 	"repro/internal/lang"
 )
 
@@ -50,10 +49,6 @@ const (
 	ProbeNone ProbeKind = iota
 	// ProbeEdge inlines exact global-edge-ID hit counts (pcguard).
 	ProbeEdge
-	// ProbeBlock inlines basic-block hit counts.
-	ProbeBlock
-	// ProbeNGram inlines the n-gram window hash feedback.
-	ProbeNGram
 	// ProbePath inlines Ball-Larus path-register increments and
 	// record-at-termination probes (the paper's feedback); Spec.Path2
 	// and FnSpec.Edge select its 2-gram and selective variants.
@@ -69,9 +64,9 @@ type FnSpec struct {
 	// Salt is the function's stable pseudo-random identifier
 	// (ProbePath, ProbePathAFL).
 	Salt uint32
-	// Base offsets the function's IDs in the global ID space: its first
-	// edge (ProbeEdge, ProbePathAFL, an Edge function under ProbePath)
-	// or its first block (ProbeBlock, ProbeNGram).
+	// Base offsets the function's first edge in the global edge ID
+	// space (ProbeEdge, ProbePathAFL, an Edge function under
+	// ProbePath).
 	Base uint32
 	// Tracked marks functions included in the whole-program path hash
 	// (ProbePathAFL's partial instrumentation).
@@ -94,15 +89,10 @@ type FnSpec struct {
 // compiler needs to inline one feedback mechanism's probes.
 type Spec struct {
 	Kind ProbeKind
-	// MixHash selects the hash-mixing map-index mode for ProbePath
-	// (instrument.MixHash); false is the paper's XOR formula.
-	MixHash bool
 	// Path2 makes every ProbePath record also write the hashed 2-gram
 	// of the activation's previous path and this one (the 2-grams of
 	// paths feedback).
 	Path2 bool
-	// NGram is the window length for ProbeNGram.
-	NGram int
 	// Segment bounds hashed path-segment length for ProbePathAFL.
 	Segment int
 	// Opt enables the IR optimization passes (constant folding,
@@ -222,7 +212,6 @@ const (
 	opProbeBack     // path: record(reg + imm, salt a); reg = backVals[b]
 	opProbeRetPath  // path: record(reg + imm, salt a); pop the register
 	opProbeHashEdge // path hash fallback: reg = splitmix64(reg ^ imm)
-	opProbeVisit    // ngram: slide the window to location imm and hash
 	opProbePAEnter  // pathafl: fold salt imm into the rolling segment hash
 	opProbePAFlush  // pathafl: close the current path segment
 
@@ -330,21 +319,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// ngramHash computes the n-gram window hash exactly as the instrument
-// tracer does (including its FNV offset constant).
-func ngramHash(hist []uint32, pos int) uint64 {
-	var h uint64 = 1469598103934665603
-	n := len(hist)
-	for i := 0; i < n; i++ {
-		h ^= uint64(hist[(pos+i)%n])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// ngramVisit writes the n-gram window hash into m.
-func ngramVisit(m *coverage.Map, hist []uint32, pos int) {
-	m.Add(uint32(ngramHash(hist, pos)))
 }

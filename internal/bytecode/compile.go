@@ -408,10 +408,6 @@ func (c *compiler) emitEnterProbes(fs FnSpec) {
 		if !fs.Edge {
 			c.emit(instr{op: opProbePush}, lang.Pos{})
 		}
-	case ProbeBlock:
-		c.emit(instr{op: opProbeAdd, imm: int64(fs.Base)}, lang.Pos{})
-	case ProbeNGram:
-		c.emit(instr{op: opProbeVisit, imm: int64(fs.Base)}, lang.Pos{})
 	case ProbePathAFL:
 		if fs.Tracked {
 			c.emit(instr{op: opProbePAEnter, imm: int64(fs.Salt)}, lang.Pos{})
@@ -424,10 +420,6 @@ func (c *compiler) edgeProbes(f *cfg.Func, fs FnSpec, e int) []instr {
 	switch c.out.spec.Kind {
 	case ProbeEdge, ProbePathAFL:
 		return []instr{{op: opProbeAdd, imm: int64(fs.Base + uint32(e))}}
-	case ProbeBlock:
-		return []instr{{op: opProbeAdd, imm: int64(fs.Base + uint32(f.Edges[e].To))}}
-	case ProbeNGram:
-		return []instr{{op: opProbeVisit, imm: int64(fs.Base + uint32(f.Edges[e].To))}}
 	case ProbePath:
 		if fs.Edge {
 			return []instr{{op: opProbeAdd, imm: int64(fs.Base + uint32(e))}}

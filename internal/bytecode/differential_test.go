@@ -21,8 +21,6 @@ import (
 var allFeedbacks = []instrument.Feedback{
 	instrument.FeedbackEdge,
 	instrument.FeedbackPath,
-	instrument.FeedbackBlock,
-	instrument.FeedbackNGram,
 	instrument.FeedbackPathAFL,
 	instrument.FeedbackPath2,
 	instrument.FeedbackSelective,
@@ -187,32 +185,101 @@ func TestDifferentialTightLimits(t *testing.T) {
 	}
 }
 
-// TestDifferentialConfigVariants pins the non-default instrumentation
-// configurations: hash mixing, naive Ball-Larus placement, alternative
-// n-gram window lengths, and selective thresholds that split cflow's
-// functions between path and edge probes — 12 is exactly is_letter's
-// path count, so a threshold off by one flips that function.
-func TestDifferentialConfigVariants(t *testing.T) {
-	configs := []instrument.Config{
-		{Mix: instrument.MixHash},
-		{NaivePlacement: true},
-		{NGram: 2},
-		{NGram: 8},
-		{PathAFLMinBlocks: 2, PathAFLSegment: 4},
-		{SelectiveMaxPaths: 4},
-		{SelectiveMaxPaths: 12},
+// recursiveSrc recurses one activation of walk per level, up to 55
+// levels deep. walk has more than the 4 blocks pathafl tracks, and no
+// tracked function returns before the deepest level, so any depth of 32
+// or more fills a whole pathafl segment and reaches its overflow flush
+// by construction; the subjects reach it only through the few inputs
+// that happen to nest that deep.
+const recursiveSrc = `
+func walk(n, x) {
+    var s = 0;
+    if (x & 1) { s = s + 1; } else { s = s - 1; }
+    if (n > 0) { s = s + walk(n - 1, x / 2 + n); }
+    return s;
+}
+func main(input) {
+    var d = 40;
+    if (len(input) > 0) { d = input[0] % 56; }
+    var x = 0;
+    if (len(input) > 1) { x = input[1]; }
+    return walk(d, x);
+}
+`
+
+// diamondsSrc defines a function named name with n independent
+// if/else diamonds in sequence, so 2^n acyclic paths.
+func diamondsSrc(name string, n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "func %s(x) {\n    var s = 0;\n", name)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    if (x & %d) { s = s + %d; } else { s = s - 1; }\n", 1<<i, i+1)
 	}
-	sub := subjects.Get("cflow")
-	prog := sub.MustProgram()
-	rng := rand.New(rand.NewSource(11))
-	inputs := subjectInputs(sub, rng, 25)
-	for ci, c := range configs {
+	b.WriteString("    return s;\n}\n")
+	return b.String()
+}
+
+// thresholdSrc straddles the selective feedback's 256-path threshold:
+// d8 has exactly 256 paths and gets path probes, d9 has 512 and gets
+// edge probes.
+func thresholdSrc() string {
+	return diamondsSrc("d8", 8) + diamondsSrc("d9", 9) + `
+func main(input) {
+    var x = 0;
+    if (len(input) > 0) { x = input[0]; }
+    if (len(input) > 1) { x = x + input[1] * 256; }
+    return d8(x) + d9(x);
+}
+`
+}
+
+// TestDifferentialThresholdPrograms holds the fixed instrumentation
+// thresholds under differential test on programs written to cross
+// them: recursion deep enough to overflow a pathafl segment, and a
+// pair of functions on either side of the selective path threshold.
+func TestDifferentialThresholdPrograms(t *testing.T) {
+	recursive, err := cfg.Compile(recursiveSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold, err := cfg.Compile(thresholdSrc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := instrument.SelectivePathFns(threshold)
+	if !sel[threshold.ByName["d8"]] || sel[threshold.ByName["d9"]] {
+		t.Fatalf("selective path functions %v: want d8 path-probed and d9 edge-probed", sel)
+	}
+	rng := rand.New(rand.NewSource(17))
+	var inputs [][]byte
+	for d := 0; d < 56; d += 3 {
+		inputs = append(inputs, []byte{byte(d), byte(rng.Intn(256))})
+	}
+	for i := 0; i < 40; i++ {
+		in := make([]byte, rng.Intn(4))
+		rng.Read(in)
+		inputs = append(inputs, in)
+	}
+	for _, prog := range []*cfg.Program{recursive, threshold} {
 		for _, fb := range allFeedbacks {
-			d := newDiffPair(t, prog, fb, c, 1<<15, vm.DefaultLimits())
+			d := newDiffPair(t, prog, fb, instrument.Config{}, 1<<16, vm.DefaultLimits())
 			for _, in := range inputs {
-				d.check(t, fmt.Sprintf("cfg%d/%s", ci, fb), in)
+				d.check(t, fb.String(), in)
 			}
 		}
+	}
+	// Sanity: a deep walk writes one more pathafl segment cell than a
+	// shallow one (the overflow flush), so the overflow path ran.
+	segCells := func(depth byte) int {
+		cells := func(fb instrument.Feedback) int {
+			d := newDiffPair(t, recursive, fb, instrument.Config{}, 1<<16, vm.DefaultLimits())
+			d.check(t, "depth", []byte{depth, 0})
+			return d.m1.CountNonZero()
+		}
+		return cells(instrument.FeedbackPathAFL) - cells(instrument.FeedbackEdge)
+	}
+	if shallow, deep := segCells(20), segCells(40); deep != shallow+1 {
+		t.Fatalf("pathafl segment cells: depth 20 wrote %d, depth 40 wrote %d; want one more at depth 40", shallow, deep)
 	}
 }
 
@@ -251,23 +318,18 @@ func TestDifferentialHashModeFallback(t *testing.T) {
 	}
 	// Sanity: the wide function must actually be in hash mode.
 	m := coverage.NewMap(1 << 12)
-	pt, err := instrument.NewPathTracer(prog, m, instrument.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := instrument.NewPathTracer(prog, m)
 	wide := prog.Func("wide")
 	if wide == nil || !pt.HashMode(wide.ID) {
 		t.Fatal("wide did not fall back to hash mode; widen the test program")
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, fb := range []instrument.Feedback{instrument.FeedbackPath, instrument.FeedbackPath2, instrument.FeedbackSelective} {
-		for _, mix := range []instrument.Config{{}, {Mix: instrument.MixHash}} {
-			d := newDiffPair(t, prog, fb, mix, 1<<12, vm.DefaultLimits())
-			for i := 0; i < 50; i++ {
-				in := make([]byte, rng.Intn(4))
-				rng.Read(in)
-				d.check(t, "hashmode/"+fb.String(), in)
-			}
+		d := newDiffPair(t, prog, fb, instrument.Config{}, 1<<12, vm.DefaultLimits())
+		for i := 0; i < 50; i++ {
+			in := make([]byte, rng.Intn(4))
+			rng.Read(in)
+			d.check(t, "hashmode/"+fb.String(), in)
 		}
 	}
 }

@@ -56,19 +56,16 @@ type Machine struct {
 	// 0 means no path yet. Pops leave last alone: the next push
 	// truncates it to the live stack.
 	last []uint32
-	// hist is the n-gram block window (ProbeNGram).
-	hist    []uint32
-	histPos int
 	// pah/pan are the PathAFL rolling segment hash and length.
 	pah uint64
 	pan int
 	// elide, when non-nil, is the consumed-cell mask of the
 	// coverage-guided tracing engine: dynamic-index probes (path record,
-	// pathafl segment flush, n-gram hash) skip the map write when their
-	// cell is fully consumed, the record-side analogue of the static
-	// opProbeAdd patching. Everything else about the probe — path
-	// register updates, segment hash state, the n-gram window — still
-	// runs, so execution state stays identical to the pristine machine.
+	// pathafl segment flush) skip the map write when their cell is fully
+	// consumed, the record-side analogue of the static opProbeAdd
+	// patching. Everything else about the probe — path register
+	// updates, segment hash state — still runs, so execution state
+	// stays identical to the pristine machine.
 	elide *coverage.Bitset
 }
 
@@ -78,13 +75,6 @@ func NewMachine(p *Program, m *coverage.Map, lim vm.Limits) *Machine {
 	mc := &Machine{p: p, m: m, lim: lim, injectAt: math.MaxInt64}
 	if lim.InjectPanicAtStep > 0 {
 		mc.injectAt = lim.InjectPanicAtStep
-	}
-	if p.spec.Kind == ProbeNGram {
-		n := p.spec.NGram
-		if n <= 0 {
-			n = 1
-		}
-		mc.hist = make([]uint32, n)
 	}
 	if p.spec.Path2 {
 		mc.last = make([]uint32, 1, 64)
@@ -100,10 +90,10 @@ func (mc *Machine) Program() *Program { return mc.p }
 // written; the caller may update its contents between runs.
 func (mc *Machine) SetElide(bs *coverage.Bitset) { mc.elide = bs }
 
-// probeDyn is the dynamic-index map write behind record, paFlush, and
-// the n-gram probe: with a consumed-cell mask installed, writes to
-// fully consumed cells are skipped (they can never produce novelty, so
-// skipping them is coverage-preserving).
+// probeDyn is the dynamic-index map write behind record and paFlush:
+// with a consumed-cell mask installed, writes to fully consumed cells
+// are skipped (they can never produce novelty, so skipping them is
+// coverage-preserving).
 func (mc *Machine) probeDyn(idx uint32) {
 	if mc.elide != nil && mc.elide.Has(idx) {
 		return
@@ -121,10 +111,6 @@ func (mc *Machine) reset() {
 	mc.regs = mc.regs[:0]
 	if mc.last != nil {
 		mc.last = mc.last[:1]
-	}
-	if mc.hist != nil {
-		clear(mc.hist)
-		mc.histPos = 0
 	}
 	mc.pah, mc.pan = 0, 0
 }
@@ -198,12 +184,7 @@ func (mc *Machine) arrayAt(h int64, pos lang.Pos) ([]int64, *vm.Crash) {
 // the 2-gram with the activation's previous path under Spec.Path2
 // (PathNGramTracer.record).
 func (mc *Machine) record(salt uint32, pathID uint64) {
-	var idx uint32
-	if mc.p.spec.MixHash {
-		idx = uint32(splitmix64(pathID ^ (uint64(salt) << 32)))
-	} else {
-		idx = uint32(pathID) ^ salt
-	}
+	idx := uint32(pathID) ^ salt
 	mc.probeDyn(idx)
 	if mc.p.spec.Path2 {
 		mc.recordPair(idx)
@@ -1049,14 +1030,6 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 		case opProbeHashEdge:
 			top := len(mc.regs) - 1
 			mc.regs[top] = splitmix64(mc.regs[top] ^ uint64(in.imm))
-		case opProbeVisit:
-			mc.hist[mc.histPos] = uint32(in.imm)
-			mc.histPos = (mc.histPos + 1) % len(mc.hist)
-			if mc.elide == nil {
-				ngramVisit(mc.m, mc.hist, mc.histPos)
-			} else {
-				mc.probeDyn(uint32(ngramHash(mc.hist, mc.histPos)))
-			}
 		case opProbePAEnter:
 			mc.pah = splitmix64(mc.pah ^ uint64(in.imm))
 			mc.pan++

@@ -38,7 +38,7 @@ import (
 // the pos table is shared untouched.
 //
 // Dynamic-index probes (Ball-Larus path records, PathAFL segment
-// flushes, n-gram hashes) cannot be patched statically — their cell is
+// flushes) cannot be patched statically — their cell is
 // computed at run time — so the machine handles them record-side: see
 // Machine.SetElide.
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/instrument"
 	"repro/internal/subjects"
@@ -31,13 +32,9 @@ type cgtPair struct {
 	mapSize    int
 }
 
-func newCGTPair(t *testing.T, sub *subjects.Subject, fb instrument.Feedback, c instrument.Config, mapSize int, lim vm.Limits) *cgtPair {
+func newCGTPair(t *testing.T, prog *cfg.Program, fb instrument.Feedback, mapSize int, lim vm.Limits) *cgtPair {
 	t.Helper()
-	prog, err := sub.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, ok := instrument.CompiledFor(fb, prog, c)
+	cp, ok := instrument.CompiledFor(fb, prog, instrument.Config{})
 	if !ok {
 		t.Fatalf("feedback %v has no bytecode lowering", fb)
 	}
@@ -109,14 +106,30 @@ func (p *cgtPair) check(t *testing.T, label string, input []byte) {
 // probes) yields the same results, the same novelty verdicts, and the
 // same virgin-map evolution as the fully instrumented machine, while
 // never writing a consumed cell. The plan is replanned from the virgin
-// map every few inputs so elision actually engages mid-corpus.
+// map every few inputs so elision actually engages mid-corpus. Beside
+// four subjects it runs recursiveSrc, whose deep walks reach the
+// pathafl segment-overflow flush.
 func TestPatchableCoveragePreservation(t *testing.T) {
 	feedbacks := []instrument.Feedback{
 		instrument.FeedbackEdge,
 		instrument.FeedbackPath,
-		instrument.FeedbackBlock,
-		instrument.FeedbackNGram,
 		instrument.FeedbackPathAFL,
+	}
+	preserve := func(t *testing.T, name string, prog *cfg.Program, inputs [][]byte) {
+		for _, fb := range feedbacks {
+			// A small map makes cells consume quickly, so elision
+			// engages within the test corpus.
+			p := newCGTPair(t, prog, fb, 1<<10, vm.DefaultLimits())
+			for i, in := range inputs {
+				if i%8 == 0 {
+					p.replan(t)
+				}
+				p.check(t, fb.String(), in)
+			}
+			if p.patch.NumSites() == 0 && fb == instrument.FeedbackEdge {
+				t.Fatalf("%s/%v: no patchable sites found", name, fb)
+			}
+		}
 	}
 	for _, name := range []string{"cflow", "jq", "flvmeta", "mujs"} {
 		sub := subjects.Get(name)
@@ -126,23 +139,21 @@ func TestPatchableCoveragePreservation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(1234))
-			inputs := subjectInputs(sub, rng, 60)
-			for _, fb := range feedbacks {
-				// A small map makes cells consume quickly, so elision
-				// engages within the test corpus.
-				p := newCGTPair(t, sub, fb, instrument.Config{}, 1<<10, vm.DefaultLimits())
-				for i, in := range inputs {
-					if i%8 == 0 {
-						p.replan(t)
-					}
-					p.check(t, fb.String(), in)
-				}
-				if p.patch.NumSites() == 0 && fb == instrument.FeedbackEdge {
-					t.Fatalf("%s/%v: no patchable sites found", name, fb)
-				}
-			}
+			preserve(t, name, sub.MustProgram(), subjectInputs(sub, rng, 60))
 		})
 	}
+	t.Run("recursive", func(t *testing.T) {
+		prog, err := cfg.Compile(recursiveSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1234))
+		var inputs [][]byte
+		for i := 0; i < 60; i++ {
+			inputs = append(inputs, []byte{byte(rng.Intn(56)), byte(rng.Intn(256))})
+		}
+		preserve(t, "recursive", prog, inputs)
+	})
 }
 
 // TestPatchableElisionEngages pins that the mechanism is not vacuous:
@@ -150,7 +161,7 @@ func TestPatchableCoveragePreservation(t *testing.T) {
 // actually elides a nontrivial number of static probe sites.
 func TestPatchableElisionEngages(t *testing.T) {
 	sub := subjects.Get("cflow")
-	p := newCGTPair(t, sub, instrument.FeedbackEdge, instrument.Config{}, 1<<10, vm.DefaultLimits())
+	p := newCGTPair(t, sub.MustProgram(), instrument.FeedbackEdge, 1<<10, vm.DefaultLimits())
 	rng := rand.New(rand.NewSource(99))
 	inputs := subjectInputs(sub, rng, 120)
 	for _, in := range inputs {
@@ -174,7 +185,7 @@ func TestPatchableReplanDeterminism(t *testing.T) {
 	const mapSize = 1 << 12
 	lim := vm.DefaultLimits()
 
-	a := newCGTPair(t, sub, instrument.FeedbackEdge, instrument.Config{}, mapSize, lim)
+	a := newCGTPair(t, sub.MustProgram(), instrument.FeedbackEdge, mapSize, lim)
 	rng := rand.New(rand.NewSource(5))
 	inputs := subjectInputs(sub, rng, 40)
 	for _, in := range inputs {
@@ -184,7 +195,7 @@ func TestPatchableReplanDeterminism(t *testing.T) {
 
 	// Rebuild the virgin from its serialized cells — the checkpoint
 	// round trip — and replan an independent Patchable from it.
-	b := newCGTPair(t, sub, instrument.FeedbackEdge, instrument.Config{}, mapSize, lim)
+	b := newCGTPair(t, sub.MustProgram(), instrument.FeedbackEdge, mapSize, lim)
 	if err := b.virgin.SetCells(a.virgin.Cells()); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +234,7 @@ func TestPatchableFullElision(t *testing.T) {
 	sub := subjects.Get("flvmeta")
 	const mapSize = 1 << 12
 	for _, fb := range []instrument.Feedback{instrument.FeedbackEdge, instrument.FeedbackPath, instrument.FeedbackPathAFL} {
-		p := newCGTPair(t, sub, fb, instrument.Config{}, mapSize, vm.DefaultLimits())
+		p := newCGTPair(t, sub.MustProgram(), fb, mapSize, vm.DefaultLimits())
 		for i := 0; i < mapSize; i++ {
 			p.consumed.Set(uint32(i))
 		}
@@ -287,7 +298,7 @@ func TestPatchableTightLimits(t *testing.T) {
 		return ""
 	}
 	for li, lim := range lims {
-		p := newCGTPair(t, sub, instrument.FeedbackEdge, instrument.Config{}, 1<<10, lim)
+		p := newCGTPair(t, sub.MustProgram(), instrument.FeedbackEdge, 1<<10, lim)
 		// Elide everything so the fast path is maximally different.
 		for i := 0; i < 1<<10; i++ {
 			p.consumed.Set(uint32(i))

@@ -18,8 +18,6 @@ import (
 var cgtFeedbacks = []instrument.Feedback{
 	instrument.FeedbackEdge,
 	instrument.FeedbackPath,
-	instrument.FeedbackBlock,
-	instrument.FeedbackNGram,
 	instrument.FeedbackPathAFL,
 	instrument.FeedbackPath2,
 	instrument.FeedbackSelective,

@@ -4,8 +4,8 @@
 // enumerated edge set.
 //
 // The edge set is the contract with the instrumentation layer: every
-// feedback mechanism (edge coverage, Ball-Larus path profiling, n-gram,
-// PathAFL-like) observes execution exclusively through edge traversals,
+// feedback mechanism (edge coverage, Ball-Larus path profiling and its
+// extensions, PathAFL-like) observes execution exclusively through edge traversals,
 // function entries, and returns.
 package cfg
 

@@ -1,6 +1,7 @@
 package coverage_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -326,5 +327,29 @@ func TestVirginCountMatchesCells(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkCoverageClassify measures the hit-count bucketing pass.
+func BenchmarkCoverageClassify(b *testing.B) {
+	bits := make([]uint8, coverage.DefaultMapSize)
+	rand.New(rand.NewSource(4)).Read(bits)
+	b.SetBytes(int64(len(bits)))
+	for i := 0; i < b.N; i++ {
+		coverage.Classify(bits)
+	}
+}
+
+// BenchmarkVirginMerge measures the novelty scan.
+func BenchmarkVirginMerge(b *testing.B) {
+	v := coverage.NewVirgin(coverage.DefaultMapSize)
+	bits := make([]uint8, coverage.DefaultMapSize)
+	for i := 0; i < len(bits); i += 64 {
+		bits[i] = 1
+	}
+	coverage.Classify(bits)
+	b.SetBytes(int64(len(bits)))
+	for i := 0; i < b.N; i++ {
+		v.Merge(bits)
 	}
 }

@@ -1,12 +1,16 @@
 // Package covmap is the coverage-cartography subsystem: a deterministic
 // reverse index from every coverage map cell to its program meaning,
-// per subject × feedback. Edge and block cells invert exactly through
-// the instrument package's global ID bases; path cells invert by
+// per subject × feedback. Edge cells invert exactly through the
+// instrument package's global edge ID bases; path cells invert by
 // enumerating every Ball-Larus path ID through the tracer's mixing
 // formula and decode to exact basic-block sequences via
-// balllarus.Encoding.Regenerate; hashed cells (n-gram windows, pathafl
-// segment hashes, hash-mode path functions) are reported honestly as
-// hash buckets, never given an invented source location.
+// balllarus.Encoding.Regenerate. Each function is indexed by the
+// probes its feedback gives it: path probes under path and path2, edge
+// probes under edge and pathafl, and under selective path probes for
+// the functions instrument.SelectivePathFns picks and edge probes for
+// the rest. Hashed cells (path 2-grams, pathafl segment hashes,
+// hash-mode path functions) are reported honestly as hash buckets,
+// never given an invented source location.
 //
 // The index and every artifact built on it (annotated source report,
 // frontier report, coverage-delta attribution) are display-only: they
@@ -16,6 +20,7 @@ package covmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,15 +33,11 @@ import (
 // Kind classifies what a map cell means.
 type Kind int
 
-// Cell meaning kinds. The first four are exact (invertible) meanings;
+// Cell meaning kinds. The first two are exact (invertible) meanings;
 // the rest are explicitly-marked hash buckets.
 const (
-	// KindEdge: a specific CFG edge (edge and pathafl feedbacks).
+	// KindEdge: a specific CFG edge of an edge-probed function.
 	KindEdge Kind = iota
-	// KindEntry: a function's entry block (block feedback, EnterFunc).
-	KindEntry
-	// KindBlock: a specific basic block (block feedback, edge target).
-	KindBlock
 	// KindPath: a specific Ball-Larus acyclic path, decodable to its
 	// exact block sequence.
 	KindPath
@@ -47,8 +48,9 @@ const (
 	// numbered but too large to enumerate into the index, so the cell
 	// cannot be inverted.
 	KindPathOverflow
-	// KindNGram: an n-gram window hash bucket.
-	KindNGram
+	// KindPath2Gram: a path2 2-gram hash bucket (the hashed pair of two
+	// consecutive path cells; any cell can hold one).
+	KindPath2Gram
 	// KindSegHash: a pathafl pruned-segment hash bucket (16-bit).
 	KindSegHash
 )
@@ -61,18 +63,14 @@ func (k Kind) String() string {
 	switch k {
 	case KindEdge:
 		return "edge"
-	case KindEntry:
-		return "entry"
-	case KindBlock:
-		return "block"
 	case KindPath:
 		return "path"
 	case KindPathHash:
 		return "path-hash-bucket"
 	case KindPathOverflow:
 		return "path-overflow-bucket"
-	case KindNGram:
-		return "ngram-bucket"
+	case KindPath2Gram:
+		return "path-2gram-bucket"
 	case KindSegHash:
 		return "segment-hash-bucket"
 	}
@@ -89,8 +87,6 @@ type Meaning struct {
 	Fn int
 	// Edge indexes Fn's Edges (KindEdge only).
 	Edge int
-	// Block is the block index (KindEntry/KindBlock only).
-	Block int
 	// PathID is the Ball-Larus path identifier (KindPath only).
 	PathID uint64
 }
@@ -103,28 +99,28 @@ const EnumCapPerFn = uint64(1) << 16
 // EnumCapTotal bounds program-wide path enumeration.
 const EnumCapTotal = uint64(1) << 20
 
-// Index is the reverse coverage map of one ⟨program, feedback,
-// instrumentation config, map size⟩ tuple. Construction is
-// deterministic: cells and meanings come out in program order.
+// Index is the reverse coverage map of one ⟨program, feedback, map
+// size⟩ tuple. Construction is deterministic: cells and meanings come
+// out in program order.
 type Index struct {
 	Prog     *cfg.Program
 	Feedback instrument.Feedback
-	Config   instrument.Config
 	MapSize  int
 
 	cells [][]Meaning
 
-	// Path-feedback bookkeeping (nil/empty otherwise).
-	encs     []*balllarus.Encoding // per function; nil when not encoded
-	numPaths []uint64              // per function; 0 in hash mode
-	// HashModeFns lists functions that fell back to hashed path IDs;
-	// OverflowFns lists exactly-numbered functions whose path space
-	// exceeded the enumeration caps.
+	// pathFns[fn] marks the functions the feedback gives path probes;
+	// every other function has edge probes.
+	pathFns []bool
+	// Path-probe bookkeeping, per function.
+	encs     []*balllarus.Encoding // nil when not path-probed or not encoded
+	numPaths []uint64              // 0 when not path-probed or in hash mode
+	// HashModeFns lists path-probed functions that fell back to hashed
+	// path IDs; OverflowFns lists exactly-numbered ones whose path
+	// space exceeded the enumeration caps.
 	HashModeFns []int
 	OverflowFns []int
 	edgeBases   []uint32
-	blockBases  []uint32
-	afTracked   []bool
 	lines       [][]lineRange // [fn][block] source line span
 	edgeByPair  []map[int64]int
 	// backOut[fn][block] lists the indices of block's outgoing back
@@ -136,72 +132,82 @@ type Index struct {
 
 type lineRange struct{ lo, hi int }
 
-// New builds the reverse index. mapSize must be a power of two (the
+// New builds the reverse index for the campaign feedbacks: edge, path,
+// pathafl, path2 and selective. mapSize must be a power of two (the
 // campaign's coverage map size).
-func New(prog *cfg.Program, fb instrument.Feedback, c instrument.Config, mapSize int) (*Index, error) {
+func New(prog *cfg.Program, fb instrument.Feedback, mapSize int) (*Index, error) {
 	if mapSize <= 0 || mapSize&(mapSize-1) != 0 {
 		return nil, fmt.Errorf("covmap: map size %d is not a positive power of two", mapSize)
 	}
+	n := len(prog.Funcs)
 	ix := &Index{
-		Prog:       prog,
-		Feedback:   fb,
-		Config:     c,
-		MapSize:    mapSize,
-		cells:      make([][]Meaning, mapSize),
-		edgeBases:  instrument.EdgeBases(prog),
-		blockBases: instrument.BlockBases(prog),
+		Prog:      prog,
+		Feedback:  fb,
+		MapSize:   mapSize,
+		cells:     make([][]Meaning, mapSize),
+		pathFns:   make([]bool, n),
+		encs:      make([]*balllarus.Encoding, n),
+		numPaths:  make([]uint64, n),
+		edgeBases: instrument.EdgeBases(prog),
+	}
+	switch fb {
+	case instrument.FeedbackEdge, instrument.FeedbackPathAFL:
+		// Every function has edge probes.
+	case instrument.FeedbackPath, instrument.FeedbackPath2:
+		for fi := range ix.pathFns {
+			ix.pathFns[fi] = true
+		}
+	case instrument.FeedbackSelective:
+		ix.pathFns = instrument.SelectivePathFns(prog)
+	default:
+		return nil, fmt.Errorf("covmap: no cartography for feedback %v", fb)
 	}
 	ix.buildLines()
 	ix.buildEdgeMeta()
 	mask := uint32(mapSize - 1)
-	switch fb {
-	case instrument.FeedbackEdge, instrument.FeedbackPathAFL:
-		for fi, f := range prog.Funcs {
+	var total uint64
+	for fi, f := range prog.Funcs {
+		if !ix.pathFns[fi] {
 			for e := range f.Edges {
-				ix.add((ix.edgeBases[fi]+uint32(e))&mask, Meaning{Kind: KindEdge, Fn: fi, Edge: e, Block: -1})
+				ix.add((ix.edgeBases[fi]+uint32(e))&mask, Meaning{Kind: KindEdge, Fn: fi, Edge: e})
 			}
+			continue
 		}
-		if fb == instrument.FeedbackPathAFL {
-			ix.afTracked = instrument.PathAFLTrackedFns(prog, c)
+		enc, err := balllarus.Encode(f)
+		if err != nil {
+			// The tracer falls back to a rolling hash for this
+			// function; its cells are buckets, never decodable.
+			ix.HashModeFns = append(ix.HashModeFns, fi)
+			continue
 		}
-	case instrument.FeedbackBlock:
-		for fi, f := range prog.Funcs {
-			ix.add(ix.blockBases[fi]&mask, Meaning{Kind: KindEntry, Fn: fi, Edge: -1, Block: 0})
-			for _, e := range f.Edges {
-				ix.add((ix.blockBases[fi]+uint32(e.To))&mask, Meaning{Kind: KindBlock, Fn: fi, Edge: -1, Block: e.To})
-			}
+		ix.encs[fi] = enc
+		ix.numPaths[fi] = enc.NumPaths
+		if enc.NumPaths > EnumCapPerFn || total+enc.NumPaths > EnumCapTotal {
+			ix.OverflowFns = append(ix.OverflowFns, fi)
+			continue
 		}
-	case instrument.FeedbackPath:
-		ix.encs = make([]*balllarus.Encoding, len(prog.Funcs))
-		ix.numPaths = make([]uint64, len(prog.Funcs))
-		var total uint64
-		for fi, f := range prog.Funcs {
-			enc, err := balllarus.Encode(f)
-			if err != nil {
-				// The tracer falls back to a rolling hash for this
-				// function; its cells are buckets, never decodable.
-				ix.HashModeFns = append(ix.HashModeFns, fi)
-				continue
-			}
-			ix.encs[fi] = enc
-			ix.numPaths[fi] = enc.NumPaths
-			if enc.NumPaths > EnumCapPerFn || total+enc.NumPaths > EnumCapTotal {
-				ix.OverflowFns = append(ix.OverflowFns, fi)
-				continue
-			}
-			total += enc.NumPaths
-			for id := uint64(0); id < enc.NumPaths; id++ {
-				cell := instrument.PathCellIndex(c, fi, id, mapSize)
-				ix.add(cell, Meaning{Kind: KindPath, Fn: fi, Edge: -1, Block: -1, PathID: id})
-			}
+		total += enc.NumPaths
+		for id := uint64(0); id < enc.NumPaths; id++ {
+			ix.add(instrument.PathCellIndex(fi, id, mapSize), Meaning{Kind: KindPath, Fn: fi, Edge: -1, PathID: id})
 		}
-	case instrument.FeedbackNGram:
-		// N-gram cells are FNV-1a hashes over block-location windows:
-		// nothing to enumerate; every cell resolves as a bucket.
-	default:
-		return nil, fmt.Errorf("covmap: no cartography for feedback %v", fb)
 	}
 	return ix, nil
+}
+
+// pathMode classifies a function's path probes for the report layer:
+// "exact" (decodable paths), "hash" (hash-mode fallback), "overflow"
+// (numbered beyond the enumeration caps), or "" for an edge-probed
+// function.
+func (ix *Index) pathMode(fn int) string {
+	switch {
+	case !ix.pathFns[fn]:
+		return ""
+	case ix.encs[fn] == nil:
+		return "hash"
+	case slices.Contains(ix.OverflowFns, fn):
+		return "overflow"
+	}
+	return "exact"
 }
 
 func (ix *Index) add(cell uint32, m Meaning) {
@@ -253,24 +259,23 @@ func (ix *Index) Resolve(cell uint32) []Meaning {
 		return nil
 	}
 	ms := append([]Meaning(nil), ix.cells[cell]...)
-	switch ix.Feedback {
-	case instrument.FeedbackNGram:
-		ms = append(ms, Meaning{Kind: KindNGram, Fn: -1, Edge: -1, Block: -1})
-	case instrument.FeedbackPathAFL:
-		// Segment hashes are masked to 16 bits, so every low cell is
-		// also a potential bucket — an honest ambiguity.
-		if cell < 1<<16 {
-			ms = append(ms, Meaning{Kind: KindSegHash, Fn: -1, Edge: -1, Block: -1})
-		}
-	case instrument.FeedbackPath:
-		// Any cell could have been written by a hash-mode function's
-		// rolling hash or by an un-enumerated (overflow) function.
-		if len(ix.HashModeFns) > 0 {
-			ms = append(ms, Meaning{Kind: KindPathHash, Fn: -1, Edge: -1, Block: -1})
-		}
-		if len(ix.OverflowFns) > 0 {
-			ms = append(ms, Meaning{Kind: KindPathOverflow, Fn: -1, Edge: -1, Block: -1})
-		}
+	bucket := func(k Kind) { ms = append(ms, Meaning{Kind: k, Fn: -1, Edge: -1}) }
+	// Segment hashes are masked to 16 bits, so every low pathafl cell
+	// is also a potential bucket — an honest ambiguity.
+	if ix.Feedback == instrument.FeedbackPathAFL && cell < 1<<16 {
+		bucket(KindSegHash)
+	}
+	// Any cell could have been written by a hash-mode function's
+	// rolling hash or by an un-enumerated (overflow) function.
+	if len(ix.HashModeFns) > 0 {
+		bucket(KindPathHash)
+	}
+	if len(ix.OverflowFns) > 0 {
+		bucket(KindPathOverflow)
+	}
+	// Likewise by any 2-gram of two consecutive paths.
+	if ix.Feedback == instrument.FeedbackPath2 {
+		bucket(KindPath2Gram)
 	}
 	return ms
 }
@@ -288,11 +293,10 @@ func (ix *Index) Decode(m Meaning) ([]balllarus.PathStep, error) {
 	return ix.encs[m.Fn].Regenerate(m.PathID)
 }
 
-// NumPaths returns the Ball-Larus path count of a function under the
-// path feedback (0 when hash-mode or when the index was built for a
-// different feedback).
+// NumPaths returns the Ball-Larus path count of a path-probed function
+// (0 when hash-mode or edge-probed).
 func (ix *Index) NumPaths(fn int) uint64 {
-	if ix.numPaths == nil || fn < 0 || fn >= len(ix.numPaths) {
+	if fn < 0 || fn >= len(ix.numPaths) {
 		return 0
 	}
 	return ix.numPaths[fn]
@@ -362,10 +366,6 @@ func (ix *Index) String(m Meaning) string {
 		f := ix.Prog.Funcs[m.Fn]
 		ed := f.Edges[m.Edge]
 		return fmt.Sprintf("edge %s b%d→b%d%s", f.Name, ed.From, ed.To, ix.lineSuffix(m.Fn, ed.To))
-	case KindEntry:
-		return fmt.Sprintf("entry %s%s", ix.FuncName(m.Fn), ix.lineSuffix(m.Fn, 0))
-	case KindBlock:
-		return fmt.Sprintf("block %s b%d%s", ix.FuncName(m.Fn), m.Block, ix.lineSuffix(m.Fn, m.Block))
 	case KindPath:
 		steps, err := ix.Decode(m)
 		if err != nil {
@@ -400,8 +400,8 @@ func (ix *Index) String(m Meaning) string {
 		return fmt.Sprintf("path hash bucket (hash-mode fns: %s)", ix.fnList(ix.HashModeFns))
 	case KindPathOverflow:
 		return fmt.Sprintf("path bucket of un-enumerated fn (%s)", ix.fnList(ix.OverflowFns))
-	case KindNGram:
-		return fmt.Sprintf("ngram-%d window hash bucket", instrument.NGramDefault(ix.Config))
+	case KindPath2Gram:
+		return "path 2-gram hash bucket"
 	case KindSegHash:
 		return "pathafl segment hash bucket (16-bit)"
 	}

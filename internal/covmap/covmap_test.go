@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/covmap"
 	"repro/internal/fuzz"
 	"repro/internal/instrument"
+	"repro/internal/strategy"
 	"repro/internal/subjects"
 )
 
@@ -41,24 +43,33 @@ func runCampaign(t *testing.T, name string, fb instrument.Feedback, c instrument
 	return prog, f.VirginCells()
 }
 
+// campaignFeedbacks returns, deduplicated and in order, the feedbacks
+// of every single-feedback campaign strategy.SingleConfig names.
+func campaignFeedbacks() []instrument.Feedback {
+	var fbs []instrument.Feedback
+	for _, name := range append(append([]strategy.Name(nil), strategy.AllNames...), strategy.Path2, strategy.Selective) {
+		if fb, _, ok := strategy.SingleConfig(name); ok && !slices.Contains(fbs, fb) {
+			fbs = append(fbs, fb)
+		}
+	}
+	return fbs
+}
+
 // TestEveryCampaignCellResolves is the cartography acceptance bar: for
-// every subject and every feedback, every cell a real campaign's final
-// virgin map has consumed must resolve to at least one program meaning
-// (a source location or an explicitly-marked hash bucket). An
-// unresolved cell would mean the offline reverse index disagrees with
-// the runtime instrumentation's cell-index arithmetic.
+// every subject and every feedback a campaign can run, every cell a
+// real campaign's final virgin map has consumed must resolve to at
+// least one program meaning (a source location or an explicitly-marked
+// hash bucket). An unresolved cell would mean the offline reverse index
+// disagrees with the runtime instrumentation's cell-index arithmetic.
 func TestEveryCampaignCellResolves(t *testing.T) {
-	feedbacks := []instrument.Feedback{
-		instrument.FeedbackEdge,
-		instrument.FeedbackPath,
-		instrument.FeedbackBlock,
-		instrument.FeedbackNGram,
-		instrument.FeedbackPathAFL,
+	feedbacks := campaignFeedbacks()
+	if len(feedbacks) != 5 {
+		t.Fatalf("campaigns run %d feedbacks %v, want 5", len(feedbacks), feedbacks)
 	}
 	for _, name := range subjects.Names() {
 		for _, fb := range feedbacks {
 			prog, cells := runCampaign(t, name, fb, instrument.Config{}, 300)
-			ix, err := covmap.New(prog, fb, instrument.Config{}, coverage.DefaultMapSize)
+			ix, err := covmap.New(prog, fb, coverage.DefaultMapSize)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, fb, err)
 			}
@@ -75,6 +86,51 @@ func TestEveryCampaignCellResolves(t *testing.T) {
 	}
 }
 
+// TestIndexFollowsProbes pins that the index follows each function's
+// probes. Under selective, cflow's edge-probed functions resolve to
+// edge cells and report no path column, and the rest report decodable
+// paths. Under path2, every cell also carries the 2-gram bucket.
+func TestIndexFollowsProbes(t *testing.T) {
+	prog := subjects.Get("cflow").MustProgram()
+	usePath := instrument.SelectivePathFns(prog)
+	ix, err := covmap.New(prog, instrument.FeedbackSelective, coverage.DefaultMapSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := instrument.EdgeBases(prog)
+	edgeFns := 0
+	for _, fc := range ix.BuildReport(nil, covmap.Options{}).Funcs {
+		if want := usePath[fc.Fn]; (fc.PathMode == "exact") != want {
+			t.Errorf("%s: path mode %q, path probes %v", fc.Name, fc.PathMode, want)
+		}
+		if usePath[fc.Fn] || fc.Edges == 0 {
+			continue
+		}
+		edgeFns++
+		found := false
+		for _, m := range ix.Resolve(bases[fc.Fn]) {
+			found = found || m.Kind == covmap.KindEdge && m.Fn == fc.Fn && m.Edge == 0
+		}
+		if !found {
+			t.Errorf("%s: first edge cell %d does not resolve to its edge", fc.Name, bases[fc.Fn])
+		}
+	}
+	if edgeFns == 0 {
+		t.Fatal("cflow has no edge-probed function under selective")
+	}
+
+	ix2, err := covmap.New(prog, instrument.FeedbackPath2, coverage.DefaultMapSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []uint32{0, 12345} {
+		ms := ix2.Resolve(cell)
+		if len(ms) == 0 || ms[len(ms)-1].Kind != covmap.KindPath2Gram {
+			t.Errorf("path2 cell %d resolves to %v, want a trailing 2-gram bucket", cell, ms)
+		}
+	}
+}
+
 // TestDiscoveredPathsDecode checks, for both probe-placement variants,
 // that every exact path meaning behind a cell a path-feedback campaign
 // actually consumed decodes to a block sequence without error.
@@ -83,7 +139,7 @@ func TestDiscoveredPathsDecode(t *testing.T) {
 		c := instrument.Config{NoOpt: noopt}
 		for _, name := range subjects.Names() {
 			prog, cells := runCampaign(t, name, instrument.FeedbackPath, c, 200)
-			ix, err := covmap.New(prog, instrument.FeedbackPath, c, coverage.DefaultMapSize)
+			ix, err := covmap.New(prog, instrument.FeedbackPath, coverage.DefaultMapSize)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -116,7 +172,7 @@ func TestDiscoveredPathsDecode(t *testing.T) {
 // source, per-function path counts, and a well-formed HTML page.
 func TestReportRendering(t *testing.T) {
 	prog, cells := runCampaign(t, subjects.Names()[0], instrument.FeedbackPath, instrument.Config{}, 300)
-	ix, err := covmap.New(prog, instrument.FeedbackPath, instrument.Config{}, coverage.DefaultMapSize)
+	ix, err := covmap.New(prog, instrument.FeedbackPath, coverage.DefaultMapSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +223,7 @@ func TestCellLabelAndObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := covmap.New(prog, instrument.FeedbackEdge, instrument.Config{}, 1<<16)
+	ix, err := covmap.New(prog, instrument.FeedbackEdge, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +273,7 @@ func TestCartographyByteIdentity(t *testing.T) {
 		if cartography {
 			// Built from the live program while the campaign holds it —
 			// the index must be a pure reader.
-			ix, err = covmap.New(prog, instrument.FeedbackPath, instrument.Config{}, coverage.DefaultMapSize)
+			ix, err = covmap.New(prog, instrument.FeedbackPath, coverage.DefaultMapSize)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/analysis/interproc"
 	"repro/internal/cfg"
-	"repro/internal/instrument"
 )
 
 // Options tunes report construction.
@@ -31,8 +30,8 @@ type FuncCov struct {
 	EdgesCovered, Edges       int
 	PathsSeen, PathsAmbiguous int
 	NumPaths                  uint64
-	// PathMode: "exact", "hash", "overflow", or "" when the report's
-	// feedback does not observe paths.
+	// PathMode: "exact", "hash", "overflow", or "" for a function
+	// with edge probes.
 	PathMode string
 }
 
@@ -182,9 +181,6 @@ func (ix *Index) BuildReport(obs []Obs, opt Options) *Report {
 				cs.block(m.Fn, ed.To, definite)
 				noteLines(m.Fn, ed.From, o.Buckets, definite)
 				noteLines(m.Fn, ed.To, o.Buckets, definite)
-			case KindEntry, KindBlock:
-				cs.block(m.Fn, m.Block, definite)
-				noteLines(m.Fn, m.Block, o.Buckets, definite)
 			case KindPath:
 				set := pathsSeen
 				if !definite {
@@ -246,18 +242,8 @@ func (r *Report) buildFuncs(ix *Index, cs *coverageSets, seen, amb map[int]map[u
 				fc.EdgesCovered++
 			}
 		}
-		if ix.Feedback == instrument.FeedbackPath {
-			fc.PathMode = "exact"
+		if fc.PathMode = ix.pathMode(fi); fc.PathMode != "" {
 			fc.NumPaths = ix.NumPaths(fi)
-			if ix.encs[fi] == nil {
-				fc.PathMode = "hash"
-			} else {
-				for _, ofn := range ix.OverflowFns {
-					if ofn == fi {
-						fc.PathMode = "overflow"
-					}
-				}
-			}
 			fc.PathsSeen = len(seen[fi])
 			for id := range amb[fi] {
 				if !seen[fi][id] {
@@ -294,40 +280,21 @@ func (r *Report) buildLines(ix *Index, buckets map[int]uint8, covered map[int]in
 }
 
 // buildFrontier lists reached branches with exactly one unexplored
-// side. The unexplored side is sound for every feedback that attributes
-// edges or blocks: its cell (or any path containing it) was never
-// consumed, so no recorded execution took it. For the block feedback
-// the explored side is block-granular (a target block reachable from
-// elsewhere over-approximates "explored"); for hashed feedbacks
-// (ngram) no frontier can be derived and FrontierNote says so.
+// side. The unexplored side is sound for every function whose cells
+// attribute edges: its edge cell (or any path containing it) was never
+// consumed, so no recorded execution took it. Hash-mode and
+// un-enumerated path functions have no attribution and are skipped.
 func (r *Report) buildFrontier(ix *Index, cs *coverageSets, obs []Obs, opt Options) {
-	switch ix.Feedback {
-	case instrument.FeedbackNGram:
-		r.FrontierNote = "frontier unavailable: ngram cells are hash buckets with no block attribution"
-		return
-	}
 	bucketOf := make(map[uint32]uint8, len(obs))
 	for _, o := range obs {
 		bucketOf[o.Cell] |= o.Buckets
 	}
 	mask := uint32(ix.MapSize - 1)
-	eb, bb := instrument.EdgeBases(ix.Prog), instrument.BlockBases(ix.Prog)
-	blockGranular := ix.Feedback == instrument.FeedbackBlock
 	var rows []Frontier
 	for fi, f := range ix.Prog.Funcs {
-		if ix.Feedback == instrument.FeedbackPath {
-			if ix.encs == nil || ix.encs[fi] == nil {
-				continue // hash-mode: cells are buckets, no attribution
-			}
-			skip := false
-			for _, ofn := range ix.OverflowFns {
-				if ofn == fi {
-					skip = true
-				}
-			}
-			if skip {
-				continue
-			}
+		mode := ix.pathMode(fi)
+		if mode == "hash" || mode == "overflow" {
+			continue // cells are buckets, no attribution
 		}
 		for bi := range f.Blocks {
 			blk := &f.Blocks[bi]
@@ -337,37 +304,25 @@ func (r *Report) buildFrontier(ix *Index, cs *coverageSets, obs []Obs, opt Optio
 			if !cs.posBlock[fi][bi] {
 				continue
 			}
-			var thenCov, elseCov bool
-			if blockGranular {
-				thenCov = cs.posBlock[fi][blk.Term.Then]
-				elseCov = cs.posBlock[fi][blk.Term.Else]
-			} else {
-				thenCov = cs.posEdge[fi][blk.EdgeThen]
-				elseCov = cs.posEdge[fi][blk.EdgeElse]
-			}
+			thenCov, elseCov := cs.posEdge[fi][blk.EdgeThen], cs.posEdge[fi][blk.EdgeElse]
 			if thenCov == elseCov {
 				continue
 			}
 			fr := Frontier{Fn: fi, FnName: f.Name, Block: bi, Line: blk.Term.Pos.Line}
-			exploredEdge, exploredBlock, missBlock := blk.EdgeThen, blk.Term.Then, blk.Term.Else
+			exploredEdge, missBlock := blk.EdgeThen, blk.Term.Else
 			fr.Unexplored = "else"
 			if elseCov {
 				fr.Unexplored = "then"
-				exploredEdge, exploredBlock, missBlock = blk.EdgeElse, blk.Term.Else, blk.Term.Then
+				exploredEdge, missBlock = blk.EdgeElse, blk.Term.Then
 			}
 			if lo, _, ok := ix.BlockLines(fi, missBlock); ok {
 				fr.UnexploredLine = lo
 			}
 			// Rarity: hit bucket of the explored side's own cell (only
-			// the feedbacks whose cells are edge/block indexed have one;
-			// path-feedback rarity would need per-path aggregation and
-			// stays 0 = unknown).
-			switch ix.Feedback {
-			case instrument.FeedbackEdge, instrument.FeedbackPathAFL:
-				cell := (eb[fi] + uint32(exploredEdge)) & mask
-				fr.Rarity = bucketClass(bucketOf[cell])
-			case instrument.FeedbackBlock:
-				cell := (bb[fi] + uint32(exploredBlock)) & mask
+			// edge-probed functions have one; path rarity would need
+			// per-path aggregation and stays 0 = unknown).
+			if mode == "" {
+				cell := (ix.edgeBases[fi] + uint32(exploredEdge)) & mask
 				fr.Rarity = bucketClass(bucketOf[cell])
 			}
 			if opt.Facts != nil && fi < len(opt.Facts.Fns) {

@@ -46,7 +46,7 @@ func saveCovReport(cfg Config, rr *RunResult) error {
 	if mapSize == 0 {
 		mapSize = coverage.DefaultMapSize
 	}
-	ix, err := covmap.New(prog, fb, cfg.Instr, mapSize)
+	ix, err := covmap.New(prog, fb, mapSize)
 	if err != nil {
 		return err
 	}

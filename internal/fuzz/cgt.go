@@ -19,7 +19,7 @@ import (
 // any execution can still produce there has been observed in the
 // virgin map: all eight buckets under the baseline rule, or just the
 // reachable ones when the static hit-count bound analysis applies
-// (edge and block feedback; see bytecode.CellHitBounds). A fast run
+// (edge feedback; see bytecode.CellHitBounds). A fast run
 // therefore produces a partial coverage map: exact counts on live
 // cells, zero on consumed cells.
 //

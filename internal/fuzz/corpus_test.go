@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/subjects"
 	"repro/internal/vm"
 )
 
@@ -177,4 +178,38 @@ func TestMinimizeExactEquivalence(t *testing.T) {
 	}
 	t.Logf("corpus %d: approx %d, exact %d inputs (equal %d-edge coverage)",
 		len(corpus), len(approx), len(exact), len(covE))
+}
+
+// BenchmarkAblationCullCriterion compares the two corpus-minimization
+// implementations §IV discusses: the favored-corpus approximation the
+// paper (and the cull strategy) uses, vs the afl-cmin-style exact
+// greedy set cover, on 256 mutants of gdk's seeds.
+func BenchmarkAblationCullCriterion(b *testing.B) {
+	sub := subjects.Get("gdk")
+	prog := sub.MustProgram()
+	rng := rand.New(rand.NewSource(42))
+	var corpus [][]byte
+	for i := 0; i < 256; i++ {
+		in := append([]byte(nil), sub.Seeds[i%len(sub.Seeds)]...)
+		for j := 0; j < 1+rng.Intn(4); j++ {
+			if len(in) > 0 {
+				in[rng.Intn(len(in))] = byte(rng.Intn(256))
+			}
+		}
+		corpus = append(corpus, in)
+	}
+	b.Run("favored-approx", func(b *testing.B) {
+		var n int
+		for i := 0; i < b.N; i++ {
+			n = len(MinimizeCorpus(prog, corpus, "main", vm.DefaultLimits()))
+		}
+		b.ReportMetric(float64(n), "kept-inputs")
+	})
+	b.Run("cmin-exact", func(b *testing.B) {
+		var n int
+		for i := 0; i < b.N; i++ {
+			n = len(MinimizeCorpusExact(prog, corpus, "main", vm.DefaultLimits()))
+		}
+		b.ReportMetric(float64(n), "kept-inputs")
+	})
 }

@@ -141,3 +141,36 @@ func TestEncodeHelpers(t *testing.T) {
 		t.Error("bytesEq wrong")
 	}
 }
+
+// havocBenchProg is a small byte-classifying loop, cheap enough that
+// BenchmarkMutatorHavoc's time goes to mutation and the fuzz loop.
+const havocBenchProg = `
+func classify(c) {
+    var v = 0;
+    if (c > 192) { v = 3; } else {
+        if (c > 128) { v = 2; } else {
+            if (c > 64) { v = 1; } else { v = 0; }
+        }
+    }
+    return v;
+}
+func main(input) {
+    var s = 0;
+    for (var i = 0; i < len(input); i = i + 1) {
+        s = s + classify(input[i]);
+        if ((s & 7) == 0) { s = s + 1; }
+    }
+    return s;
+}
+`
+
+// BenchmarkMutatorHavoc measures raw mutation throughput.
+func BenchmarkMutatorHavoc(b *testing.B) {
+	f, err := New(compileT(b, havocBenchProg), Options{Seed: 1, MapSize: 1 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.AddSeed([]byte("the quick brown fox"))
+	b.ResetTimer()
+	f.Fuzz(int64(b.N) + 2000)
+}

@@ -23,9 +23,9 @@ func main(input) {
 `
 
 // TestPathCellIndexMatchesTracer: the cell predictor covmap inverts
-// path cells with must agree with the live tracer's mixing, in either
-// index-mixing mode: every cell concrete executions write is the
-// predicted cell of some path ID of main.
+// path cells with must agree with the live tracer's mixing: every cell
+// concrete executions write is the predicted cell of some path ID of
+// main.
 func TestPathCellIndexMatchesTracer(t *testing.T) {
 	const mapSize = 1 << 12
 	p := compile(t, twoBranches)
@@ -34,26 +34,19 @@ func TestPathCellIndexMatchesTracer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("main not numberable: %v", err)
 	}
-	for _, mix := range []instrument.MixMode{instrument.MixXOR, instrument.MixHash} {
-		c := instrument.Config{Mix: mix}
-		predicted := make(map[uint32]bool)
-		for id := uint64(0); id < enc.NumPaths; id++ {
-			predicted[instrument.PathCellIndex(c, mi, id, mapSize)] = true
-		}
-
-		m := coverage.NewMap(mapSize)
-		tr, err := instrument.New(instrument.FeedbackPath, p, m, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b := 0; b < 256; b += 3 {
-			m.Reset()
-			vm.Run(p, "main", []byte{byte(b)}, tr, vm.DefaultLimits())
-			m.ClassifySparse()
-			for _, idx := range m.Indices() {
-				if !predicted[idx] {
-					t.Fatalf("mix=%v: tracer wrote cell %d outside the predicted set", mix, idx)
-				}
+	predicted := make(map[uint32]bool)
+	for id := uint64(0); id < enc.NumPaths; id++ {
+		predicted[instrument.PathCellIndex(mi, id, mapSize)] = true
+	}
+	m := coverage.NewMap(mapSize)
+	tr := instrument.NewPathTracer(p, m)
+	for b := 0; b < 256; b += 3 {
+		m.Reset()
+		vm.Run(p, "main", []byte{byte(b)}, tr, vm.DefaultLimits())
+		m.ClassifySparse()
+		for _, idx := range m.Indices() {
+			if !predicted[idx] {
+				t.Fatalf("tracer wrote cell %d outside the predicted set", idx)
 			}
 		}
 	}

@@ -24,22 +24,6 @@ import (
 // per-function switch), which the differential suites hold to the
 // tracers' maps byte for byte.
 
-// Extension feedbacks (continuing the Feedback enumeration).
-const (
-	// FeedbackPath2 tracks 2-grams of consecutive acyclic paths within
-	// an activation (across back edges) and across call boundaries.
-	FeedbackPath2 Feedback = iota + 100
-	// FeedbackSelective applies path feedback to functions whose
-	// acyclic path count is at most Config.SelectiveMaxPaths and edge
-	// feedback elsewhere.
-	FeedbackSelective
-)
-
-func init() {
-	feedbackNames[FeedbackPath2] = "path2"
-	feedbackNames[FeedbackSelective] = "selective"
-}
-
 // PathNGramTracer implements the §VII extension: every completed
 // acyclic path is recorded both individually (like PathTracer) and as a
 // 2-gram with the previously completed path in the same activation
@@ -49,23 +33,16 @@ func init() {
 type PathNGramTracer struct {
 	m     *coverage.Map
 	plans []pathRuntime
-	mix   MixMode
 	regs  []uint64
 	fns   []int
 	// last[i] is the previous completed path's mixed ID in stack frame
 	// i (0 when none yet).
 	last []uint32
-	// Records counts map updates (paths + 2-grams).
-	Records uint64
 }
 
 // NewPathNGramTracer builds the 2-gram-of-paths tracer.
-func NewPathNGramTracer(p *cfg.Program, m *coverage.Map, cfg Config) (*PathNGramTracer, error) {
-	base, err := NewPathTracer(p, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &PathNGramTracer{m: m, plans: base.plans, mix: cfg.Mix}, nil
+func NewPathNGramTracer(p *cfg.Program, m *coverage.Map) *PathNGramTracer {
+	return &PathNGramTracer{m: m, plans: NewPathTracer(p, m).plans}
 }
 
 // Begin implements vm.Tracer.
@@ -89,20 +66,12 @@ func (t *PathNGramTracer) EnterFunc(f *cfg.Func) {
 }
 
 func (t *PathNGramTracer) record(fnID int, pathID uint64) {
-	var idx uint32
-	switch t.mix {
-	case MixXOR:
-		idx = uint32(pathID) ^ t.plans[fnID].salt
-	case MixHash:
-		idx = uint32(splitmix64(pathID ^ (uint64(t.plans[fnID].salt) << 32)))
-	}
+	idx := uint32(pathID) ^ t.plans[fnID].salt
 	t.m.Add(idx)
-	t.Records++
 	top := len(t.last) - 1
 	if prev := t.last[top]; prev != 0 {
 		// The 2-gram entry: previous path x current path.
 		t.m.Add(uint32(splitmix64(uint64(prev)<<32 | uint64(idx))))
-		t.Records++
 	}
 	t.last[top] = idx | 1 // never zero, so chains continue
 }
@@ -143,6 +112,20 @@ func (t *PathNGramTracer) Ret(f *cfg.Func, b int) {
 	t.last = t.last[:top]
 }
 
+// SelectivePathFns reports which functions the selective feedback
+// gives path probes: those with at most 256 acyclic paths. Larger
+// functions, and functions too large to number, get edge probes. The
+// tracer, the bytecode lowering and the coverage cartography all
+// decide through it.
+func SelectivePathFns(p *cfg.Program) []bool {
+	usePath := make([]bool, len(p.Funcs))
+	for i, f := range p.Funcs {
+		enc, err := balllarus.Encode(f)
+		usePath[i] = err == nil && enc.NumPaths <= selectiveMaxPaths
+	}
+	return usePath
+}
+
 // SelectivePathTracer implements the §VI extension: functions whose
 // acyclic path counts stay at or below a threshold get full path
 // feedback; larger functions (where path feedback would dominate the
@@ -154,30 +137,15 @@ type SelectivePathTracer struct {
 	edge *EdgeTracer
 	// usePath[fnID] selects the feedback per function.
 	usePath []bool
-	// Selected counts path-instrumented functions.
-	Selected int
 }
 
-// NewSelectivePathTracer builds the selective tracer. Threshold zero
-// defaults to 256 paths.
-func NewSelectivePathTracer(p *cfg.Program, m *coverage.Map, cfg Config) (*SelectivePathTracer, error) {
-	cfg = cfg.withDefaults()
-	pt, err := NewPathTracer(p, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := &SelectivePathTracer{
-		path:    pt,
+// NewSelectivePathTracer builds the selective tracer.
+func NewSelectivePathTracer(p *cfg.Program, m *coverage.Map) *SelectivePathTracer {
+	return &SelectivePathTracer{
+		path:    NewPathTracer(p, m),
 		edge:    NewEdgeTracer(p, m),
-		usePath: make([]bool, len(p.Funcs)),
+		usePath: SelectivePathFns(p),
 	}
-	for i, f := range p.Funcs {
-		if enc, err := balllarus.Encode(f); err == nil && enc.NumPaths <= uint64(cfg.SelectiveMaxPaths) {
-			t.usePath[i] = true
-			t.Selected++
-		}
-	}
-	return t, nil
 }
 
 // Begin implements vm.Tracer.

@@ -1,12 +1,11 @@
 // Package instrument translates VM execution events into coverage map
-// updates, implementing every feedback mechanism the paper evaluates:
+// updates, implementing every feedback mechanism a campaign can run:
 //
 //   - edge coverage (the pcguard baseline),
 //   - Ball-Larus intra-procedural acyclic path coverage (the paper's
 //     contribution),
-//   - basic-block coverage and n-gram coverage (the sensitivity ladder
-//     discussed in §VII),
-//   - a PathAFL-like whole-program path-hash feedback (Appendix C).
+//   - a PathAFL-like whole-program path-hash feedback (Appendix C),
+//   - the 2-grams-of-paths and selective path extensions (§VII, §VI).
 //
 // Tracers are constructed once per (program, feedback) pair and reused
 // across executions; the caller owns the coverage map and resets it
@@ -28,78 +27,53 @@ import (
 // Feedback selects a coverage feedback mechanism.
 type Feedback int
 
-// Feedback mechanisms.
+// Feedback mechanisms. No Feedback value is persisted: journals,
+// telemetry and checkpoints carry names.
 const (
 	FeedbackEdge Feedback = iota
 	FeedbackPath
-	FeedbackBlock
-	FeedbackNGram
 	FeedbackPathAFL
+	// FeedbackPath2 tracks 2-grams of consecutive acyclic paths within
+	// an activation (across back edges) and across call boundaries.
+	FeedbackPath2
+	// FeedbackSelective applies path feedback to the functions
+	// SelectivePathFns picks and edge feedback elsewhere.
+	FeedbackSelective
 )
 
-var feedbackNames = map[Feedback]string{
-	FeedbackEdge:    "edge",
-	FeedbackPath:    "path",
-	FeedbackBlock:   "block",
-	FeedbackNGram:   "ngram",
-	FeedbackPathAFL: "pathafl",
+var feedbackNames = [...]string{
+	FeedbackEdge:      "edge",
+	FeedbackPath:      "path",
+	FeedbackPathAFL:   "pathafl",
+	FeedbackPath2:     "path2",
+	FeedbackSelective: "selective",
 }
 
 // String names the feedback.
 func (f Feedback) String() string {
-	if s, ok := feedbackNames[f]; ok {
-		return s
+	if f >= 0 && int(f) < len(feedbackNames) {
+		return feedbackNames[f]
 	}
 	return fmt.Sprintf("feedback-%d", int(f))
 }
 
-// ParseFeedback resolves a feedback name.
-func ParseFeedback(s string) (Feedback, error) {
-	for f, name := range feedbackNames {
-		if name == s {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown feedback %q (want edge|path|block|ngram|pathafl)", s)
-}
-
-// MixMode selects how path IDs and function identifiers combine into a
-// map index.
-type MixMode int
-
-// Mix modes.
+// Fixed instrumentation parameters.
 const (
-	// MixXOR is the paper's formula: (path_id XOR function) % map_size,
-	// with the function identifier drawn from a per-function salt.
-	MixXOR MixMode = iota
-	// MixHash mixes the pair through a 64-bit finalizer before
-	// truncation; the collision-rate tests compare the two.
-	MixHash
+	// pathAFLMinBlocks is the function-size pruning threshold of the
+	// PathAFL-like feedback: functions smaller than this are not
+	// tracked in the path hash, mirroring PathAFL's partial
+	// instrumentation.
+	pathAFLMinBlocks = 4
+	// pathAFLSegment bounds the length of hashed whole-program path
+	// segments.
+	pathAFLSegment = 32
+	// selectiveMaxPaths is the per-function acyclic path count above
+	// which FeedbackSelective falls back to edge coverage.
+	selectiveMaxPaths = 256
 )
 
-// Config tunes tracer construction.
+// Config tunes tracer construction and compilation.
 type Config struct {
-	// NGram is the window length for FeedbackNGram (default 4).
-	NGram int
-	// NaivePlacement selects the unoptimized Ball-Larus placement
-	// (every DAG edge carries its Val) instead of the spanning-tree
-	// chord placement. Both produce identical path IDs; the flag exists
-	// for the ablation bench.
-	NaivePlacement bool
-	// Mix selects the map-index mixing mode for path feedback.
-	Mix MixMode
-	// PathAFLMinBlocks is the function-size pruning threshold of the
-	// PathAFL-like feedback (functions smaller than this are not
-	// tracked in the path hash), mirroring PathAFL's partial
-	// instrumentation. Default 4.
-	PathAFLMinBlocks int
-	// PathAFLSegment bounds the length of hashed whole-program path
-	// segments. Default 32.
-	PathAFLSegment int
-	// SelectiveMaxPaths is the per-function acyclic path count above
-	// which FeedbackSelective falls back to edge coverage (default
-	// 256).
-	SelectiveMaxPaths int
 	// Analysis selects the static-analysis strictness. "strict" makes
 	// New verify the IR up front and makes the bytecode compiler run
 	// the IR verifier after every optimization pass plus the structural
@@ -111,24 +85,8 @@ type Config struct {
 	// folding, dead-store elimination, branch folding, dead-block
 	// elimination). Optimization is on by default — the differential
 	// tests pin its observational equivalence — and the flag exists for
-	// the ablation bench and debugging.
+	// debugging (pafuzz and evalsuite -opt=false).
 	NoOpt bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.NGram <= 0 {
-		c.NGram = 4
-	}
-	if c.PathAFLMinBlocks <= 0 {
-		c.PathAFLMinBlocks = 4
-	}
-	if c.PathAFLSegment <= 0 {
-		c.PathAFLSegment = 32
-	}
-	if c.SelectiveMaxPaths == 0 {
-		c.SelectiveMaxPaths = 256
-	}
-	return c
 }
 
 // splitmix64 is the 64-bit finalizer used to derive salts and hashed
@@ -157,22 +115,10 @@ func edgeBase(p *cfg.Program) []uint32 {
 	return base
 }
 
-// blockBase is edgeBase for blocks.
-func blockBase(p *cfg.Program) []uint32 {
-	base := make([]uint32, len(p.Funcs))
-	var n uint32
-	for i, f := range p.Funcs {
-		base[i] = n
-		n += uint32(len(f.Blocks))
-	}
-	return base
-}
-
 // New constructs the tracer implementing fb over prog, writing to m.
 // With cfg.Analysis set to "strict", the IR verifier runs over prog
 // first and a violation fails construction.
 func New(fb Feedback, prog *cfg.Program, m *coverage.Map, cfg Config) (vm.Tracer, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Analysis == "strict" {
 		if err := analysis.Verify(prog); err != nil {
 			return nil, err
@@ -182,17 +128,13 @@ func New(fb Feedback, prog *cfg.Program, m *coverage.Map, cfg Config) (vm.Tracer
 	case FeedbackEdge:
 		return NewEdgeTracer(prog, m), nil
 	case FeedbackPath:
-		return NewPathTracer(prog, m, cfg)
-	case FeedbackBlock:
-		return NewBlockTracer(prog, m), nil
-	case FeedbackNGram:
-		return NewNGramTracer(prog, m, cfg.NGram), nil
+		return NewPathTracer(prog, m), nil
 	case FeedbackPathAFL:
-		return NewPathAFLTracer(prog, m, cfg), nil
+		return NewPathAFLTracer(prog, m), nil
 	case FeedbackPath2:
-		return NewPathNGramTracer(prog, m, cfg)
+		return NewPathNGramTracer(prog, m), nil
 	case FeedbackSelective:
-		return NewSelectivePathTracer(prog, m, cfg)
+		return NewSelectivePathTracer(prog, m), nil
 	}
 	return nil, fmt.Errorf("unknown feedback %v", fb)
 }
@@ -221,70 +163,3 @@ func (t *EdgeTracer) Edge(f *cfg.Func, e int) { t.m.Add(t.base[f.ID] + uint32(e)
 
 // Ret implements vm.Tracer.
 func (t *EdgeTracer) Ret(*cfg.Func, int) {}
-
-// BlockTracer implements basic-block coverage (the n=0 rung of the
-// sensitivity ladder).
-type BlockTracer struct {
-	m    *coverage.Map
-	base []uint32
-}
-
-// NewBlockTracer builds a block-coverage tracer.
-func NewBlockTracer(p *cfg.Program, m *coverage.Map) *BlockTracer {
-	return &BlockTracer{m: m, base: blockBase(p)}
-}
-
-// Begin implements vm.Tracer.
-func (t *BlockTracer) Begin() {}
-
-// EnterFunc implements vm.Tracer.
-func (t *BlockTracer) EnterFunc(f *cfg.Func) { t.m.Add(t.base[f.ID]) }
-
-// Edge implements vm.Tracer.
-func (t *BlockTracer) Edge(f *cfg.Func, e int) {
-	t.m.Add(t.base[f.ID] + uint32(f.Edges[e].To))
-}
-
-// Ret implements vm.Tracer.
-func (t *BlockTracer) Ret(*cfg.Func, int) {}
-
-// NGramTracer hashes the window of the last n visited blocks into the
-// map, the partial flow-sensitive feedback discussed in §VII.
-type NGramTracer struct {
-	m    *coverage.Map
-	base []uint32
-	n    int
-	hist []uint32
-	pos  int
-}
-
-// NewNGramTracer builds an n-gram tracer.
-func NewNGramTracer(p *cfg.Program, m *coverage.Map, n int) *NGramTracer {
-	return &NGramTracer{m: m, base: blockBase(p), n: n, hist: make([]uint32, n)}
-}
-
-// Begin implements vm.Tracer.
-func (t *NGramTracer) Begin() {
-	clear(t.hist)
-	t.pos = 0
-}
-
-func (t *NGramTracer) visit(loc uint32) {
-	t.hist[t.pos] = loc
-	t.pos = (t.pos + 1) % t.n
-	var h uint64 = 1469598103934665603
-	for i := 0; i < t.n; i++ {
-		h ^= uint64(t.hist[(t.pos+i)%t.n])
-		h *= 1099511628211
-	}
-	t.m.Add(uint32(h))
-}
-
-// EnterFunc implements vm.Tracer.
-func (t *NGramTracer) EnterFunc(f *cfg.Func) { t.visit(t.base[f.ID]) }
-
-// Edge implements vm.Tracer.
-func (t *NGramTracer) Edge(f *cfg.Func, e int) { t.visit(t.base[f.ID] + uint32(f.Edges[e].To)) }
-
-// Ret implements vm.Tracer.
-func (t *NGramTracer) Ret(*cfg.Func, int) {}

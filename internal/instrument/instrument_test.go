@@ -1,14 +1,11 @@
 package instrument_test
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/instrument"
-	"repro/internal/langgen"
 	"repro/internal/vm"
 )
 
@@ -54,89 +51,6 @@ func runWith(t testing.TB, p *cfg.Program, fb instrument.Feedback, cfgI instrume
 	return m
 }
 
-// TestNaiveAndOptimizedPlansAgree is the central Ball-Larus runtime
-// property: for arbitrary programs and inputs, the naive per-edge-Val
-// placement and the spanning-tree chord placement must produce
-// IDENTICAL coverage maps (same path IDs recorded the same number of
-// times).
-func TestNaiveAndOptimizedPlansAgree(t *testing.T) {
-	progs := []*cfg.Program{compile(t, loopy)}
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		progs = append(progs, compile(t, langgen.Generate(rng, langgen.Default())))
-	}
-	rng := rand.New(rand.NewSource(999))
-	for pi, p := range progs {
-		for trial := 0; trial < 5; trial++ {
-			input := make([]byte, rng.Intn(40))
-			rng.Read(input)
-			lim := vm.DefaultLimits()
-			lim.MaxSteps = 1 << 26
-
-			run := func(naive bool) []byte {
-				m := coverage.NewMap(1 << 12)
-				tr, err := instrument.NewPathTracer(p, m, instrument.Config{NaivePlacement: naive})
-				if err != nil {
-					t.Fatal(err)
-				}
-				vm.Run(p, "main", input, tr, lim)
-				return append([]byte(nil), m.Bytes()...)
-			}
-			if !bytes.Equal(run(true), run(false)) {
-				t.Fatalf("program %d trial %d: naive and optimized path maps differ", pi, trial)
-			}
-		}
-	}
-}
-
-// TestSensitivityLadder verifies block < edge <= ngram and that path
-// feedback distinguishes executions edge coverage merges (the paper's
-// motivating property).
-func TestSensitivityLadder(t *testing.T) {
-	p := compile(t, `
-func main(input) {
-    if (len(input) < 2) { return 0; }
-    var x = 0;
-    if (input[0] > 100) { x = 1; } else { x = 2; }
-    if (input[1] > 100) { x = x * 2; } else { x = x + 7; }
-    return x;
-}`)
-	// Four inputs driving the four branch combinations.
-	inputs := [][]byte{{200, 200}, {200, 0}, {0, 200}, {0, 0}}
-
-	distinct := func(fb instrument.Feedback) int {
-		seen := make(map[uint64]bool)
-		m := coverage.NewMap(1 << 12)
-		tr, err := instrument.New(fb, p, m, instrument.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, in := range inputs {
-			m.Reset()
-			vm.Run(p, "main", in, tr, vm.DefaultLimits())
-			seen[coverage.SparseHash64(m.Bytes())] = true
-		}
-		return len(seen)
-	}
-
-	path := distinct(instrument.FeedbackPath)
-	edge := distinct(instrument.FeedbackEdge)
-	block := distinct(instrument.FeedbackBlock)
-	ngram := distinct(instrument.FeedbackNGram)
-	if path != 4 {
-		t.Errorf("path distinguishes %d/4 executions", path)
-	}
-	if edge != 4 {
-		// Each combination takes a distinct edge set here, so edge
-		// should also distinguish 4; the difference shows in
-		// TestPathDistinguishesWhatEdgeMerges.
-		t.Logf("edge distinguishes %d/4 (acceptable)", edge)
-	}
-	if block > edge || edge > ngram && ngram != 0 {
-		t.Errorf("sensitivity ladder violated: block=%d edge=%d ngram=%d path=%d", block, edge, ngram, path)
-	}
-}
-
 // TestPathDistinguishesWhatEdgeMerges reproduces §II-B exactly: two
 // executions that traverse the SAME edges with the SAME hit counts but
 // along different branch combinations are identical to edge coverage
@@ -177,11 +91,22 @@ func main(input) {
 	}
 }
 
-func TestBlockTracerCoversEntry(t *testing.T) {
-	p := compile(t, `func main(input) { return 1; }`)
-	m := runWith(t, p, instrument.FeedbackBlock, instrument.Config{}, nil)
-	if m.CountNonZero() == 0 {
-		t.Error("straight-line function produced no block coverage")
+// TestFeedbackNames pins the names campaigns print: journal start
+// events and cartography reports carry Feedback.String(), never the
+// integer.
+func TestFeedbackNames(t *testing.T) {
+	for fb, want := range map[instrument.Feedback]string{
+		instrument.FeedbackEdge:      "edge",
+		instrument.FeedbackPath:      "path",
+		instrument.FeedbackPathAFL:   "pathafl",
+		instrument.FeedbackPath2:     "path2",
+		instrument.FeedbackSelective: "selective",
+		instrument.Feedback(99):      "feedback-99",
+		instrument.Feedback(-1):      "feedback--1",
+	} {
+		if got := fb.String(); got != want {
+			t.Errorf("Feedback(%d).String() = %q, want %q", int(fb), got, want)
+		}
 	}
 }
 
@@ -198,15 +123,6 @@ func TestEdgeTracerExactIDs(t *testing.T) {
 	}
 }
 
-func TestNGramWindowMatters(t *testing.T) {
-	p := compile(t, loopy)
-	m2 := runWith(t, p, instrument.FeedbackNGram, instrument.Config{NGram: 2}, []byte("aZaZ"))
-	m8 := runWith(t, p, instrument.FeedbackNGram, instrument.Config{NGram: 8}, []byte("aZaZ"))
-	if coverage.SparseHash64(m2.Bytes()) == coverage.SparseHash64(m8.Bytes()) {
-		t.Error("n-gram window size has no effect")
-	}
-}
-
 func TestPathAFLTracerRecords(t *testing.T) {
 	p := compile(t, loopy)
 	m := runWith(t, p, instrument.FeedbackPathAFL, instrument.Config{}, []byte("hello"))
@@ -219,54 +135,6 @@ func TestPathAFLTracerRecords(t *testing.T) {
 	if m.CountNonZero() < me.CountNonZero() {
 		t.Errorf("pathafl coverage (%d) below edge coverage (%d)", m.CountNonZero(), me.CountNonZero())
 	}
-}
-
-func TestParseFeedback(t *testing.T) {
-	for _, name := range []string{"edge", "path", "block", "ngram", "pathafl"} {
-		fb, err := instrument.ParseFeedback(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if fb.String() != name {
-			t.Errorf("round trip %s -> %s", name, fb)
-		}
-	}
-	if _, err := instrument.ParseFeedback("bogus"); err == nil {
-		t.Error("bogus feedback accepted")
-	}
-}
-
-// TestMixModesCollisionRate compares the paper's XOR map indexing with
-// hashed mixing, the design choice DESIGN.md calls out: both must work;
-// hashing should not be worse.
-func TestMixModesCollisionRate(t *testing.T) {
-	p := compile(t, loopy)
-	rng := rand.New(rand.NewSource(5))
-	collisions := func(mode instrument.MixMode) int {
-		m := coverage.NewMap(1 << 10)
-		tr, err := instrument.NewPathTracer(p, m, instrument.Config{Mix: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		records := uint64(0)
-		for i := 0; i < 200; i++ {
-			in := make([]byte, rng.Intn(24))
-			rng.Read(in)
-			vm.Run(p, "main", in, tr, vm.DefaultLimits())
-			records = tr.Records
-		}
-		// Collisions are not directly observable; approximate by
-		// comparing touched entries against total records (saturated
-		// map entries absorb collisions).
-		_ = records
-		return m.CountNonZero()
-	}
-	xor := collisions(instrument.MixXOR)
-	hash := collisions(instrument.MixHash)
-	if xor == 0 || hash == 0 {
-		t.Fatal("no coverage recorded")
-	}
-	t.Logf("distinct map entries: xor=%d hash=%d", xor, hash)
 }
 
 func TestProfilerCountsAndRegeneration(t *testing.T) {
@@ -336,10 +204,7 @@ func TestHashFallbackForHugeFunctions(t *testing.T) {
 	src += "    return s;\n}\n"
 	p := compile(t, src)
 	m := coverage.NewMap(1 << 12)
-	tr, err := instrument.NewPathTracer(p, m, instrument.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := instrument.NewPathTracer(p, m)
 	mainID := p.ByName["main"]
 	if !tr.HashMode(mainID) {
 		t.Fatal("2^55-path function not in hash mode")
@@ -420,31 +285,33 @@ func main(input) {
 	}
 }
 
-// TestSelectiveThreshold: with a tiny threshold, branchy functions fall
-// back to edge feedback while simple ones keep path feedback.
-func TestSelectiveThreshold(t *testing.T) {
-	p := compile(t, `
-func simple(a) { return a + 1; }
-func branchy(a) {
-    var s = 0;
-    if (a > 1) { s = s + 1; } else { s = s - 1; }
-    if (a > 2) { s = s * 2; } else { s = s * 3; }
-    if (a > 3) { s = s ^ 5; } else { s = s + 7; }
-    return s;
-}
-func main(input) { return branchy(len(input)) + simple(len(input)); }`)
-	m := coverage.NewMap(1 << 12)
-	tr, err := instrument.NewSelectivePathTracer(p, m, instrument.Config{SelectiveMaxPaths: 4})
-	if err != nil {
-		t.Fatal(err)
+// diamonds defines a function named name with n independent if/else
+// diamonds in sequence, so 2^n acyclic paths.
+func diamonds(name string, n int) string {
+	src := "func " + name + "(x) {\n    var s = 0;\n"
+	for i := 0; i < n; i++ {
+		src += "    if (x & " + itoa(1<<i) + ") { s = s + " + itoa(i+1) + "; } else { s = s - 1; }\n"
 	}
-	// simple (1 path) and main qualify; branchy (8 paths) does not.
-	if tr.Selected == 0 || tr.Selected == len(p.Funcs) {
-		t.Errorf("selected %d of %d functions, want a strict subset", tr.Selected, len(p.Funcs))
+	return src + "    return s;\n}\n"
+}
+
+// TestSelectiveThreshold: functions with at most 256 acyclic paths keep
+// path feedback, larger ones fall back to edge feedback.
+func TestSelectiveThreshold(t *testing.T) {
+	p := compile(t, diamonds("d8", 8)+diamonds("d9", 9)+`
+func main(input) { return d8(len(input)) + d9(len(input)); }`)
+	usePath := instrument.SelectivePathFns(p)
+	// d8 (256 paths) and main (1 path) qualify; d9 (512 paths) does
+	// not.
+	for name, want := range map[string]bool{"d8": true, "d9": false, "main": true} {
+		if got := usePath[p.ByName[name]]; got != want {
+			t.Errorf("%s: path probes = %v, want %v", name, got, want)
+		}
 	}
 	// Execution must stay consistent (register stack aligned) across
 	// mixed functions.
-	res := vm.Run(p, "main", []byte("abc"), tr, vm.DefaultLimits())
+	m := coverage.NewMap(1 << 12)
+	res := vm.Run(p, "main", []byte("abc"), instrument.NewSelectivePathTracer(p, m), vm.DefaultLimits())
 	if res.Status != vm.StatusOK {
 		t.Fatalf("mixed-mode execution failed: %v", res.Status)
 	}
@@ -455,40 +322,30 @@ func main(input) { return branchy(len(input)) + simple(len(input)); }`)
 
 // TestSelectiveQueuePressureReduction: on a program dominated by a
 // high-path-count function, selective feedback produces coarser maps
-// than full path feedback. f has 8 acyclic paths (> threshold 4), so
+// than full path feedback. f has 512 acyclic paths (> 256), so
 // selective demotes it to edge coverage; main calls it twice with
 // complementary arguments, so every execution covers every edge of f
 // exactly once — the edge view is constant while the path view
 // distinguishes the branch-combination pairs.
 func TestSelectiveQueuePressureReduction(t *testing.T) {
-	p := compile(t, `
-func f(a, b, c) {
-    var s = 0;
-    if (a > 0) { s = s + 1; } else { s = s + 2; }
-    if (b > 0) { s = s * 2; } else { s = s + 3; }
-    if (c > 0) { s = s ^ 5; } else { s = s + 7; }
-    return s;
-}
+	p := compile(t, diamonds("f", 9)+`
 func main(input) {
-    if (len(input) < 3) { return 0; }
-    var a = input[0] & 1;
-    var b = input[1] & 1;
-    var c = input[2] & 1;
-    f(a, b, c);
-    f(1 - a, 1 - b, 1 - c);
+    if (len(input) < 1) { return 0; }
+    var x = input[0];
+    f(x);
+    f(511 - x);
     return 0;
 }`)
 	distinct := func(fb instrument.Feedback) int {
 		m := coverage.NewMap(1 << 12)
-		tr, err := instrument.New(fb, p, m, instrument.Config{SelectiveMaxPaths: 4})
+		tr, err := instrument.New(fb, p, m, instrument.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seen := make(map[uint64]bool)
-		for bits := 0; bits < 8; bits++ {
-			in := []byte{byte(bits & 1), byte(bits >> 1 & 1), byte(bits >> 2 & 1)}
+		for x := 0; x < 8; x++ {
 			m.Reset()
-			vm.Run(p, "main", in, tr, vm.DefaultLimits())
+			vm.Run(p, "main", []byte{byte(x)}, tr, vm.DefaultLimits())
 			seen[coverage.SparseHash64(m.Bytes())] = true
 		}
 		return len(seen)

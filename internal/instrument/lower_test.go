@@ -17,7 +17,7 @@ func TestCompiledForMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fb := range []Feedback{FeedbackEdge, FeedbackPath, FeedbackBlock, FeedbackNGram, FeedbackPathAFL, FeedbackPath2, FeedbackSelective} {
+	for _, fb := range []Feedback{FeedbackEdge, FeedbackPath, FeedbackPathAFL, FeedbackPath2, FeedbackSelective} {
 		first, ok := CompiledFor(fb, prog, Config{})
 		if !ok {
 			t.Fatalf("%v: no lowering", fb)
@@ -42,21 +42,20 @@ func TestCompiledForMemoized(t *testing.T) {
 }
 
 // TestCompiledForKeyedByConfig asserts distinct configs get distinct
-// compilations (and that an explicit default config hits the same
-// entry as the zero config after normalization).
+// compilations, and that an equal config hits the same entry.
 func TestCompiledForKeyedByConfig(t *testing.T) {
 	prog, err := subjects.Get("cflow").Program()
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, _ := CompiledFor(FeedbackPath, prog, Config{})
-	naive, _ := CompiledFor(FeedbackPath, prog, Config{NaivePlacement: true})
-	if base == naive {
-		t.Fatal("naive-placement config shares the optimized compilation")
+	noopt, _ := CompiledFor(FeedbackPath, prog, Config{NoOpt: true})
+	if base == noopt {
+		t.Fatal("unoptimized config shares the optimized compilation")
 	}
-	norm, _ := CompiledFor(FeedbackPath, prog, Config{}.withDefaults())
-	if base != norm {
-		t.Fatal("normalized default config missed the cache entry for the zero config")
+	again, _ := CompiledFor(FeedbackPath, prog, Config{NoOpt: false})
+	if base != again {
+		t.Fatal("an equal config missed the cache entry")
 	}
 }
 
@@ -67,7 +66,8 @@ func TestCompiledForEveryFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fb := range feedbackNames {
+	for i := range feedbackNames {
+		fb := Feedback(i)
 		if cp, ok := CompiledFor(fb, prog, Config{}); !ok || cp == nil {
 			t.Errorf("%v: no bytecode lowering", fb)
 		}

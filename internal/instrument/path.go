@@ -20,7 +20,6 @@ type pathRuntime struct {
 	// indices, trading the spatially optimal encoding for robustness.
 	hashMode bool
 	salt     uint32
-	numPaths uint64
 }
 
 // PathTracer implements the paper's feedback: one word-sized register
@@ -30,21 +29,17 @@ type pathRuntime struct {
 type PathTracer struct {
 	m     *coverage.Map
 	plans []pathRuntime
-	mix   MixMode
 	// regs is the register stack, parallel to the call stack.
 	regs []uint64
 	// fns mirrors regs with the active function IDs.
 	fns []int
-	// Records counts coverage map updates issued (path terminations),
-	// exposed for the instrumentation-cost study.
-	Records uint64
 }
 
 // NewPathTracer builds the Ball-Larus path feedback tracer. Functions
 // whose path counts overflow fall back to hash mode rather than failing
 // the whole program.
-func NewPathTracer(p *cfg.Program, m *coverage.Map, cfg Config) (*PathTracer, error) {
-	t := &PathTracer{m: m, plans: make([]pathRuntime, len(p.Funcs)), mix: cfg.Mix}
+func NewPathTracer(p *cfg.Program, m *coverage.Map) *PathTracer {
+	t := &PathTracer{m: m, plans: make([]pathRuntime, len(p.Funcs))}
 	for i, f := range p.Funcs {
 		rt := &t.plans[i]
 		rt.salt = fnSalt(i)
@@ -61,15 +56,9 @@ func NewPathTracer(p *cfg.Program, m *coverage.Map, cfg Config) (*PathTracer, er
 			}
 			continue
 		}
-		var plan balllarus.Plan
-		if cfg.NaivePlacement {
-			plan = enc.NaivePlan()
-		} else {
-			plan = enc.OptimizedPlan()
-		}
+		plan := enc.OptimizedPlan()
 		rt.edgeInc = plan.EdgeInc
 		rt.retInc = plan.RetInc
-		rt.numPaths = enc.NumPaths
 		rt.backIdx = make([]int32, len(f.Edges))
 		for e := range rt.backIdx {
 			rt.backIdx[e] = -1
@@ -79,12 +68,8 @@ func NewPathTracer(p *cfg.Program, m *coverage.Map, cfg Config) (*PathTracer, er
 			rt.backs = append(rt.backs, act)
 		}
 	}
-	return t, nil
+	return t
 }
-
-// NumPaths returns the acyclic path count of function fn (0 when the
-// function is in hash mode).
-func (t *PathTracer) NumPaths(fnID int) uint64 { return t.plans[fnID].numPaths }
 
 // HashMode reports whether fn fell back to hashed path IDs.
 func (t *PathTracer) HashMode(fnID int) bool { return t.plans[fnID].hashMode }
@@ -101,17 +86,10 @@ func (t *PathTracer) EnterFunc(f *cfg.Func) {
 	t.fns = append(t.fns, f.ID)
 }
 
+// record writes a completed path at the paper's index formula,
+// (path_id ^ function) % map_size.
 func (t *PathTracer) record(fnID int, pathID uint64) {
-	t.Records++
-	var idx uint32
-	switch t.mix {
-	case MixXOR:
-		// The paper's formula: (path_id ^ function) % map_size.
-		idx = uint32(pathID) ^ t.plans[fnID].salt
-	case MixHash:
-		idx = uint32(splitmix64(pathID ^ (uint64(t.plans[fnID].salt) << 32)))
-	}
-	t.m.Add(idx)
+	t.m.Add(uint32(pathID) ^ t.plans[fnID].salt)
 }
 
 // Edge implements vm.Tracer.
@@ -161,22 +139,29 @@ type PathAFLTracer struct {
 	base    []uint32
 	tracked []bool
 	salt    []uint32
-	segment int
 	h       uint64
 	n       int
 }
 
+// pathAFLTrackedFns reports which functions the pathafl feedback
+// instruments with segment hashing: small functions are pruned.
+func pathAFLTrackedFns(p *cfg.Program) []bool {
+	tracked := make([]bool, len(p.Funcs))
+	for i, f := range p.Funcs {
+		tracked[i] = len(f.Blocks) >= pathAFLMinBlocks
+	}
+	return tracked
+}
+
 // NewPathAFLTracer builds the PathAFL-like tracer.
-func NewPathAFLTracer(p *cfg.Program, m *coverage.Map, cfg Config) *PathAFLTracer {
+func NewPathAFLTracer(p *cfg.Program, m *coverage.Map) *PathAFLTracer {
 	t := &PathAFLTracer{
 		m:       m,
 		base:    edgeBase(p),
-		tracked: make([]bool, len(p.Funcs)),
+		tracked: pathAFLTrackedFns(p),
 		salt:    make([]uint32, len(p.Funcs)),
-		segment: cfg.PathAFLSegment,
 	}
-	for i, f := range p.Funcs {
-		t.tracked[i] = len(f.Blocks) >= cfg.PathAFLMinBlocks
+	for i := range p.Funcs {
 		t.salt[i] = fnSalt(i)
 	}
 	return t
@@ -205,7 +190,7 @@ func (t *PathAFLTracer) EnterFunc(f *cfg.Func) {
 	}
 	t.h = splitmix64(t.h ^ uint64(t.salt[f.ID]))
 	t.n++
-	if t.n >= t.segment {
+	if t.n >= pathAFLSegment {
 		t.flush()
 	}
 }

@@ -13,6 +13,8 @@
 //     crashing inputs are stripped and the queue trimmed
 //     edge-preservingly; a path-aware phase consumes the rest of the
 //     budget. Only phase-two findings are credited to opp.
+//   - Path2 and Selective: single campaigns with the future-work
+//     feedbacks the paper sketches (§VII, §VI) but does not evaluate.
 //
 // Budgets are execution counts; every driver is deterministic given its
 // options' seed.
@@ -38,9 +40,17 @@ const (
 	Opp     Name = "opp"     // edge phase then path phase
 	PathAFL Name = "pathafl" // PathAFL-like feedback on the AFL profile
 	AFL     Name = "afl"     // plain AFL profile with edge feedback
+
+	// Path2 runs the baseline driver with the 2-grams-of-paths
+	// feedback (§VII future work).
+	Path2 Name = "path2"
+	// Selective runs the baseline driver with per-function selective
+	// path sensitivity (§VI).
+	Selective Name = "selective"
 )
 
-// AllNames lists every configuration, in the paper's reporting order.
+// AllNames lists the paper's configurations, in its reporting order.
+// Path2 and Selective, which the paper does not evaluate, stay out.
 var AllNames = []Name{Path, PCGuard, Cull, Opp, CullR, PathAFL, AFL}
 
 // Outcome bundles a driver's results.
@@ -103,7 +113,7 @@ func Run(name Name, prog *cfg.Program, cfgr Config) (*Outcome, error) {
 
 // SingleConfig maps a single-phase configuration name to the feedback
 // and profile it runs with. ok is false for round-based drivers (cull,
-// cull_r, opp, interleave), which spawn multiple fuzzer instances and
+// cull_r, opp), which spawn multiple fuzzer instances and
 // are therefore not resumable as one durable campaign; package campaign
 // uses this to decide whether a configuration supports checkpointing.
 func SingleConfig(name Name) (fb instrument.Feedback, profile fuzz.Profile, ok bool) {

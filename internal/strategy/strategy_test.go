@@ -54,7 +54,7 @@ func TestRunAllConfigurations(t *testing.T) {
 // the same campaign by hand gives an identical report.
 func TestRunCoversSingleConfig(t *testing.T) {
 	p := flvProg(t)
-	names := append(append([]strategy.Name(nil), strategy.AllNames...), strategy.ExtensionNames...)
+	names := append(append([]strategy.Name(nil), strategy.AllNames...), strategy.Path2, strategy.Selective)
 	single := 0
 	for _, name := range names {
 		fb, profile, ok := strategy.SingleConfig(name)
@@ -212,46 +212,5 @@ func TestStrategyDeterminism(t *testing.T) {
 	q2, b2 := run()
 	if q1 != q2 || b1 != b2 {
 		t.Errorf("cull nondeterministic: (%d,%d) vs (%d,%d)", q1, b1, q2, b2)
-	}
-}
-
-func TestExtensionConfigurations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test")
-	}
-	p := flvProg(t)
-	for _, name := range strategy.ExtensionNames {
-		out, err := strategy.RunExtension(name, p, baseConfig(15000))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if out.Report.Stats.Execs == 0 || out.Report.QueueLen == 0 {
-			t.Errorf("%s: empty campaign", name)
-		}
-		t.Logf("%-10s execs=%d queue=%d bugs=%d rounds=%d",
-			name, out.Report.Stats.Execs, out.Report.QueueLen, len(out.Report.Bugs), out.Rounds)
-	}
-	// RunExtension must also accept standard names.
-	if _, err := strategy.RunExtension(strategy.Path, p, baseConfig(3000)); err != nil {
-		t.Errorf("standard name via RunExtension: %v", err)
-	}
-}
-
-func TestInterleaveAlternates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test")
-	}
-	p := flvProg(t)
-	cfgr := baseConfig(30000)
-	cfgr.RoundBudget = 8000
-	out, err := strategy.RunInterleave(p, cfgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rounds < 3 {
-		t.Errorf("rounds = %d, want >= 3 (alternation needs several rounds)", out.Rounds)
-	}
-	if out.CullCost == 0 {
-		t.Error("interleave did not charge culling costs")
 	}
 }
