@@ -102,6 +102,31 @@ func interruptedStart(t *testing.T, fs FS, dir string, opts fuzz.Options) {
 	if got := r.Fuzzer().Execs(); got < testStop || got >= testBudget {
 		t.Fatalf("stopped at %d execs, want in [%d, %d)", got, testStop, testBudget)
 	}
+	validateCheckpoints(t, fs, dir)
+}
+
+// validateCheckpoints decodes every checkpoint kept in dir and asserts
+// its snapshot satisfies fuzz.Snapshot.Validate, the invariants Restore
+// enforces on decoded state.
+func validateCheckpoints(t *testing.T, fs FS, dir string) {
+	t.Helper()
+	names, err := listCheckpoints(fs, dir)
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no checkpoints in %s: %v", dir, err)
+	}
+	for _, name := range names {
+		data, err := fs.ReadFile(join(dir, checkpointsDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := ck.Snap.Validate(); err != nil {
+			t.Fatalf("%s breaks the snapshot invariants: %v", name, err)
+		}
+	}
 }
 
 // resumeToEnd loads the latest checkpoint from dir and runs the
@@ -181,7 +206,7 @@ func TestDoubleResumeDeterminism(t *testing.T) {
 }
 
 // newestCheckpoint returns the path of the newest checkpoint file.
-func newestCheckpoint(t *testing.T, dir string) string {
+func newestCheckpoint(t testing.TB, dir string) string {
 	t.Helper()
 	names, err := listCheckpoints(OSFS{}, dir)
 	if err != nil || len(names) == 0 {

@@ -333,10 +333,22 @@ func (s *Supervisor) Start(prog *cfg.Program, base fuzz.Options, meta campaign.M
 // Attach resumes a fleet from its manifest and the workers' own
 // checkpoints. base must reproduce the original campaign's options
 // (the caller derives them from man.Meta, exactly as single-campaign
-// resume does).
+// resume does). A worker whose newest checkpoint fails
+// fuzz.Snapshot.Validate — one written before snapshots carried the
+// random generator's state fails with fuzz.ErrRNGState — refuses the
+// whole resume: no restart could restore it.
 func (s *Supervisor) Attach(prog *cfg.Program, base fuzz.Options, man *Manifest) error {
 	if man.Workers != s.opts.Workers && s.opts.Workers != 2 { // 2 is the default: adopt silently
 		s.logf("fleet: manifest has %d workers, overriding -workers %d", man.Workers, s.opts.Workers)
+	}
+	for i := 0; i < man.Workers; i++ {
+		ck, _, err := campaign.LoadLatest(s.opts.FS, s.workerDir(i))
+		if err != nil {
+			continue // the attempt reports it, and restarts or retires the worker
+		}
+		if err := ck.Snap.Validate(); err != nil {
+			return fmt.Errorf("fleet: worker %d: %w", i, err)
+		}
 	}
 	s.opts.Workers = man.Workers
 	s.opts.SyncEvery = man.SyncEvery

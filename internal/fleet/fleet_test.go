@@ -2,6 +2,10 @@ package fleet_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -335,12 +339,117 @@ func TestFleetResumeDeterminism(t *testing.T) {
 		t.Fatal("StopAfter did not interrupt the fleet")
 	}
 
+	validateCheckpoints(t, dir, 2)
+
 	resumed := resumeFleet(t, dir, fleetOpts(2))
 	if resumed.Interrupted {
 		t.Fatal("resumed fleet interrupted again")
 	}
 	if got := canonical(t, resumed.Merged); !bytes.Equal(got, want) {
 		t.Fatalf("resumed fleet differs from uninterrupted fleet (%d vs %d canonical bytes)", len(got), len(want))
+	}
+}
+
+// validateCheckpoints decodes every checkpoint the workers of the fleet
+// in dir keep and asserts each satisfies fuzz.Snapshot.Validate, the
+// invariants Restore enforces on decoded state.
+func validateCheckpoints(t *testing.T, dir string, workers int) {
+	t.Helper()
+	n := 0
+	for w := 0; w < workers; w++ {
+		cdir := filepath.Join(dir, fmt.Sprintf("worker-%d", w), "checkpoints")
+		ents, err := os.ReadDir(cdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			data, err := os.ReadFile(filepath.Join(cdir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := campaign.DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatalf("worker %d %s: %v", w, ent.Name(), err)
+			}
+			if err := ck.Snap.Validate(); err != nil {
+				t.Fatalf("worker %d %s breaks the snapshot invariants: %v", w, ent.Name(), err)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatalf("no worker checkpoints under %s", dir)
+	}
+}
+
+// TestFleetSyncCheckpointsRestorable checkpoints at every queue-entry
+// boundary of a fleet that syncs often and samples its history every 4
+// execs. A sync's imports run inside the boundary hook and so carry
+// workers past history sample points that only their next entry
+// samples; a checkpoint there would owe the sample and fail to restore.
+// Every checkpoint written must validate.
+func TestFleetSyncCheckpointsRestorable(t *testing.T) {
+	dir := t.TempDir()
+	opts := fleetOpts(2)
+	opts.SyncEvery = 1000
+	opts.CkptEvery = 1
+	opts.Keep = 1 << 20
+	fopts := testOpts()
+	fopts.HistorySamples = 4096 // a sample point every 4 execs
+	s := fleet.New(dir, opts)
+	if err := s.Start(compileT(t), fopts, testMeta(), testSeeds); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil || res.Interrupted {
+		t.Fatalf("fleet run: interrupted=%v err=%v", res != nil && res.Interrupted, err)
+	}
+	validateCheckpoints(t, dir, 2)
+}
+
+// TestFleetAttachRefusesCheckpointWithoutRNGState: a fleet whose worker
+// checkpoint predates the generator ring in snapshots cannot resume;
+// Attach refuses it with fuzz.ErrRNGState instead of letting the worker
+// fail every restart and retire.
+func TestFleetAttachRefusesCheckpointWithoutRNGState(t *testing.T) {
+	dir := t.TempDir()
+	opts := fleetOpts(2)
+	opts.StopAfter = testSync
+	if res := runFleet(t, dir, opts); !res.Interrupted {
+		t.Fatal("StopAfter did not interrupt the fleet")
+	}
+	// Rewrite worker 1's checkpoints as an older build wrote them: a
+	// draw count and no generator ring.
+	cdir := filepath.Join(dir, "worker-1", "checkpoints")
+	ents, err := os.ReadDir(cdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		path := filepath.Join(cdir, ent.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := campaign.DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Snap.RNGState = nil
+		if data, err = ck.Encode(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, err := fleet.LoadManifest(campaign.OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fleet.New(dir, fleetOpts(2)).Attach(compileT(t), testOpts(), man)
+	if !errors.Is(err, fuzz.ErrRNGState) {
+		t.Fatalf("Attach: got %v, want fuzz.ErrRNGState", err)
 	}
 }
 

@@ -193,6 +193,9 @@ func TestCGTSnapshotResumeByteIdentity(t *testing.T) {
 	if snap == nil {
 		t.Fatal("checkpoint hook never fired")
 	}
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("checkpoint snapshot breaks its invariants: %v", err)
+	}
 	f2, err := Restore(compileT(t, cgtSrc), cgtOpts(EngineCGT), snap)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ package fuzz
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math"
 	"sort"
 
 	"repro/internal/bytecode"
@@ -137,11 +137,12 @@ type Options struct {
 }
 
 // Validate rejects misconfigured options before defaulting can mask
-// them: negative sizes and budgets, a non-power-of-two map, dictionary
-// tokens that can never fit the input cap, and out-of-range enum
-// values. New calls it on the raw (pre-default) options, so a zero
-// field still means "use the default" while a negative or contradictory
-// one is an error instead of silent behaviour.
+// them: negative sizes and budgets, a non-power-of-two map, an input
+// cap of 2^31 or more, dictionary tokens that can never fit the input
+// cap, and out-of-range enum values. New calls it on the raw
+// (pre-default) options, so a zero field still means "use the default"
+// while a negative or contradictory one is an error instead of silent
+// behaviour.
 func (o Options) Validate() error {
 	if o.MapSize < 0 {
 		return fmt.Errorf("fuzz: MapSize %d is negative", o.MapSize)
@@ -151,6 +152,11 @@ func (o Options) Validate() error {
 	}
 	if o.MaxInputLen < 0 {
 		return fmt.Errorf("fuzz: MaxInputLen %d is negative", o.MaxInputLen)
+	}
+	if o.MaxInputLen > math.MaxInt32 {
+		// The mutator draws offsets below the input length with rng.Intn,
+		// which covers bounds below 2^31.
+		return fmt.Errorf("fuzz: MaxInputLen %d is not below 2^31", o.MaxInputLen)
 	}
 	if o.HistorySamples < 0 {
 		return fmt.Errorf("fuzz: HistorySamples %d is negative", o.HistorySamples)
@@ -310,7 +316,9 @@ type InternalFault struct {
 type Fuzzer struct {
 	prog *cfg.Program
 	opts Options
-	rng  *rand.Rand
+	// rng is the campaign's one random stream, shared with the
+	// mutator; snapshots carry its whole state.
+	rng *rng
 	// mach is the compiled bytecode engine, probes inlined.
 	mach *bytecode.Machine
 	// cgt, when non-nil, selects the coverage-guided tracing engine:
@@ -349,11 +357,6 @@ type Fuzzer struct {
 	// (substitution and resize variants); every retention path copies,
 	// so the buffer is recycled across variants.
 	scratch []byte
-
-	// rngSrc is the counting source behind rng; snapshots record its
-	// draw count so a resumed campaign can fast-forward a fresh source
-	// to the exact same stream position.
-	rngSrc *countingSource
 
 	// Fuzz-loop position, promoted to fields so a checkpoint taken
 	// between queue entries can resume mid-cycle: qi is the next queue
@@ -413,12 +416,10 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 	if opts.Engine == EngineCGT {
 		cgt = newCGT(cp, m, opts)
 	}
-	src := newCountingSource(opts.Seed)
 	f := &Fuzzer{
 		prog:        prog,
 		opts:        opts,
-		rng:         rand.New(src),
-		rngSrc:      src,
+		rng:         newRNG(opts.Seed),
 		mach:        bytecode.NewMachine(cp, m, opts.Limits),
 		cgt:         cgt,
 		cov:         m,
@@ -983,6 +984,13 @@ func (f *Fuzzer) Fuzz(budget int64) {
 			f.midCycle = false
 		}
 	}
+	if f.SampleDue() {
+		// The last boundary's own work (a fleet sync's imports) carried
+		// the counter past sample points that only a next queue entry
+		// would sample. The budget is spent, so move the schedule past
+		// them: a snapshot of the finished campaign stays restorable.
+		f.nextSample += ((f.stats.Execs-f.nextSample)/f.sampleEvery + 1) * f.sampleEvery
+	}
 	f.sample()
 	f.publishTelemetry()
 	// The finish event closes a completed budget; interrupted runs
@@ -1002,6 +1010,17 @@ func (f *Fuzzer) Fuzz(budget int64) {
 	if f.jrnl != nil {
 		f.jrnl.Flush()
 	}
+}
+
+// SampleDue reports whether the exec counter has reached the next
+// history sample point, which the fuzz loop samples after its next
+// queue entry. Inside Fuzz that is only ever true in a checkpoint hook
+// whose own work executed inputs (a fleet sync's imports). A snapshot
+// taken then would owe that sample, and Restore rejects it
+// (ErrSampleSchedule), so the campaign runner checkpoints one boundary
+// later.
+func (f *Fuzzer) SampleDue() bool {
+	return f.sampleEvery > 0 && f.stats.Execs >= f.nextSample
 }
 
 // Telemetry returns the attached recorder (nil when telemetry is off).

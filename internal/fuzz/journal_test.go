@@ -155,6 +155,9 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	if snap == nil {
 		t.Fatal("hook never snapshotted")
 	}
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("checkpoint snapshot breaks its invariants: %v", err)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

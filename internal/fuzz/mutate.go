@@ -1,9 +1,6 @@
 package fuzz
 
-import (
-	"encoding/binary"
-	"math/rand"
-)
+import "encoding/binary"
 
 // interesting values injected by the havoc stage, per AFL's tables.
 var (
@@ -14,7 +11,7 @@ var (
 
 // mutator implements AFL-style havoc and splice mutations.
 type mutator struct {
-	rng    *rand.Rand
+	rng    *rng
 	maxLen int
 	// dict holds user and auto (cmplog-derived) tokens.
 	dict [][]byte

@@ -1,13 +1,12 @@
 package fuzz
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func newMut(seed int64, rich bool) *mutator {
-	return &mutator{rng: rand.New(rand.NewSource(seed)), maxLen: 128, rich: rich}
+	return &mutator{rng: newRNG(seed), maxLen: 128, rich: rich}
 }
 
 func TestHavocRespectsMaxLen(t *testing.T) {

@@ -2,8 +2,8 @@
 // checkpoint/resume subsystem (package campaign). A Snapshot captures
 // everything a campaign needs to continue deterministically — queue
 // entries with their metadata, virgin maps, crash and bug dedup state,
-// the auto-dictionary, stats, history, the RNG stream position, and the
-// fuzz loop's mid-cycle position. Restore rebuilds a fuzzer from a
+// the auto-dictionary, stats, history, the random generator's state, and
+// the fuzz loop's mid-cycle position. Restore rebuilds a fuzzer from a
 // snapshot such that continuing it reproduces, execution for execution,
 // what an uninterrupted campaign would have done: derived state
 // (top-rated champions, power-schedule running sums) is re-calibrated
@@ -11,51 +11,14 @@
 package fuzz
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/vm"
 )
-
-// countingSource wraps the campaign's random source and counts draws.
-// math/rand sources are not serializable, so snapshots record the draw
-// count and Restore fast-forwards a fresh source seeded identically:
-// both Int63 and Uint64 advance the underlying generator by exactly one
-// step, so replaying n draws of either reproduces the stream position.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
-}
-
-// skipTo advances the source until n draws have been consumed.
-func (c *countingSource) skipTo(n uint64) {
-	for c.draws < n {
-		c.src.Uint64()
-		c.draws++
-	}
-}
 
 // SnapEntry is the serialized form of a queue Entry. IDs are implicit:
 // an entry's ID is its index in the snapshot's Entries slice, which
@@ -109,7 +72,12 @@ type Snapshot struct {
 	Stats       Stats
 	History     []HistPoint
 	Dict        [][]byte
-	RNGDraws    uint64
+	// RNGState is the random generator's ring (rngLen words) and
+	// RNGDraws its draw count; together they are the stream position.
+	// Checkpoints from before the ring was stored decode with no
+	// RNGState, and Restore refuses them with ErrRNGState.
+	RNGState []uint64
+	RNGDraws uint64
 
 	// Fuzz-loop position (see Fuzzer.midCycle and friends).
 	PendingFavored int
@@ -146,7 +114,8 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 		Stats:          f.stats,
 		History:        append([]HistPoint(nil), f.history...),
 		Dict:           append([][]byte(nil), f.mut.dict...),
-		RNGDraws:       f.rngSrc.draws,
+		RNGState:       f.rng.state(),
+		RNGDraws:       f.rng.draws,
 		PendingFavored: f.pendingFavored,
 		MidCycle:       f.midCycle,
 		NextIndex:      f.qi,
@@ -188,17 +157,50 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 	return s
 }
 
+// ErrRNGState reports a snapshot without a usable random-generator
+// state: one written before snapshots carried the generator's ring
+// (those stored only a draw count, which Restore replayed draw by
+// draw), or one whose ring is not rngLen words. Such a campaign cannot
+// be resumed.
+var ErrRNGState = errors.New("fuzz: snapshot has no usable random-generator state (written by an older build, or corrupt); the campaign cannot be resumed")
+
+// ErrSampleSchedule reports a snapshot whose history sampling schedule
+// no campaign can reach: the next sample point must lie after the
+// snapshot's exec count and at most one sampling interval past it.
+var ErrSampleSchedule = errors.New("fuzz: snapshot history sampling schedule out of range")
+
+// Validate checks the invariants a snapshot must satisfy on its own,
+// whatever program it is restored onto: a generator ring of rngLen
+// words (ErrRNGState), a sampling schedule whose next point lies in
+// (Stats.Execs, Stats.Execs+SampleEvery] (ErrSampleSchedule), and a
+// cycle position inside the queue. Restore calls it first, so no
+// decoded count bounds a loop.
+func (s *Snapshot) Validate() error {
+	if len(s.RNGState) != rngLen {
+		return fmt.Errorf("%w: %d state words, want %d", ErrRNGState, len(s.RNGState), rngLen)
+	}
+	if s.SampleEvery > 0 && (s.NextSample <= s.Stats.Execs || s.NextSample-s.Stats.Execs > s.SampleEvery) {
+		return fmt.Errorf("%w: next sample %d every %d at %d execs", ErrSampleSchedule, s.NextSample, s.SampleEvery, s.Stats.Execs)
+	}
+	if s.CycleLen > len(s.Entries) || s.NextIndex > s.CycleLen || s.NextIndex < 0 {
+		return fmt.Errorf("fuzz: snapshot cycle position %d/%d inconsistent with queue of %d", s.NextIndex, s.CycleLen, len(s.Entries))
+	}
+	return nil
+}
+
 // Restore builds a fuzzer over prog from a snapshot. opts must match
 // the options of the campaign that produced the snapshot (same seed,
 // feedback, map size, profile, limits); the campaign checkpoint layer
 // stores and validates that metadata. Derived state — top-rated
 // champions and the power-schedule sums — is re-calibrated from the
-// restored queue, and the RNG is fast-forwarded to the snapshot's
-// stream position, so continuing the fuzzer reproduces an uninterrupted
-// campaign exactly.
+// restored queue, and the random generator's ring is copied back, so
+// continuing the fuzzer reproduces an uninterrupted campaign exactly.
 func Restore(prog *cfg.Program, opts Options, snap *Snapshot) (*Fuzzer, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("fuzz: nil snapshot")
+	}
+	if err := snap.Validate(); err != nil {
+		return nil, err
 	}
 	f, err := New(prog, opts)
 	if err != nil {
@@ -294,16 +296,13 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 		f.dictSeen[string(t)] = true
 	}
 
-	if snap.CycleLen > len(f.queue) || snap.NextIndex > snap.CycleLen || snap.NextIndex < 0 {
-		return fmt.Errorf("fuzz: snapshot cycle position %d/%d inconsistent with queue of %d", snap.NextIndex, snap.CycleLen, len(f.queue))
-	}
 	f.pendingFavored = snap.PendingFavored
 	f.midCycle = snap.MidCycle
 	f.qi, f.qlen = snap.NextIndex, snap.CycleLen
 	f.sampleEvery, f.nextSample = snap.SampleEvery, snap.NextSample
 	f.samplingRestored = snap.SampleEvery > 0
 
-	f.rngSrc.skipTo(snap.RNGDraws)
+	f.rng.restore(snap.RNGState, snap.RNGDraws)
 	// Journal resume: restore the emitted-event counter and truncate
 	// the journal back to it, so the replayed executions re-emit an
 	// identical tail (gapless, byte-for-byte). A fleet-shared journal

@@ -3,8 +3,11 @@ package fuzz
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/instrument"
 )
@@ -134,6 +137,9 @@ func TestRestoredRunMatchesUninterrupted(t *testing.T) {
 	if f.Execs() >= budget {
 		t.Fatalf("hook failed to interrupt: %d execs", f.Execs())
 	}
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("checkpoint snapshot breaks its invariants: %v", err)
+	}
 
 	f2, err := Restore(f.prog, snapOpts(), snap)
 	if err != nil {
@@ -171,22 +177,134 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
-// TestCountingSourceSkipTo: fast-forwarding a fresh source must land on
-// the same stream position as drawing live.
-func TestCountingSourceSkipTo(t *testing.T) {
-	a := newCountingSource(99)
-	for i := 0; i < 1000; i++ {
-		if i%3 == 0 {
-			a.Uint64()
-		} else {
-			a.Int63()
+// TestRestoreBeforePrefillEnds: a snapshot taken before the generator
+// has used up the 607 outputs it took from math/rand (here, right after
+// seed calibration) restores and continues like the original.
+func TestRestoreBeforePrefillEnds(t *testing.T) {
+	f := newSnapFuzzer(t, 0)
+	snap := f.Snapshot()
+	if snap.RNGDraws >= rngLen {
+		t.Fatalf("calibration drew %d times; the test needs a snapshot before draw %d", snap.RNGDraws, rngLen)
+	}
+	f2, err := Restore(f.prog, snapOpts(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Fuzz(5000)
+	f2.Fuzz(5000)
+	if got, want := f2.Report(), f.Report(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored campaign differs: execs %d queue %d, want execs %d queue %d",
+			got.Stats.Execs, got.QueueLen, want.Stats.Execs, want.QueueLen)
+	}
+}
+
+// TestRestoreHugeDrawCount: restoring copies the generator's ring, so a
+// snapshot claiming 2^62 draws restores as fast as any other. Replaying
+// the draws would never finish; the deadline turns that into a failure
+// instead of a hang.
+func TestRestoreHugeDrawCount(t *testing.T) {
+	f := newSnapFuzzer(t, 3000)
+	snap := f.Snapshot()
+	snap.RNGDraws = 1 << 62
+	done := make(chan error, 1)
+	go func() {
+		f2, err := Restore(f.prog, snapOpts(), snap)
+		if err == nil && f2.rng.draws != snap.RNGDraws {
+			err = fmt.Errorf("restored draw count %d, snapshot says %d", f2.rng.draws, snap.RNGDraws)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Restore of a 2^62-draw snapshot did not return within 10s")
+	}
+}
+
+// TestRestoreRejectsRNGState: a snapshot without the generator's ring
+// (the draw-count-only checkpoints of older builds) or with a ring of
+// the wrong size fails with ErrRNGState.
+func TestRestoreRejectsRNGState(t *testing.T) {
+	f := newSnapFuzzer(t, 3000)
+	for _, state := range [][]uint64{nil, make([]uint64, rngLen-1), make([]uint64, rngLen+1)} {
+		snap := f.Snapshot()
+		snap.RNGState = state
+		if _, err := Restore(f.prog, snapOpts(), snap); !errors.Is(err, ErrRNGState) {
+			t.Errorf("%d-word generator state: got %v, want ErrRNGState", len(state), err)
 		}
 	}
-	b := newCountingSource(99)
-	b.skipTo(a.draws)
-	for i := 0; i < 16; i++ {
-		if a.Int63() != b.Int63() {
-			t.Fatalf("streams diverge at draw %d", i)
+}
+
+// TestRestoreRejectsSampleSchedule: the next history sample point must
+// lie in (Execs, Execs+SampleEvery]. One far below the exec count would
+// make the first Fuzz append a history point per missed interval.
+func TestRestoreRejectsSampleSchedule(t *testing.T) {
+	f := newSnapFuzzer(t, 3000)
+	base := f.Snapshot()
+	execs, every := base.Stats.Execs, base.SampleEvery
+	if every <= 0 {
+		t.Fatalf("snapshot of a fuzzed campaign has no sampling schedule (every %d)", every)
+	}
+	for _, tc := range []struct {
+		next int64
+		ok   bool
+	}{
+		{execs + 1, true},
+		{execs + every, true},
+		{execs, false},
+		{execs - 100000, false},
+		{-1 << 62, false},
+		{execs + every + 1, false},
+		{1 << 62, false},
+	} {
+		snap := f.Snapshot()
+		snap.NextSample = tc.next
+		_, err := Restore(f.prog, snapOpts(), snap)
+		if tc.ok && err != nil {
+			t.Errorf("next sample %d (execs %d, every %d): %v", tc.next, execs, every, err)
 		}
+		if !tc.ok && !errors.Is(err, ErrSampleSchedule) {
+			t.Errorf("next sample %d (execs %d, every %d): got %v, want ErrSampleSchedule", tc.next, execs, every, err)
+		}
+	}
+}
+
+// TestHookSnapshotsValidate: every snapshot a checkpoint hook can take
+// satisfies Validate, including after boundary work — executions the
+// hook itself runs, as a fleet sync's imports do. Such work can leave a
+// sample due (SampleDue), which the campaign runner waits out; and when
+// it spends the budget, Fuzz moves the schedule past the due points so
+// the finished campaign's snapshot is restorable.
+func TestHookSnapshotsValidate(t *testing.T) {
+	const budget = 12000
+	f := newSnapFuzzer(t, 0)
+	var hooks, due int
+	f.SetCheckpointHook(func(f *Fuzzer) bool {
+		hooks++
+		if !f.SampleDue() {
+			if err := f.Snapshot().Validate(); err != nil {
+				t.Fatalf("hook %d at %d execs: %v", hooks, f.Execs(), err)
+			}
+		}
+		if f.Execs() >= budget-2000 {
+			// Boundary work: import until the budget is spent.
+			for i := 0; f.Execs() < budget; i++ {
+				f.AddSeed([]byte(fmt.Sprintf("import %d", i)))
+			}
+			if f.SampleDue() {
+				due++
+			}
+		}
+		return true
+	})
+	f.Fuzz(budget)
+	if due == 0 {
+		t.Fatalf("boundary work never left a sample due (%d hooks)", hooks)
+	}
+	if err := f.Snapshot().Validate(); err != nil {
+		t.Fatalf("snapshot of the finished campaign: %v", err)
 	}
 }

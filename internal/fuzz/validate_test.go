@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative map size", Options{MapSize: -1}, "MapSize"},
 		{"non-power-of-two map size", Options{MapSize: 3000}, "power of two"},
 		{"negative max input len", Options{MaxInputLen: -5}, "MaxInputLen"},
+		{"max input len 2^31", Options{MaxInputLen: math.MaxInt32 + 1}, "MaxInputLen"},
+		{"max input len 2^31-1", Options{MaxInputLen: math.MaxInt32}, ""},
 		{"negative history samples", Options{HistorySamples: -1}, "HistorySamples"},
 		{"unknown engine", Options{Engine: Engine(99)}, "engine"},
 		{"bytecode engine", Options{Engine: EngineAuto}, ""},
