@@ -222,7 +222,6 @@ func CanonicalReport(r *fuzz.Report) ([]byte, error) {
 		FavoredLen int
 		Crashes    []*fuzz.CrashRec
 		Bugs       []bugRec
-		History    []fuzz.HistPoint
 		MapCount   int
 		Faults     []fuzz.InternalFault
 		Poison     []fuzz.PoisonRec
@@ -234,7 +233,6 @@ func CanonicalReport(r *fuzz.Report) ([]byte, error) {
 		flat.Queue = r.Queue
 		flat.FavoredLen = r.FavoredLen
 		flat.Crashes = r.Crashes
-		flat.History = r.History
 		flat.MapCount = r.MapCount
 		flat.Faults = r.Faults
 		flat.Poison = r.Poison

@@ -14,9 +14,8 @@ import (
 const testImport = 7000
 
 // importingBoundary returns a Boundary hook shaped like a fleet sync: at
-// the first queue-entry boundary at or past testImport it executes
-// inputs (AddSeed, as sync imports do) until the exec counter has
-// passed the next history sample point. restoredAt is the exec count
+// the first queue-entry boundary at or past testImport it executes 64
+// inputs (AddSeed, as sync imports do). restoredAt is the exec count
 // the campaign resumes from; past testImport the import already
 // happened. at receives the exec count the import ended at.
 func importingBoundary(restoredAt int64, at *int64) func(*fuzz.Fuzzer) bool {
@@ -26,7 +25,7 @@ func importingBoundary(restoredAt int64, at *int64) func(*fuzz.Fuzzer) bool {
 			return true
 		}
 		done = true
-		for i := 0; !f.SampleDue(); i++ {
+		for i := 0; i < 64; i++ {
 			f.AddSeed([]byte(fmt.Sprintf("import %d", i)))
 		}
 		*at = f.Execs()
@@ -34,13 +33,12 @@ func importingBoundary(restoredAt int64, at *int64) func(*fuzz.Fuzzer) bool {
 	}
 }
 
-// TestBoundaryWorkDefersCheckpoint: when a Boundary hook's own
-// executions carry the counter past a history sample point, a snapshot
-// would owe that sample and Restore would refuse it. The runner must
-// write neither the periodic nor the shutdown checkpoint at that
-// boundary, only at the next one, and the campaign resumed from there
-// must equal the uninterrupted one.
-func TestBoundaryWorkDefersCheckpoint(t *testing.T) {
+// TestCheckpointAfterBoundaryWork: a Boundary hook's own executions (a
+// fleet sync's imports) are part of the state the runner checkpoints at
+// that boundary, so a stop there checkpoints at the importing boundary
+// itself, and the campaign resumed from that checkpoint equals the
+// uninterrupted one.
+func TestCheckpointAfterBoundaryWork(t *testing.T) {
 	var at int64
 	f, err := fuzz.New(compileT(t), testOpts())
 	if err != nil {
@@ -59,8 +57,7 @@ func TestBoundaryWorkDefersCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	var imported int64
 	r := NewRunner(dir, Config{
-		Interval:  1, // a checkpoint at every boundary
-		Keep:      1 << 20,
+		Interval:  testInterval,
 		StopAfter: testImport,
 		Boundary:  importingBoundary(0, &imported),
 	})
@@ -73,18 +70,15 @@ func TestBoundaryWorkDefersCheckpoint(t *testing.T) {
 	if imported == 0 {
 		t.Fatal("the boundary never imported")
 	}
-	if got := r.Fuzzer().Execs(); got <= imported {
-		t.Fatalf("stopped at %d execs, at the importing boundary (%d); want the next one", got, imported)
-	}
-	if _, err := os.Stat(join(dir, checkpointsDir, checkpointName(imported))); err == nil {
-		t.Fatalf("checkpoint written at the importing boundary (%d execs), with a sample due", imported)
-	}
 	validateCheckpoints(t, OSFS{}, dir)
-
 	ck, _, err := LoadLatest(OSFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := ck.Snap.Stats.Execs; got != imported {
+		t.Fatalf("shutdown checkpoint at %d execs, want the importing boundary (%d)", got, imported)
+	}
+
 	r = NewRunner(dir, Config{Interval: testInterval, Boundary: importingBoundary(ck.Snap.Stats.Execs, &at)})
 	if err := r.Attach(compileT(t), testOpts(), ck); err != nil {
 		t.Fatal(err)
@@ -99,6 +93,52 @@ func TestBoundaryWorkDefersCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed report differs from uninterrupted (%d vs %d canonical bytes)", len(got), len(want))
+	}
+}
+
+// TestRefuzzFinishedCampaign: fuzzing a finished campaign again leaves
+// its report unchanged, whether its final snapshot is restored and
+// fuzzed to the budget or the runner attaches to its final checkpoint.
+func TestRefuzzFinishedCampaign(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRunner(dir, Config{Interval: testInterval})
+	if err := r.Start(compileT(t), testOpts(), testMeta(), testSeeds); err != nil {
+		t.Fatal(err)
+	}
+	rep, interrupted, err := r.Run()
+	if err != nil || interrupted {
+		t.Fatalf("interrupted=%v err=%v", interrupted, err)
+	}
+	want, err := CanonicalReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, _, err := LoadLatest(OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Snap.Stats.Execs < testBudget {
+		t.Fatalf("latest checkpoint at %d execs, want the finished campaign's", ck.Snap.Stats.Execs)
+	}
+
+	f, err := fuzz.Restore(compileT(t), testOpts(), ck.Snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Fuzz(testBudget)
+	if got, err := CanonicalReport(f.Report()); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("restored and fuzzed again: report differs from the finished campaign's (err %v)", err)
+	}
+
+	r = NewRunner(dir, Config{Interval: testInterval})
+	if err := r.Attach(compileT(t), testOpts(), ck); err != nil {
+		t.Fatal(err)
+	}
+	if rep, interrupted, err = r.Run(); err != nil || interrupted {
+		t.Fatalf("attached run: interrupted=%v err=%v", interrupted, err)
+	}
+	if got, err := CanonicalReport(rep); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("attached and run again: report differs from the finished campaign's (err %v)", err)
 	}
 }
 

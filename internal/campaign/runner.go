@@ -193,12 +193,6 @@ func (r *Runner) hook(f *fuzz.Fuzzer) bool {
 	if r.cfg.StopAfter > 0 && f.Execs() >= r.cfg.StopAfter {
 		r.stop.Store(true)
 	}
-	if f.SampleDue() {
-		// Boundary work ran past a history sample point the fuzz loop
-		// takes after the next entry; a snapshot now would owe it, so
-		// stop or checkpoint at the next boundary instead.
-		return true
-	}
 	if r.stop.Load() {
 		if err := r.checkpoint(); err != nil {
 			r.logf("shutdown checkpoint failed: %v", err)

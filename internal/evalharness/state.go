@@ -15,13 +15,20 @@ import (
 // runsDir is the StateDir subdirectory holding persisted run results.
 const runsDir = "runs"
 
+// runVersion is the format of a saved run. Version 1 puts the exec
+// stamps of a round-based campaign's report on the campaign's exec
+// axis; runs saved before it decode as version 0, carry round-relative
+// stamps the curves would misread, and are recomputed.
+const runVersion = 1
+
 // savedRun is the on-disk form of a RunResult, sealed with the campaign
 // checkpoint framing so truncation and corruption are detected on load.
 // EdgeSet flattens to a sorted slice (gob cannot encode set maps), and
 // the budget fields pin the configuration the run was produced under: a
-// saved run from a different configuration is treated as a miss, never
-// silently reused.
+// saved run from a different configuration or format version is
+// treated as a miss, never silently reused.
 type savedRun struct {
+	Version int
 	Subject string
 	Fuzzer  strategy.Name
 	Run     int
@@ -45,6 +52,7 @@ func runFilePath(dir, subject string, f strategy.Name, run int) string {
 // saveRun persists one finished campaign under cfg.StateDir.
 func saveRun(cfg Config, rr *RunResult) error {
 	sv := savedRun{
+		Version:     runVersion,
 		Subject:     rr.Subject,
 		Fuzzer:      rr.Fuzzer,
 		Run:         rr.Run,
@@ -72,9 +80,9 @@ func saveRun(cfg Config, rr *RunResult) error {
 }
 
 // loadRun returns the persisted result for one campaign, or nil if it
-// is absent, unreadable, corrupt, or from a different configuration —
-// every miss means "run it again", so a damaged state dir degrades to
-// recomputation, never to wrong results.
+// is absent, unreadable, corrupt, or from a different configuration or
+// format version — every miss means "run it again", so a damaged state
+// dir degrades to recomputation, never to wrong results.
 func loadRun(cfg Config, subject string, f strategy.Name, run int) *RunResult {
 	data, err := cfg.FS.ReadFile(runFilePath(cfg.StateDir, subject, f, run))
 	if err != nil {
@@ -88,7 +96,7 @@ func loadRun(cfg Config, subject string, f strategy.Name, run int) *RunResult {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sv); err != nil {
 		return nil
 	}
-	if sv.Subject != subject || sv.Fuzzer != f || sv.Run != run ||
+	if sv.Version != runVersion || sv.Subject != subject || sv.Fuzzer != f || sv.Run != run ||
 		sv.Budget != cfg.Budget || sv.RoundBudget != cfg.RoundBudget ||
 		sv.MapSize != cfg.MapSize || sv.BaseSeed != cfg.BaseSeed ||
 		sv.Result.Report == nil {

@@ -1,6 +1,8 @@
 package evalharness
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/fuzz"
 	"repro/internal/strategy"
 )
 
@@ -113,5 +116,41 @@ func TestSuiteDurabilityRejectsStale(t *testing.T) {
 	}
 	if cfs.creates.Load() == 0 {
 		t.Error("changed-budget suite reused stale saved runs")
+	}
+}
+
+// TestLoadRunRejectsUnversioned: a run file saved before runs carried a
+// format version (a round-based run's stamps were then round-relative)
+// is a miss, as a run from another configuration is.
+func TestLoadRunRejectsUnversioned(t *testing.T) {
+	cfg := durableCfg(t.TempDir(), nil).withDefaults()
+	rr := &RunResult{Subject: "flvmeta", Fuzzer: strategy.Cull, Report: &fuzz.Report{QueueLen: 3}}
+	if err := saveRun(cfg, rr); err != nil {
+		t.Fatal(err)
+	}
+	if loadRun(cfg, rr.Subject, rr.Fuzzer, rr.Run) == nil {
+		t.Fatal("a run saved by this build does not load")
+	}
+	unversioned := struct {
+		Subject     string
+		Fuzzer      strategy.Name
+		Run         int
+		Result      RunResult
+		Edges       []uint32
+		Budget      int64
+		RoundBudget int64
+		MapSize     int
+		BaseSeed    int64
+	}{rr.Subject, rr.Fuzzer, rr.Run, *rr, nil, cfg.Budget, cfg.RoundBudget, cfg.MapSize, cfg.BaseSeed}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&unversioned); err != nil {
+		t.Fatal(err)
+	}
+	path := runFilePath(cfg.StateDir, rr.Subject, rr.Fuzzer, rr.Run)
+	if err := os.WriteFile(path, campaign.Seal(buf.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if loadRun(cfg, rr.Subject, rr.Fuzzer, rr.Run) != nil {
+		t.Fatal("a run file without a format version was restored")
 	}
 }

@@ -393,22 +393,17 @@ func (s *SuiteResult) Table9(w io.Writer) {
 }
 
 // Figure2 renders the queue-size-over-time comparison of path, cull,
-// opp and pcguard on one subject (run 0), as an ASCII series.
+// opp and pcguard on one subject (run 0), as an ASCII series: each
+// column is the queue length at a fraction of that run's executions.
 func (s *SuiteResult) Figure2(w io.Writer, subject string) {
 	fmt.Fprintf(w, "FIGURE 2 — queue size over time (%s, run 0)\n", subject)
 	fuzzers := []strategy.Name{strategy.Path, strategy.Cull, strategy.Opp, strategy.PCGuard}
-	series := make(map[strategy.Name][]fuzz.HistPoint)
-	maxQ := 1
-	for _, f := range fuzzers {
-		runs := s.Runs(subject, f)
-		if len(runs) == 0 || runs[0] == nil {
-			continue
-		}
-		series[f] = runs[0].Report.History
-		for _, h := range series[f] {
-			if h.QueueLen > maxQ {
-				maxQ = h.QueueLen
-			}
+	reports := make([]*fuzz.Report, len(fuzzers))
+	curves := make([][]progress, len(fuzzers))
+	for i, f := range fuzzers {
+		if runs := s.Runs(subject, f); len(runs) > 0 && runs[0] != nil {
+			reports[i] = runs[0].Report
+			curves[i] = progressOf(reports[i])
 		}
 	}
 	tw := newTab(w)
@@ -416,24 +411,16 @@ func (s *SuiteResult) Figure2(w io.Writer, subject string) {
 	const buckets = 16
 	for b := 1; b <= buckets; b++ {
 		frac := float64(b) / buckets
-		var row strings.Builder
-		fmt.Fprintf(&row, "%d%%\t", int(frac*100))
-		for _, f := range fuzzers {
-			h := series[f]
-			if len(h) == 0 {
-				row.WriteString("-\t")
+		fmt.Fprintf(tw, "%d%%\t", int(frac*100))
+		for i, r := range reports {
+			if r == nil {
+				fmt.Fprint(tw, "-\t")
 				continue
 			}
-			total := h[len(h)-1].Execs
-			q := 0
-			for _, pt := range h {
-				if float64(pt.Execs) <= frac*float64(total)+1 {
-					q = pt.QueueLen
-				}
-			}
-			fmt.Fprintf(&row, "%d\t", q)
+			at := int64(frac * float64(r.Stats.Execs))
+			fmt.Fprintf(tw, "%d\t", progressAt(curves[i], at).QueueLen)
 		}
-		fmt.Fprintln(tw, row.String())
+		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 	fmt.Fprintf(w, "(cull's sawtooth and opp's mid-run feedback switch are the paper's Fig. 2 shapes)\n")

@@ -4,32 +4,95 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/fuzz"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
 // curvesDir is the StateDir subdirectory holding per-run trajectory
-// curves: one CSV per campaign, sampled from the fuzzer's history (the
-// Figure 2 machinery), so coverage-over-time plots can be regenerated
-// without re-running anything.
+// curves: one CSV per campaign, derived from the report's provenance
+// (the Figure 2 machinery), so coverage-over-time plots can be
+// regenerated without re-running anything.
 const curvesDir = "curves"
+
+// progress is a campaign's state at one execution count.
+type progress struct {
+	Execs    int64
+	QueueLen int
+	// Coverage counts the coverage-map cells some queue entry was first
+	// to touch (the final value is Report.MapCount).
+	Coverage int
+	// Bugs counts the ground-truth bugs found.
+	Bugs int
+}
+
+// progressOf derives a campaign's trajectory from its report's
+// provenance in one pass: one point per queue admission or first bug
+// discovery, in exec order. The queue length is the ID of the last
+// admitted entry plus one and coverage the running sum of FirstCells;
+// both restart at an ID-0 entry, the first entry of a culling round.
+// The corpus must be in admission order, as a single fuzzer's and a
+// round driver's reports are.
+func progressOf(r *fuzz.Report) []progress {
+	if r == nil {
+		return nil
+	}
+	bugs := make([]int64, 0, len(r.Bugs))
+	for _, rec := range r.Bugs {
+		bugs = append(bugs, rec.FoundAt)
+	}
+	slices.Sort(bugs)
+	var out []progress
+	var cur progress
+	for i, k := 0, 0; i < len(r.Corpus) || k < len(bugs); {
+		if k == len(bugs) || i < len(r.Corpus) && r.Corpus[i].FoundAt <= bugs[k] {
+			m := r.Corpus[i]
+			if m.ID == 0 {
+				cur.Coverage = 0
+			}
+			cur.Execs, cur.QueueLen = m.FoundAt, m.ID+1
+			cur.Coverage += len(m.FirstCells)
+			i++
+		} else {
+			cur.Execs = bugs[k]
+			cur.Bugs++
+			k++
+		}
+		if n := len(out); n > 0 && out[n-1].Execs == cur.Execs {
+			out[n-1] = cur
+		} else {
+			out = append(out, cur)
+		}
+	}
+	return out
+}
+
+// progressAt returns the state at exec t: the last point at or before
+// it, or the empty state before the first.
+func progressAt(curve []progress, t int64) progress {
+	i := sort.Search(len(curve), func(i int) bool { return curve[i].Execs > t })
+	if i == 0 {
+		return progress{}
+	}
+	return curve[i-1]
+}
 
 func curveFileName(subject string, f strategy.Name, run int) string {
 	return fmt.Sprintf("%s_%s_%03d.csv", campaign.SanitizeName(subject), campaign.SanitizeName(string(f)), run)
 }
 
-// CurveCSV renders one run's coverage-over-time curve as CSV.
+// CurveCSV renders one run's coverage-over-time curve as CSV, one row
+// per queue admission or first bug discovery.
 func CurveCSV(rr *RunResult) []byte {
 	var b strings.Builder
-	b.WriteString("execs,queue_len,coverage,crashes,unique_bugs,favored,paths_total\n")
-	if rr.Report != nil {
-		for _, h := range rr.Report.History {
-			fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d\n",
-				h.Execs, h.QueueLen, h.CovCount, h.Crashes, h.UniqBugs, h.Favored, h.PathCount)
-		}
+	b.WriteString("execs,queue_len,coverage,unique_bugs\n")
+	for _, p := range progressOf(rr.Report) {
+		fmt.Fprintf(&b, "%d,%d,%d,%d\n", p.Execs, p.QueueLen, p.Coverage, p.Bugs)
 	}
 	return []byte(b.String())
 }
@@ -47,23 +110,6 @@ func saveCurve(cfg Config, rr *RunResult) error {
 // trajectoryFractions are the budget checkpoints the trajectory table
 // reports, as fractions of the per-run execution budget.
 var trajectoryFractions = []float64{0.10, 0.25, 0.50, 0.75, 1.00}
-
-// coverageAt returns the run's coverage-map count at the last history
-// sample taken at or before the given execution count (0 if the history
-// has no sample that early).
-func coverageAt(rr *RunResult, execs int64) int {
-	cov := 0
-	if rr == nil || rr.Report == nil {
-		return 0
-	}
-	for _, h := range rr.Report.History {
-		if h.Execs > execs {
-			break
-		}
-		cov = h.CovCount
-	}
-	return cov
-}
 
 // Trajectory prints the paper-style coverage-over-time table: for every
 // fuzzer, the total (summed over subjects) median-across-runs coverage
@@ -87,7 +133,7 @@ func (s *SuiteResult) Trajectory(w io.Writer) {
 				var covs []int
 				for _, rr := range s.Runs(sub, f) {
 					if rr != nil {
-						covs = append(covs, coverageAt(rr, at))
+						covs = append(covs, progressAt(progressOf(rr.Report), at).Coverage)
 					}
 				}
 				total += stats.MedianInt(covs)

@@ -8,30 +8,34 @@ import (
 	"testing"
 
 	"repro/internal/fuzz"
+	"repro/internal/journal"
 	"repro/internal/strategy"
 )
 
-func histRun(subject string, f strategy.Name, run int, hist []fuzz.HistPoint) *RunResult {
-	return &RunResult{
-		Subject: subject, Fuzzer: f, Run: run,
-		Report: &fuzz.Report{History: hist},
+// admit is a provenance record of queue entry id, admitted at exec at
+// and first to touch cells coverage-map cells.
+func admit(id int, at int64, cells int) journal.CorpusMeta {
+	return journal.CorpusMeta{ID: id, FoundAt: at, FirstCells: make([]uint32, cells)}
+}
+
+// corpusRun is a run whose report carries the given provenance and
+// bugs (key to first discovery exec).
+func corpusRun(subject string, f strategy.Name, corpus []journal.CorpusMeta, bugs map[string]int64) *RunResult {
+	r := &fuzz.Report{Corpus: corpus, Bugs: map[string]*fuzz.CrashRec{}}
+	for k, at := range bugs {
+		r.Bugs[k] = &fuzz.CrashRec{Count: 1, FoundAt: at}
 	}
+	return &RunResult{Subject: subject, Fuzzer: f, Report: r}
 }
 
 func TestCurveCSV(t *testing.T) {
-	rr := histRun("flvmeta", strategy.Path, 0, []fuzz.HistPoint{
-		{Execs: 100, QueueLen: 2, CovCount: 5, Crashes: 0, UniqBugs: 0, Favored: 1, PathCount: 3},
-		{Execs: 200, QueueLen: 4, CovCount: 9, Crashes: 1, UniqBugs: 1, Favored: 2, PathCount: 7},
-	})
-	lines := strings.Split(strings.TrimSpace(string(CurveCSV(rr))), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("curve has %d lines, want header + 2 rows", len(lines))
-	}
-	if lines[0] != "execs,queue_len,coverage,crashes,unique_bugs,favored,paths_total" {
-		t.Errorf("header drifted: %q", lines[0])
-	}
-	if lines[2] != "200,4,9,1,1,2,7" {
-		t.Errorf("row = %q, want 200,4,9,1,1,2,7", lines[2])
+	rr := corpusRun("flvmeta", strategy.Path,
+		[]journal.CorpusMeta{admit(0, 10, 3), admit(1, 100, 2), admit(2, 200, 4)},
+		map[string]int64{"f:1:abort": 150})
+	want := "execs,queue_len,coverage,unique_bugs\n" +
+		"10,1,3,0\n100,2,5,0\n150,2,5,1\n200,3,9,1\n"
+	if got := string(CurveCSV(rr)); got != want {
+		t.Errorf("curve =\n%s\nwant\n%s", got, want)
 	}
 	// Nil report renders just the header instead of panicking.
 	if got := string(CurveCSV(&RunResult{})); !strings.HasPrefix(got, "execs,") || strings.Count(got, "\n") != 1 {
@@ -40,21 +44,45 @@ func TestCurveCSV(t *testing.T) {
 }
 
 func TestCoverageAt(t *testing.T) {
-	rr := histRun("s", strategy.Path, 0, []fuzz.HistPoint{
-		{Execs: 100, CovCount: 5},
-		{Execs: 200, CovCount: 9},
-		{Execs: 300, CovCount: 12},
-	})
+	rr := corpusRun("s", strategy.Path,
+		[]journal.CorpusMeta{admit(0, 100, 5), admit(1, 200, 4), admit(2, 300, 3)}, nil)
+	curve := progressOf(rr.Report)
 	for _, c := range []struct {
 		at   int64
 		want int
 	}{{50, 0}, {100, 5}, {250, 9}, {300, 12}, {9999, 12}} {
-		if got := coverageAt(rr, c.at); got != c.want {
-			t.Errorf("coverageAt(%d) = %d, want %d", c.at, got, c.want)
+		if got := progressAt(curve, c.at).Coverage; got != c.want {
+			t.Errorf("coverage at %d = %d, want %d", c.at, got, c.want)
 		}
 	}
-	if coverageAt(nil, 100) != 0 || coverageAt(&RunResult{}, 100) != 0 {
+	if progressOf(nil) != nil || progressAt(nil, 100) != (progress{}) {
 		t.Error("nil guards broken")
+	}
+}
+
+// TestProgressRestartsEachRound: in a culling campaign's merged report
+// each round's corpus starts again at ID 0, so queue length and
+// coverage restart there, while unique bugs keep counting.
+func TestProgressRestartsEachRound(t *testing.T) {
+	rr := corpusRun("s", strategy.Cull,
+		[]journal.CorpusMeta{
+			admit(0, 1, 3), admit(1, 50, 2), admit(2, 80, 1), // round 0
+			admit(0, 101, 2), admit(1, 150, 1), // round 1
+		},
+		map[string]int64{"f:1:abort": 60, "g:2:abort": 120})
+	curve := progressOf(rr.Report)
+	for _, c := range []struct {
+		at   int64
+		want progress
+	}{
+		{80, progress{Execs: 80, QueueLen: 3, Coverage: 6, Bugs: 1}},
+		{101, progress{Execs: 101, QueueLen: 1, Coverage: 2, Bugs: 1}},
+		{149, progress{Execs: 120, QueueLen: 1, Coverage: 2, Bugs: 2}},
+		{150, progress{Execs: 150, QueueLen: 2, Coverage: 3, Bugs: 2}},
+	} {
+		if got := progressAt(curve, c.at); got != c.want {
+			t.Errorf("progress at %d = %+v, want %+v", c.at, got, c.want)
+		}
 	}
 }
 
@@ -66,11 +94,8 @@ func TestTrajectoryTable(t *testing.T) {
 		Budget:   1000,
 	}
 	sr := &SuiteResult{Cfg: cfg, Results: map[string]map[strategy.Name][]*RunResult{
-		"s": {strategy.Path: {histRun("s", strategy.Path, 0, []fuzz.HistPoint{
-			{Execs: 100, CovCount: 5},
-			{Execs: 500, CovCount: 9},
-			{Execs: 1000, CovCount: 12},
-		})}},
+		"s": {strategy.Path: {corpusRun("s", strategy.Path,
+			[]journal.CorpusMeta{admit(0, 100, 5), admit(1, 500, 4), admit(2, 1000, 3)}, nil)}},
 	}}
 	var b strings.Builder
 	sr.Trajectory(&b)
@@ -114,7 +139,7 @@ func TestSuiteWritesCurves(t *testing.T) {
 		}
 		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 		if len(lines) < 2 {
-			t.Fatalf("curve %s has no samples", n.Name())
+			t.Fatalf("curve %s has no rows", n.Name())
 		}
 		last := strings.Split(lines[len(lines)-1], ",")
 		execs, err := strconv.ParseInt(last[0], 10, 64)

@@ -72,12 +72,6 @@ type Options struct {
 	// without durable progress in between) a worker survives before it
 	// is retired (default 3).
 	MaxRestarts int
-	// BackoffBase/BackoffMax bound the exponential restart backoff
-	// (defaults 50ms and 2s). Jitter is derived deterministically from
-	// the fleet seed so backoff timing never consumes campaign
-	// randomness.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// CkptEvery is each worker's periodic checkpoint interval in execs
 	// (campaign.Config.Interval; default 25000).
 	CkptEvery int64
@@ -122,12 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRestarts <= 0 {
 		o.MaxRestarts = 3
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
 	}
 	if o.CkptEvery <= 0 {
 		o.CkptEvery = 25000
@@ -642,14 +630,19 @@ func (s *Supervisor) manage(w *worker) {
 	}
 }
 
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
 // backoff is the restart delay before failure number fails (1-based):
-// BackoffBase doubling per failure, capped at BackoffMax, plus up to
+// backoffBase doubling per failure, capped at backoffMax, plus up to
 // 50% deterministic jitter derived from the fleet seed — decorrelating
 // worker restarts without consuming campaign randomness.
 func (s *Supervisor) backoff(workerID, fails int) time.Duration {
-	d := s.opts.BackoffBase << (fails - 1)
-	if d > s.opts.BackoffMax || d <= 0 {
-		d = s.opts.BackoffMax
+	d := backoffBase << (fails - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	z := uint64(s.meta.Seed)*0x9E3779B97F4A7C15 + uint64(workerID)<<32 + uint64(fails)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

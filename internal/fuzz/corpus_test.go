@@ -101,29 +101,6 @@ func TestMergeReports(t *testing.T) {
 	}
 }
 
-func TestHistorySampling(t *testing.T) {
-	p := compileT(t, corpusProg)
-	f, err := New(p, Options{Seed: 3, MapSize: 1 << 10, HistorySamples: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.AddSeed([]byte{9, 9, 9})
-	f.Fuzz(10000)
-	rep := f.Report()
-	if len(rep.History) < 5 {
-		t.Fatalf("history samples = %d", len(rep.History))
-	}
-	last := rep.History[len(rep.History)-1]
-	if last.Execs < 10000 {
-		t.Errorf("last sample at %d execs", last.Execs)
-	}
-	for i := 1; i < len(rep.History); i++ {
-		if rep.History[i].Execs < rep.History[i-1].Execs {
-			t.Error("history not monotone")
-		}
-	}
-}
-
 func TestFavoredCorpusCoversQueue(t *testing.T) {
 	p := compileT(t, corpusProg)
 	f, err := New(p, Options{Seed: 4, MapSize: 1 << 10})

@@ -13,7 +13,6 @@ package fuzz
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/bytecode"
@@ -76,6 +75,9 @@ const (
 	ProfileAFL
 )
 
+// maxInputLen caps every input the fuzzer queues or generates.
+const maxInputLen = 512
+
 // Options configures a fuzzing campaign.
 type Options struct {
 	// Feedback selects the coverage feedback mechanism.
@@ -91,15 +93,8 @@ type Options struct {
 	Seed int64
 	// Limits bounds each execution; vm.DefaultLimits() when zero.
 	Limits vm.Limits
-	// MaxInputLen caps generated inputs (default 512).
-	MaxInputLen int
 	// Profile selects AFL++ vs AFL behaviour.
 	Profile Profile
-	// Dict holds initial dictionary tokens.
-	Dict [][]byte
-	// HistorySamples is the number of (execs, queue-size) samples
-	// recorded for the Figure 2 reproduction (default 64).
-	HistorySamples int
 	// KeepCrashInputs retains the first crashing input per unique
 	// stack hash (default true via New).
 	KeepCrashInputs bool
@@ -137,12 +132,10 @@ type Options struct {
 }
 
 // Validate rejects misconfigured options before defaulting can mask
-// them: negative sizes and budgets, a non-power-of-two map, an input
-// cap of 2^31 or more, dictionary tokens that can never fit the input
-// cap, and out-of-range enum values. New calls it on the raw
-// (pre-default) options, so a zero field still means "use the default"
-// while a negative or contradictory one is an error instead of silent
-// behaviour.
+// them: a negative or non-power-of-two map and out-of-range enum
+// values. New calls it on the raw (pre-default) options, so a zero
+// field still means "use the default" while a negative one is an error
+// instead of silent behaviour.
 func (o Options) Validate() error {
 	if o.MapSize < 0 {
 		return fmt.Errorf("fuzz: MapSize %d is negative", o.MapSize)
@@ -150,29 +143,11 @@ func (o Options) Validate() error {
 	if o.MapSize > 0 && o.MapSize&(o.MapSize-1) != 0 {
 		return fmt.Errorf("fuzz: MapSize %d is not a power of two", o.MapSize)
 	}
-	if o.MaxInputLen < 0 {
-		return fmt.Errorf("fuzz: MaxInputLen %d is negative", o.MaxInputLen)
-	}
-	if o.MaxInputLen > math.MaxInt32 {
-		// The mutator draws offsets below the input length with rng.Intn,
-		// which covers bounds below 2^31.
-		return fmt.Errorf("fuzz: MaxInputLen %d is not below 2^31", o.MaxInputLen)
-	}
-	if o.HistorySamples < 0 {
-		return fmt.Errorf("fuzz: HistorySamples %d is negative", o.HistorySamples)
-	}
 	if o.Engine < EngineAuto || o.Engine > EngineCGT {
 		return fmt.Errorf("fuzz: unknown engine %d", int(o.Engine))
 	}
 	if o.Profile != ProfileAFLPlusPlus && o.Profile != ProfileAFL {
 		return fmt.Errorf("fuzz: unknown profile %d", int(o.Profile))
-	}
-	if o.MaxInputLen > 0 {
-		for i, tok := range o.Dict {
-			if len(tok) > o.MaxInputLen {
-				return fmt.Errorf("fuzz: dictionary token %d is %d bytes, exceeds MaxInputLen %d", i, len(tok), o.MaxInputLen)
-			}
-		}
 	}
 	return nil
 }
@@ -186,12 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Limits == (vm.Limits{}) {
 		o.Limits = vm.DefaultLimits()
-	}
-	if o.MaxInputLen == 0 {
-		o.MaxInputLen = 512
-	}
-	if o.HistorySamples == 0 {
-		o.HistorySamples = 64
 	}
 	return o
 }
@@ -236,17 +205,6 @@ type CrashRec struct {
 	Input   []byte
 	Count   int
 	FoundAt int64
-}
-
-// HistPoint samples campaign progress over time.
-type HistPoint struct {
-	Execs     int64
-	QueueLen  int
-	CovCount  int
-	Crashes   int64
-	UniqBugs  int
-	Favored   int
-	PathCount int64 // entries ever added (paths_total analogue)
 }
 
 // Stats aggregates campaign counters.
@@ -341,8 +299,7 @@ type Fuzzer struct {
 	// bugs dedups by ground-truth bug key.
 	bugs map[string]*CrashRec
 
-	stats   Stats
-	history []HistPoint
+	stats Stats
 	// faults lists quarantined engine panics (capped; the full
 	// count is in stats.InternalFaults).
 	faults []InternalFault
@@ -364,10 +321,6 @@ type Fuzzer struct {
 	// whether a cycle is in flight.
 	qi, qlen int
 	midCycle bool
-	// History sampling schedule; restored verbatim on resume so the
-	// sample points of a resumed campaign match an uninterrupted one.
-	sampleEvery, nextSample int64
-	samplingRestored        bool
 
 	// hook, when set, runs after every fuzzed queue entry — a
 	// deterministic safe point where full state can be snapshotted.
@@ -434,11 +387,8 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 	}
 	f.mut = &mutator{
 		rng:    f.rng,
-		maxLen: opts.MaxInputLen,
+		maxLen: maxInputLen,
 		rich:   opts.Profile == ProfileAFLPlusPlus,
-	}
-	for _, tok := range opts.Dict {
-		f.addToken(tok)
 	}
 	return f, nil
 }
@@ -686,8 +636,8 @@ func (f *Fuzzer) AddSeed(data []byte) {
 		defer f.tel.StartSpan(telemetry.StageCalibrate)()
 		defer f.publishTelemetry()
 	}
-	if len(data) > f.opts.MaxInputLen {
-		data = data[:f.opts.MaxInputLen]
+	if len(data) > maxInputLen {
+		data = data[:maxInputLen]
 	}
 	f.curStage = stageSeed
 	out := f.execute(data)
@@ -915,17 +865,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 			f.enqueue([]byte("seed"), nil, 1, 0, -1, true)
 		}
 	}
-	if f.samplingRestored {
-		// A resumed campaign keeps the original sampling schedule so its
-		// history matches an uninterrupted run's exactly.
-		f.samplingRestored = false
-	} else {
-		f.sampleEvery = budget / int64(f.opts.HistorySamples)
-		if f.sampleEvery <= 0 {
-			f.sampleEvery = 1
-		}
-		f.nextSample = f.stats.Execs + f.sampleEvery
-	}
 	for f.stats.Execs < budget {
 		if !f.midCycle {
 			f.cullFavored()
@@ -967,10 +906,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 				f.pendingFavored--
 			}
 			e.WasFuzzed = true
-			for f.stats.Execs >= f.nextSample {
-				f.sample()
-				f.nextSample += f.sampleEvery
-			}
 			if f.tel != nil && f.stats.Execs >= f.nextPublish {
 				f.publishTelemetry()
 				f.nextPublish = f.stats.Execs + telemetryEvery
@@ -984,14 +919,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 			f.midCycle = false
 		}
 	}
-	if f.SampleDue() {
-		// The last boundary's own work (a fleet sync's imports) carried
-		// the counter past sample points that only a next queue entry
-		// would sample. The budget is spent, so move the schedule past
-		// them: a snapshot of the finished campaign stays restorable.
-		f.nextSample += ((f.stats.Execs-f.nextSample)/f.sampleEvery + 1) * f.sampleEvery
-	}
-	f.sample()
 	f.publishTelemetry()
 	// The finish event closes a completed budget; interrupted runs
 	// (checkpoint hook returning false) return inside the loop without
@@ -1010,17 +937,6 @@ func (f *Fuzzer) Fuzz(budget int64) {
 	if f.jrnl != nil {
 		f.jrnl.Flush()
 	}
-}
-
-// SampleDue reports whether the exec counter has reached the next
-// history sample point, which the fuzz loop samples after its next
-// queue entry. Inside Fuzz that is only ever true in a checkpoint hook
-// whose own work executed inputs (a fleet sync's imports). A snapshot
-// taken then would owe that sample, and Restore rejects it
-// (ErrSampleSchedule), so the campaign runner checkpoints one boundary
-// later.
-func (f *Fuzzer) SampleDue() bool {
-	return f.sampleEvery > 0 && f.stats.Execs >= f.nextSample
 }
 
 // Telemetry returns the attached recorder (nil when telemetry is off).
@@ -1088,18 +1004,6 @@ func (f *Fuzzer) Counters() telemetry.Counters {
 	return c
 }
 
-func (f *Fuzzer) sample() {
-	f.history = append(f.history, HistPoint{
-		Execs:     f.stats.Execs,
-		QueueLen:  len(f.queue),
-		CovCount:  f.coveredCount(),
-		Crashes:   f.stats.CrashExecs,
-		UniqBugs:  len(f.bugs),
-		Favored:   f.favoredCount(),
-		PathCount: f.stats.Added,
-	})
-}
-
 func (f *Fuzzer) favoredCount() int {
 	n := 0
 	for _, e := range f.queue {
@@ -1108,11 +1012,6 @@ func (f *Fuzzer) favoredCount() int {
 		}
 	}
 	return n
-}
-
-func (f *Fuzzer) coveredCount() int {
-	// Count consumed virgin entries indirectly via topRated keys.
-	return len(f.topRated)
 }
 
 // fuzzOne runs the havoc/splice stages for one entry. The telemetry
@@ -1175,7 +1074,7 @@ func (f *Fuzzer) cmplogStage(e *Entry, cmps []vm.CmpObs) {
 			find, repl := dir[0], dir[1]
 			// Length-to-state: conditions on len(input) are satisfied
 			// by resizing rather than byte search.
-			if find == int64(len(e.Data)) && repl >= 0 && repl <= int64(f.opts.MaxInputLen) && find != repl {
+			if find == int64(len(e.Data)) && repl >= 0 && repl <= maxInputLen && find != repl {
 				attempts++
 				f.tryResize(e, int(repl))
 				continue

@@ -13,7 +13,7 @@ var (
 type mutator struct {
 	rng    *rng
 	maxLen int
-	// dict holds user and auto (cmplog-derived) tokens.
+	// dict holds the auto (cmplog-derived) tokens.
 	dict [][]byte
 	// rich enables the AFL++-profile extras (dictionary ops, wide
 	// interesting values); the plain-AFL profile runs without them.

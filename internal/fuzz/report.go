@@ -47,9 +47,6 @@ type Report struct {
 	// crash — the analogue of the paper's manually deduplicated unique
 	// bugs.
 	Bugs map[string]*CrashRec
-	// History samples campaign progress (for the Figure 2
-	// reproduction).
-	History []HistPoint
 	// MapCount is the number of coverage map indices ever touched.
 	MapCount int
 	// Faults lists quarantined internal faults (engine panics the
@@ -76,7 +73,6 @@ func (f *Fuzzer) Report() *Report {
 		Queue:      f.QueueInputs(),
 		FavoredLen: f.favoredCount(),
 		Bugs:       make(map[string]*CrashRec, len(f.bugs)),
-		History:    append([]HistPoint(nil), f.history...),
 		MapCount:   len(f.topRated),
 		Faults:     append([]InternalFault(nil), f.faults...),
 		Corpus:     f.CorpusProvenance(),
@@ -107,7 +103,7 @@ func (r *Report) BugKeys() []string {
 
 // MergeReports folds multiple campaign reports (e.g. the rounds of a
 // culling run, or repeated trials) into cumulative crash/bug views.
-// Queue/history fields are taken from the last report. Nil reports —
+// Queue fields are taken from the last report. Nil reports —
 // an empty campaign, a round that never ran — are skipped, and crash
 // records without a report attached are ignored rather than
 // dereferenced, so merging a degenerate campaign cannot panic.
@@ -209,20 +205,6 @@ func MergeReports(reports ...*Report) *Report {
 		out.Queue = last.Queue
 		out.FavoredLen = last.FavoredLen
 		out.MapCount = last.MapCount
-	}
-	// Histories concatenate with execution counters made cumulative.
-	var base int64
-	for _, r := range reports {
-		if r == nil {
-			continue
-		}
-		for _, h := range r.History {
-			h.Execs += base
-			out.History = append(out.History, h)
-		}
-		if n := len(r.History); n > 0 {
-			base += r.History[n-1].Execs
-		}
 	}
 	return out
 }

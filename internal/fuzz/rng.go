@@ -58,8 +58,7 @@ func (g *rng) Uint64() uint64 {
 
 // Intn returns a value in [0, n), draw for draw what math/rand's
 // (*Rand).Intn returns for 0 < n < 2^31 (its Int31n algorithm). It
-// panics outside that range; Options.Validate keeps MaxInputLen below
-// 2^31, so every bound the fuzzer passes is inside it.
+// panics outside that range.
 func (g *rng) Intn(n int) int {
 	if n <= 0 || n > math.MaxInt32 {
 		panic("fuzz: rng.Intn bound outside (0, 2^31)")

@@ -2,7 +2,7 @@
 // checkpoint/resume subsystem (package campaign). A Snapshot captures
 // everything a campaign needs to continue deterministically — queue
 // entries with their metadata, virgin maps, crash and bug dedup state,
-// the auto-dictionary, stats, history, the random generator's state, and
+// the auto-dictionary, stats, the random generator's state, and
 // the fuzz loop's mid-cycle position. Restore rebuilds a fuzzer from a
 // snapshot such that continuing it reproduces, execution for execution,
 // what an uninterrupted campaign would have done: derived state
@@ -70,7 +70,6 @@ type Snapshot struct {
 	Bugs        []SnapCrash
 	Faults      []InternalFault
 	Stats       Stats
-	History     []HistPoint
 	Dict        [][]byte
 	// RNGState is the random generator's ring (rngLen words) and
 	// RNGDraws its draw count; together they are the stream position.
@@ -84,8 +83,6 @@ type Snapshot struct {
 	MidCycle       bool
 	NextIndex      int
 	CycleLen       int
-	SampleEvery    int64
-	NextSample     int64
 
 	// JournalSeq is the campaign's emitted-event count at snapshot
 	// time. The counter advances whether or not a journal writer is
@@ -112,7 +109,6 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 		CrashVirgin:    f.crashVirgin.Cells(),
 		Faults:         append([]InternalFault(nil), f.faults...),
 		Stats:          f.stats,
-		History:        append([]HistPoint(nil), f.history...),
 		Dict:           append([][]byte(nil), f.mut.dict...),
 		RNGState:       f.rng.state(),
 		RNGDraws:       f.rng.draws,
@@ -120,8 +116,6 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 		MidCycle:       f.midCycle,
 		NextIndex:      f.qi,
 		CycleLen:       f.qlen,
-		SampleEvery:    f.sampleEvery,
-		NextSample:     f.nextSample,
 		JournalSeq:     f.events,
 	}
 	for i, e := range f.queue {
@@ -164,23 +158,13 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 // be resumed.
 var ErrRNGState = errors.New("fuzz: snapshot has no usable random-generator state (written by an older build, or corrupt); the campaign cannot be resumed")
 
-// ErrSampleSchedule reports a snapshot whose history sampling schedule
-// no campaign can reach: the next sample point must lie after the
-// snapshot's exec count and at most one sampling interval past it.
-var ErrSampleSchedule = errors.New("fuzz: snapshot history sampling schedule out of range")
-
 // Validate checks the invariants a snapshot must satisfy on its own,
 // whatever program it is restored onto: a generator ring of rngLen
-// words (ErrRNGState), a sampling schedule whose next point lies in
-// (Stats.Execs, Stats.Execs+SampleEvery] (ErrSampleSchedule), and a
-// cycle position inside the queue. Restore calls it first, so no
+// words (ErrRNGState) and a cycle position inside the queue. Restore calls it first, so no
 // decoded count bounds a loop.
 func (s *Snapshot) Validate() error {
 	if len(s.RNGState) != rngLen {
 		return fmt.Errorf("%w: %d state words, want %d", ErrRNGState, len(s.RNGState), rngLen)
-	}
-	if s.SampleEvery > 0 && (s.NextSample <= s.Stats.Execs || s.NextSample-s.Stats.Execs > s.SampleEvery) {
-		return fmt.Errorf("%w: next sample %d every %d at %d execs", ErrSampleSchedule, s.NextSample, s.SampleEvery, s.Stats.Execs)
 	}
 	if s.CycleLen > len(s.Entries) || s.NextIndex > s.CycleLen || s.NextIndex < 0 {
 		return fmt.Errorf("fuzz: snapshot cycle position %d/%d inconsistent with queue of %d", s.NextIndex, s.CycleLen, len(s.Entries))
@@ -220,8 +204,8 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	// maxDepth is derived state, recomputed from the queue below.
 	f.maxDepth = 0
 	for i, se := range snap.Entries {
-		if len(se.Data) > f.opts.MaxInputLen {
-			return fmt.Errorf("fuzz: snapshot entry %d is %d bytes, exceeds input cap %d", i, len(se.Data), f.opts.MaxInputLen)
+		if len(se.Data) > maxInputLen {
+			return fmt.Errorf("fuzz: snapshot entry %d is %d bytes, exceeds input cap %d", i, len(se.Data), maxInputLen)
 		}
 		for _, idx := range se.Cov {
 			if idx >= mapSize {
@@ -283,10 +267,8 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	}
 	f.faults = append([]InternalFault(nil), snap.Faults...)
 	f.stats = snap.Stats
-	f.history = append([]HistPoint(nil), snap.History...)
 
-	// The dictionary (user tokens plus cmplog-derived auto-tokens) is
-	// restored wholesale: token order matters because havoc picks
+	// The cmplog-derived auto-dictionary is restored wholesale: token order matters because havoc picks
 	// tokens by index.
 	f.mut.dict = nil
 	f.dictSeen = make(map[string]bool, len(snap.Dict))
@@ -299,8 +281,6 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	f.pendingFavored = snap.PendingFavored
 	f.midCycle = snap.MidCycle
 	f.qi, f.qlen = snap.NextIndex, snap.CycleLen
-	f.sampleEvery, f.nextSample = snap.SampleEvery, snap.NextSample
-	f.samplingRestored = snap.SampleEvery > 0
 
 	f.rng.restore(snap.RNGState, snap.RNGDraws)
 	// Journal resume: restore the emitted-event counter and truncate

@@ -148,9 +148,9 @@ func TestRestoredRunMatchesUninterrupted(t *testing.T) {
 	f2.Fuzz(budget)
 	got := f2.Report()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed report differs from uninterrupted run:\n got: execs=%d queue=%d bugs=%v hist=%d\nwant: execs=%d queue=%d bugs=%v hist=%d",
-			got.Stats.Execs, got.QueueLen, got.BugKeys(), len(got.History),
-			want.Stats.Execs, want.QueueLen, want.BugKeys(), len(want.History))
+		t.Fatalf("resumed report differs from uninterrupted run:\n got: execs=%d queue=%d bugs=%v\nwant: execs=%d queue=%d bugs=%v",
+			got.Stats.Execs, got.QueueLen, got.BugKeys(),
+			want.Stats.Execs, want.QueueLen, want.BugKeys())
 	}
 }
 
@@ -238,72 +238,28 @@ func TestRestoreRejectsRNGState(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsSampleSchedule: the next history sample point must
-// lie in (Execs, Execs+SampleEvery]. One far below the exec count would
-// make the first Fuzz append a history point per missed interval.
-func TestRestoreRejectsSampleSchedule(t *testing.T) {
-	f := newSnapFuzzer(t, 3000)
-	base := f.Snapshot()
-	execs, every := base.Stats.Execs, base.SampleEvery
-	if every <= 0 {
-		t.Fatalf("snapshot of a fuzzed campaign has no sampling schedule (every %d)", every)
-	}
-	for _, tc := range []struct {
-		next int64
-		ok   bool
-	}{
-		{execs + 1, true},
-		{execs + every, true},
-		{execs, false},
-		{execs - 100000, false},
-		{-1 << 62, false},
-		{execs + every + 1, false},
-		{1 << 62, false},
-	} {
-		snap := f.Snapshot()
-		snap.NextSample = tc.next
-		_, err := Restore(f.prog, snapOpts(), snap)
-		if tc.ok && err != nil {
-			t.Errorf("next sample %d (execs %d, every %d): %v", tc.next, execs, every, err)
-		}
-		if !tc.ok && !errors.Is(err, ErrSampleSchedule) {
-			t.Errorf("next sample %d (execs %d, every %d): got %v, want ErrSampleSchedule", tc.next, execs, every, err)
-		}
-	}
-}
-
 // TestHookSnapshotsValidate: every snapshot a checkpoint hook can take
 // satisfies Validate, including after boundary work — executions the
-// hook itself runs, as a fleet sync's imports do. Such work can leave a
-// sample due (SampleDue), which the campaign runner waits out; and when
-// it spends the budget, Fuzz moves the schedule past the due points so
-// the finished campaign's snapshot is restorable.
+// hook itself runs, as a fleet sync's imports do — and so does the
+// snapshot of a campaign whose budget that work spent.
 func TestHookSnapshotsValidate(t *testing.T) {
 	const budget = 12000
 	f := newSnapFuzzer(t, 0)
-	var hooks, due int
+	hooks := 0
 	f.SetCheckpointHook(func(f *Fuzzer) bool {
 		hooks++
-		if !f.SampleDue() {
-			if err := f.Snapshot().Validate(); err != nil {
-				t.Fatalf("hook %d at %d execs: %v", hooks, f.Execs(), err)
-			}
+		if err := f.Snapshot().Validate(); err != nil {
+			t.Fatalf("hook %d at %d execs: %v", hooks, f.Execs(), err)
 		}
 		if f.Execs() >= budget-2000 {
 			// Boundary work: import until the budget is spent.
 			for i := 0; f.Execs() < budget; i++ {
 				f.AddSeed([]byte(fmt.Sprintf("import %d", i)))
 			}
-			if f.SampleDue() {
-				due++
-			}
 		}
 		return true
 	})
 	f.Fuzz(budget)
-	if due == 0 {
-		t.Fatalf("boundary work never left a sample due (%d hooks)", hooks)
-	}
 	if err := f.Snapshot().Validate(); err != nil {
 		t.Fatalf("snapshot of the finished campaign: %v", err)
 	}

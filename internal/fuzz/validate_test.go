@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -15,24 +14,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero options", Options{}, ""},
 		{"negative map size", Options{MapSize: -1}, "MapSize"},
 		{"non-power-of-two map size", Options{MapSize: 3000}, "power of two"},
-		{"negative max input len", Options{MaxInputLen: -5}, "MaxInputLen"},
-		{"max input len 2^31", Options{MaxInputLen: math.MaxInt32 + 1}, "MaxInputLen"},
-		{"max input len 2^31-1", Options{MaxInputLen: math.MaxInt32}, ""},
-		{"negative history samples", Options{HistorySamples: -1}, "HistorySamples"},
 		{"unknown engine", Options{Engine: Engine(99)}, "engine"},
 		{"bytecode engine", Options{Engine: EngineAuto}, ""},
 		{"cgt engine", Options{Engine: EngineCGT}, ""},
 		{"unknown profile", Options{Profile: Profile(99)}, "profile"},
-		{
-			"dict token exceeds max input len",
-			Options{MaxInputLen: 4, Dict: [][]byte{[]byte("ok"), []byte("too-long-token")}},
-			"exceeds MaxInputLen",
-		},
-		{
-			"dict token within max input len",
-			Options{MaxInputLen: 16, Dict: [][]byte{[]byte("ok")}},
-			"",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,9 +77,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 	prog := compileT(t, `func main(input) { return 0; }`)
 	if _, err := New(prog, Options{MapSize: -2}); err == nil {
 		t.Fatal("New accepted a negative MapSize")
-	}
-	if _, err := New(prog, Options{MaxInputLen: 4, Dict: [][]byte{[]byte("oversized")}}); err == nil {
-		t.Fatal("New accepted a dict token longer than MaxInputLen")
 	}
 	if _, err := New(prog, Options{}); err != nil {
 		t.Fatalf("New rejected valid zero options: %v", err)

@@ -196,13 +196,15 @@ func RunCullRandom(prog *cfg.Program, c Config) (*Outcome, error) {
 }
 
 // runRounds is the shared round driver. cull maps a finished round's
-// fuzzer to (next-round seeds, executions charged for culling).
+// fuzzer to (next-round seeds, executions charged for culling). The
+// merged report's exec stamps count the campaign's fuzzing executions
+// across rounds, the axis of its Stats.Execs.
 func runRounds(prog *cfg.Program, c Config, cull func(*fuzz.Fuzzer, int64) ([][]byte, int64)) (*Outcome, error) {
 	remaining := c.Budget
 	rb := c.roundBudget()
 	seeds := c.Seeds
 	var reports []*fuzz.Report
-	var cullCost int64
+	var cullCost, fuzzed int64
 	rounds := 0
 	for remaining > 0 {
 		budget := rb
@@ -219,6 +221,8 @@ func runRounds(prog *cfg.Program, c Config, cull func(*fuzz.Fuzzer, int64) ([][]
 		}
 		f.Fuzz(budget)
 		rep := f.Report()
+		shiftExecs(rep, fuzzed)
+		fuzzed += rep.Stats.Execs
 		reports = append(reports, rep)
 		rounds++
 		remaining -= rep.Stats.Execs
@@ -234,6 +238,26 @@ func runRounds(prog *cfg.Program, c Config, cull func(*fuzz.Fuzzer, int64) ([][]
 		seeds = next
 	}
 	return &Outcome{Report: fuzz.MergeReports(reports...), Rounds: rounds, CullCost: cullCost}, nil
+}
+
+// shiftExecs moves a round's exec stamps (corpus admissions and the
+// first crash, bug and fault discoveries) from the round's own counter
+// onto the campaign's: base is the earlier rounds' executions. The
+// crash and bug records are the finished round's own, shifted in place:
+// culling reads only that round's queue.
+func shiftExecs(r *fuzz.Report, base int64) {
+	for i := range r.Corpus {
+		r.Corpus[i].FoundAt += base
+	}
+	for _, rec := range r.Crashes {
+		rec.FoundAt += base
+	}
+	for _, rec := range r.Bugs {
+		rec.FoundAt += base
+	}
+	for i := range r.Faults {
+		r.Faults[i].FoundAt += base
+	}
 }
 
 // RunOpportunistic implements the opportunistic driver: half the budget
