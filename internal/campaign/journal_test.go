@@ -268,3 +268,80 @@ func TestJournalCheckpointIdentical(t *testing.T) {
 		t.Fatal("journaling changed the checkpoint bytes")
 	}
 }
+
+// TestFinishEmittedOnce: a campaign's journal holds exactly one finish
+// event however often it is resumed. Resuming a campaign that already
+// finished emits none; a campaign interrupted at the boundary where its
+// exec count reached the budget emits it when resumed.
+func TestFinishEmittedOnce(t *testing.T) {
+	opts := testOpts()
+	finishes := func(dir string) int {
+		t.Helper()
+		events, diag, err := journal.ReadDir(filepath.Join(dir, "journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !diag.OK() {
+			t.Fatalf("journal not OK: errors=%v gaps=%v", diag.Errors, diag.Gaps)
+		}
+		return journal.KindCounts(events)[journal.KindFinish]
+	}
+	run := func(dir string, stopAfter int64, ck *Checkpoint) *fuzz.Report {
+		t.Helper()
+		w := openJournalT(t, dir)
+		o := opts
+		o.Journal = w
+		r := NewRunner(dir, Config{FS: OSFS{}, Interval: testInterval, Keep: 3, StopAfter: stopAfter})
+		var err error
+		if ck == nil {
+			err = r.Start(compileT(t), o, testMeta(), testSeeds)
+		} else {
+			err = r.Attach(compileT(t), o, ck)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	resume := func(dir string) {
+		t.Helper()
+		ck, warns, err := LoadLatest(OSFS{}, dir)
+		if err != nil {
+			t.Fatalf("LoadLatest: %v (warnings %v)", err, warns)
+		}
+		run(dir, 0, ck)
+	}
+
+	done := t.TempDir()
+	run(done, 0, nil)
+	if n := finishes(done); n != 1 {
+		t.Fatalf("finished campaign: %d finish events, want 1", n)
+	}
+	resume(done)
+	if n := finishes(done); n != 1 {
+		t.Errorf("resuming a finished campaign: %d finish events, want 1", n)
+	}
+
+	atBudget := t.TempDir()
+	if rep := run(atBudget, testBudget, nil); rep == nil || rep.Stats.Execs < testBudget {
+		t.Fatalf("stop at the budget boundary did not reach the budget: %+v", rep)
+	}
+	if n := finishes(atBudget); n != 0 {
+		t.Fatalf("campaign stopped at the budget boundary: %d finish events before resume, want 0", n)
+	}
+	resume(atBudget)
+	if n := finishes(atBudget); n != 1 {
+		t.Errorf("resuming a campaign stopped at the budget boundary: %d finish events, want 1", n)
+	}
+	resume(atBudget)
+	if n := finishes(atBudget); n != 1 {
+		t.Errorf("resuming it again: %d finish events, want 1", n)
+	}
+}

@@ -45,7 +45,8 @@ import (
 // EngineAuto; the retrace/elision counters live here, not in Stats, to
 // keep Report comparisons exact. The CGT engine shares execute with the
 // default engine and differs only in which machine runs first and in
-// the retrace (retraceIfRead).
+// the retrace (retraceIfRead). An execution the memo answers (memo.go)
+// runs neither machine.
 //
 // The patch plan is recomputed only at deterministic boundaries —
 // queue-cycle starts (right after the favored-corpus cull) and
@@ -164,10 +165,7 @@ func (f *Fuzzer) retraceIfRead(data []byte, res vm.Result, nov coverage.Novelty)
 		defer f.tel.StartSpan(telemetry.StageRetrace)()
 	}
 	f.cov.Reset()
-	// No fault injection on the retrace: the injector already passed
-	// for this exec index, and charging it twice would desync the fault
-	// schedule from the default engine.
-	full, _, ok := f.runProtected(f.mach, data, false)
+	full, _, ok := f.runProtected(f.mach, data)
 	if !ok {
 		return res
 	}

@@ -288,6 +288,8 @@ type Fuzzer struct {
 	// crashVirgin implements AFL's crash-uniqueness criterion.
 	crashVirgin *coverage.Virgin
 	mut         *mutator
+	// memo answers repeated executions within one AddSeed or fuzzOne.
+	memo *execMemo
 
 	queue    []*Entry
 	topRated map[uint32]*Entry
@@ -349,6 +351,10 @@ type Fuzzer struct {
 	// depend on whether journaling happens to be on.
 	jrnl   *journal.Writer
 	events uint64
+	// finished records that the finish event for the current budget has
+	// been emitted; it is checkpointed, so resuming a finished campaign
+	// emits no second one.
+	finished bool
 }
 
 // New constructs a fuzzer for prog.
@@ -378,6 +384,7 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 		cov:         m,
 		virgin:      coverage.NewVirgin(opts.MapSize),
 		crashVirgin: coverage.NewVirgin(opts.MapSize),
+		memo:        newExecMemo(),
 		topRated:    make(map[uint32]*Entry),
 		crashes:     make(map[uint64]*CrashRec),
 		bugs:        make(map[string]*CrashRec),
@@ -461,23 +468,16 @@ type execOutcome struct {
 }
 
 // runProtected executes one input on mach with panic isolation: a panic
-// inside the engine (a harness defect, possibly injected by the fault
-// harness) is recovered and reported via ok=false instead of unwinding
-// through the fuzz loop and killing the campaign. inject gates the
-// fault-injection hook so the CGT engine's retrace re-execution does
-// not consume a second injector decision for the same exec index.
-func (f *Fuzzer) runProtected(mach *bytecode.Machine, data []byte, inject bool) (res vm.Result, faultMsg string, ok bool) {
+// inside the engine (a harness defect, or one injected through
+// vm.Limits.InjectPanicAtStep) is recovered and reported via ok=false
+// instead of unwinding through the fuzz loop and killing the campaign.
+func (f *Fuzzer) runProtected(mach *bytecode.Machine, data []byte) (res vm.Result, faultMsg string, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			faultMsg = fmt.Sprint(r)
 			ok = false
 		}
 	}()
-	if inject {
-		if inj := f.opts.FaultInjector; inj != nil && inj(f.stats.Execs, data) {
-			panic("fuzz: injected execution fault")
-		}
-	}
 	return mach.Run(f.opts.Entry, data), "", true
 }
 
@@ -525,42 +525,46 @@ func (f *Fuzzer) recordFault(data []byte, msg string) {
 // execute runs one input and folds novelty into the virgin map. The
 // CGT engine runs its patched fast machine instead and retraces under
 // full instrumentation only when the campaign reads the map itself
-// (see cgt.go); everything else is shared.
+// (see cgt.go); everything else is shared. An input the memo holds is
+// charged exactly as a run would be, without running it (see memo.go).
 func (f *Fuzzer) execute(data []byte) execOutcome {
-	mach := f.mach
-	if f.cgt != nil {
-		mach = f.cgt.fast
+	// The injector is consulted once per exec index, before the memo, so
+	// a fault scheduled on a repeated input still fires.
+	if inj := f.opts.FaultInjector; inj != nil && inj(f.stats.Execs, data) {
+		f.chargeExec()
+		return f.quarantine(data, "fuzz: injected execution fault")
 	}
-	f.cov.Reset()
-	res, faultMsg, ok := f.runProtected(mach, data, true)
-	f.stats.Execs++
-	switch f.curStage {
-	case stageSeed:
-		f.stats.SeedExecs++
-	case stageHavoc:
-		f.stats.HavocExecs++
-	case stageSplice:
-		f.stats.SpliceExecs++
-	case stageCmplog:
-		f.stats.CmplogExecs++
-	}
-	if !ok {
-		// The execution is quarantined: its (possibly partial) coverage
-		// is discarded so the virgin maps and queue see a no-op, and the
-		// input is kept as an internal-fault record. A mid-run injected
-		// panic aborts the CGT fast run at the exact step it would abort
-		// the pristine one (patched opcodes charge no steps), and there
-		// is no retrace.
-		f.recordFault(data, faultMsg)
+	h := f.memo.hash(data)
+	var res vm.Result
+	nov := coverage.NoNew
+	if m := f.memo.lookup(h, data); m != nil {
+		f.chargeExec()
+		f.memo.hits++
+		res = m.res
+	} else {
+		mach := f.mach
+		if f.cgt != nil {
+			mach = f.cgt.fast
+		}
 		f.cov.Reset()
-		return execOutcome{res: vm.Result{Status: vm.StatusOK}}
+		var faultMsg string
+		var ok bool
+		res, faultMsg, ok = f.runProtected(mach, data)
+		f.chargeExec()
+		if !ok {
+			return f.quarantine(data, faultMsg)
+		}
+		f.cov.ClassifySparse()
+		nov = f.virgin.MergeSparse(f.cov)
+		if f.cgt != nil {
+			res = f.retraceIfRead(data, res, nov)
+		}
+		if res.Status == vm.StatusCrash && f.crashVirgin.MergeSparse(f.cov) != coverage.NoNew {
+			f.stats.AFLUniqueCrashes++
+		}
+		f.memo.store(h, data, res)
 	}
 	f.stats.TotalSteps += res.Steps
-	f.cov.ClassifySparse()
-	nov := f.virgin.MergeSparse(f.cov)
-	if f.cgt != nil {
-		res = f.retraceIfRead(data, res, nov)
-	}
 	out := execOutcome{res: res, novelty: nov}
 	if nov != coverage.NoNew {
 		out.cov = f.cov.Indices()
@@ -577,12 +581,37 @@ func (f *Fuzzer) execute(data []byte) execOutcome {
 		}
 	case vm.StatusCrash:
 		f.stats.CrashExecs++
-		if f.crashVirgin.MergeSparse(f.cov) != coverage.NoNew {
-			f.stats.AFLUniqueCrashes++
-		}
 		f.recordCrash(data, res.Crash)
 	}
 	return out
+}
+
+// chargeExec counts one execution against the campaign and the stage
+// that issued it.
+func (f *Fuzzer) chargeExec() {
+	f.stats.Execs++
+	switch f.curStage {
+	case stageSeed:
+		f.stats.SeedExecs++
+	case stageHavoc:
+		f.stats.HavocExecs++
+	case stageSplice:
+		f.stats.SpliceExecs++
+	case stageCmplog:
+		f.stats.CmplogExecs++
+	}
+}
+
+// quarantine ends an execution that panicked: its (possibly partial)
+// coverage is discarded so the virgin maps and queue see a no-op, and
+// the input is kept as an internal-fault record. A mid-run injected
+// panic aborts the CGT fast run at the exact step it would abort the
+// pristine one (patched opcodes charge no steps), and there is no
+// retrace.
+func (f *Fuzzer) quarantine(data []byte, msg string) execOutcome {
+	f.recordFault(data, msg)
+	f.cov.Reset()
+	return execOutcome{res: vm.Result{Status: vm.StatusOK}}
 }
 
 func (f *Fuzzer) recordCrash(data []byte, c *vm.Crash) {
@@ -639,6 +668,7 @@ func (f *Fuzzer) AddSeed(data []byte) {
 	if len(data) > maxInputLen {
 		data = data[:maxInputLen]
 	}
+	f.memo.reset()
 	f.curStage = stageSeed
 	out := f.execute(data)
 	// Calibration outcome is journaled whether or not the seed is
@@ -661,6 +691,9 @@ func (f *Fuzzer) AddSeed(data []byte) {
 	}
 	cov := out.cov
 	if cov == nil {
+		// Only a seed admitted into an empty queue gets here. AddSeed
+		// cleared the memo, so its execution ran the machine, and f.cov
+		// holds its map.
 		cov = f.cov.Indices()
 	}
 	f.enqueue(data, cov, out.res.Steps, 0, -1, true)
@@ -865,6 +898,9 @@ func (f *Fuzzer) Fuzz(budget int64) {
 			f.enqueue([]byte("seed"), nil, 1, 0, -1, true)
 		}
 	}
+	if f.stats.Execs < budget {
+		f.finished = false
+	}
 	for f.stats.Execs < budget {
 		if !f.midCycle {
 			f.cullFavored()
@@ -920,20 +956,24 @@ func (f *Fuzzer) Fuzz(budget int64) {
 		}
 	}
 	f.publishTelemetry()
-	// The finish event closes a completed budget; interrupted runs
+	// The finish event closes a completed budget, once; interrupted runs
 	// (checkpoint hook returning false) return inside the loop without
 	// one, and emit it when the resumed campaign completes — so an
-	// uninterrupted and a resumed journal end identically. Its Execs
-	// is the authoritative exec count the stats audit cross-checks
-	// against fuzzer_stats.
-	f.emit(journal.Event{
-		Kind:    journal.KindFinish,
-		Cycle:   f.stats.Cycles,
-		Queue:   len(f.queue),
-		Cov:     len(f.topRated),
-		Crashes: len(f.crashes),
-		Bugs:    len(f.bugs),
-	})
+	// uninterrupted and a resumed journal end identically, and resuming
+	// a campaign that already finished adds nothing. Its Execs is the
+	// authoritative exec count the stats audit cross-checks against
+	// fuzzer_stats.
+	if !f.finished {
+		f.finished = true
+		f.emit(journal.Event{
+			Kind:    journal.KindFinish,
+			Cycle:   f.stats.Cycles,
+			Queue:   len(f.queue),
+			Cov:     len(f.topRated),
+			Crashes: len(f.crashes),
+			Bugs:    len(f.bugs),
+		})
+	}
 	if f.jrnl != nil {
 		f.jrnl.Flush()
 	}
@@ -993,6 +1033,7 @@ func (f *Fuzzer) Counters() telemetry.Counters {
 		HavocExecs:       f.stats.HavocExecs,
 		SpliceExecs:      f.stats.SpliceExecs,
 		CmplogExecs:      f.stats.CmplogExecs,
+		RepeatExecs:      f.memo.hits,
 	}
 	if f.cgt != nil {
 		c.FastExecs = f.cgt.fastExecs
@@ -1022,6 +1063,7 @@ func (f *Fuzzer) fuzzOne(e *Entry, budget int64) {
 	if f.tel != nil {
 		defer f.tel.StartSpan(telemetry.StageHavoc)()
 	}
+	f.memo.reset()
 	iters := f.energy(e)
 	for i := 0; i < iters && f.stats.Execs < budget; i++ {
 		var cand []byte

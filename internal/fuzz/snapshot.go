@@ -91,6 +91,11 @@ type Snapshot struct {
 	// replay re-emits a byte-identical tail. Old checkpoints decode it
 	// as 0 (the journal then restarts its numbering, still gapless).
 	JournalSeq uint64
+	// Finished records that the campaign ran to its budget and emitted
+	// its finish event, so Fuzz on the restored campaign emits no
+	// second one unless it is given more budget. Old checkpoints decode
+	// it as false.
+	Finished bool
 }
 
 // VirginCells returns the campaign's consumed virgin-map cells — every
@@ -117,6 +122,7 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 		NextIndex:      f.qi,
 		CycleLen:       f.qlen,
 		JournalSeq:     f.events,
+		Finished:       f.finished,
 	}
 	for i, e := range f.queue {
 		s.Entries[i] = SnapEntry{
@@ -289,6 +295,7 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	// is never truncated — the supervisor owns the stream and other
 	// workers' events must survive this worker's restore.
 	f.events = snap.JournalSeq
+	f.finished = snap.Finished
 	if f.jrnl != nil && !f.opts.JournalShared {
 		if err := f.jrnl.TruncateTo(f.events); err != nil {
 			return fmt.Errorf("fuzz: truncating journal to seq %d: %w", f.events, err)

@@ -24,6 +24,7 @@ func goldenSnapshot() *Snapshot {
 			CurItem: 16, MaxDepth: 9,
 			CoverageCount: 25, CoverageBits: 30, MapSize: 65536,
 			SeedExecs: 10, HavocExecs: 10000, SpliceExecs: 1335, CmplogExecs: 1000,
+			RepeatExecs: 321,
 		},
 		Elapsed: 90 * time.Second,
 	}

@@ -6,12 +6,12 @@ import (
 )
 
 func TestAggregateSumsAndMaxes(t *testing.T) {
-	a := Counters{Execs: 100, UniqueBugs: 2, UniqueCrashes: 3, QueueLen: 5, MaxDepth: 3, MapSize: 1 << 12,
+	a := Counters{Execs: 100, RepeatExecs: 30, UniqueBugs: 2, UniqueCrashes: 3, QueueLen: 5, MaxDepth: 3, MapSize: 1 << 12,
 		CoverageCount: 4000, CoverageBits: 30, ElidedProbes: 8, PatchSites: 20}
-	b := Counters{Execs: 50, UniqueBugs: 1, UniqueCrashes: 4, QueueLen: 7, MaxDepth: 9, MapSize: 1 << 12,
+	b := Counters{Execs: 50, RepeatExecs: 4, UniqueBugs: 1, UniqueCrashes: 4, QueueLen: 7, MaxDepth: 9, MapSize: 1 << 12,
 		CoverageCount: 3000, CoverageBits: 45, ElidedProbes: 12, PatchSites: 20}
 	got := Aggregate(a, b)
-	if got.Execs != 150 || got.QueueLen != 12 {
+	if got.Execs != 150 || got.RepeatExecs != 34 || got.QueueLen != 12 {
 		t.Fatalf("cumulative fields not summed: %+v", got)
 	}
 	if got.MaxDepth != 9 {

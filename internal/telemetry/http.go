@@ -218,7 +218,8 @@ func (r *Recorder) promMetrics() []promMetric {
 		c("pafuzz_execs_total", "Total target executions.", s.Execs),
 		c("pafuzz_timeouts_total", "Executions ended by the step limit.", s.Timeouts),
 		c("pafuzz_crash_execs_total", "Executions that crashed.", s.CrashExecs),
-		c("pafuzz_steps_total", "Total interpreter/bytecode steps.", s.TotalSteps),
+		c("pafuzz_steps_total", "Total execution steps charged, repeats included.", s.TotalSteps),
+		c("pafuzz_repeat_execs_total", "Executions answered from the repeat memo without running the target; included in pafuzz_execs_total.", s.RepeatExecs),
 		c("pafuzz_queue_added_total", "Queue entries ever added (novelty events).", s.Added),
 		c("pafuzz_cycles_total", "Completed queue cycles.", s.Cycles),
 		c("pafuzz_unique_crashes_total", "Unique crashes by stack hash.", s.UniqueCrashes),

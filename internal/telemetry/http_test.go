@@ -54,6 +54,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"pafuzz_execs_total 12345",
+		"pafuzz_repeat_execs_total 321",
 		"pafuzz_queue_depth 40",
 		"pafuzz_coverage_count 25",
 		"pafuzz_stage_duration_seconds_bucket",

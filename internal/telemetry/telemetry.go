@@ -71,6 +71,13 @@ type Counters struct {
 	SpliceExecs int64
 	CmplogExecs int64
 
+	// RepeatExecs counts the executions the fuzzer answered from its
+	// memo of recent inputs instead of running the target. They are
+	// charged to Execs, TotalSteps and the stage counters like any
+	// other; like the CGT counters below, this one is display-only and
+	// never checkpointed.
+	RepeatExecs int64
+
 	// Coverage-guided tracing engine counters (zero for the other
 	// engines). FastExecs/Retraces/Replans are cumulative; ElidedProbes
 	// and PatchSites are gauges describing the current patch plan.
@@ -121,6 +128,7 @@ func Aggregate(cs ...Counters) Counters {
 		out.HavocExecs += c.HavocExecs
 		out.SpliceExecs += c.SpliceExecs
 		out.CmplogExecs += c.CmplogExecs
+		out.RepeatExecs += c.RepeatExecs
 		out.FastExecs += c.FastExecs
 		out.Retraces += c.Retraces
 		out.Replans += c.Replans
