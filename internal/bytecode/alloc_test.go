@@ -99,3 +99,20 @@ func main(input) {
 		t.Errorf("%v allocs/exec with recursion, want 0", avg)
 	}
 }
+
+// TestZeroAllocLargeArray extends the steady-state guarantee to large
+// allocations: once the arena has grown, a run that allocates 2^20
+// cells allocates nothing.
+func TestZeroAllocLargeArray(t *testing.T) {
+	mach, m, in := allocMachine(t, 1<<20)
+	run := func() {
+		m.Reset()
+		if r := mach.Run("main", in); r.Status != vm.StatusOK {
+			t.Fatalf("status %v", r.Status)
+		}
+	}
+	run() // warmup: the input copy and the array outgrow two arena blocks
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("%v allocs/exec allocating 2^20 cells, want 0", avg)
+	}
+}

@@ -22,11 +22,21 @@ type mframe struct {
 	cfs   int32
 }
 
+// harray is one heap array: its cells, carved from the arena, and hi,
+// one past the highest index the current run wrote. Cells at hi and
+// beyond are still zero.
+type harray struct {
+	cells []int64
+	hi    int
+}
+
 // Machine executes a compiled Program. All execution state — slot
 // stack, call frames, heap arrays, comparison and output buffers —
 // is pooled and reset between runs, so a warmed-up machine performs
-// zero allocations per execution. A machine is single-threaded; share
-// the Program, not the Machine.
+// zero allocations per execution. Every arena cell is zero when a run
+// starts, so an allocation costs O(1), not its size: arrays record how
+// far the run wrote them, and the next run's reset clears only that.
+// A machine is single-threaded; share the Program, not the Machine.
 //
 // Results reference the machine's pooled buffers: Result.Output and
 // Result.Cmps are valid only until the next Run. Callers that keep
@@ -42,7 +52,10 @@ type Machine struct {
 	frames []mframe
 	// heap maps handles (1-based) to arrays; the arrays themselves are
 	// carved from arena, which is bump-allocated and reset per run.
-	heap   [][]int64
+	// heap[block:] are the arrays carved from the current arena block;
+	// the earlier ones live in blocks left behind when the arena grew.
+	heap   []harray
+	block  int
 	arena  []int64
 	arenaN int
 	cells  int64
@@ -101,9 +114,17 @@ func (mc *Machine) probeDyn(idx uint32) {
 	mc.m.Add(idx)
 }
 
+// reset prepares the machine for a run. It clears the cells the last
+// run wrote in the current arena block, so every arena cell is zero
+// again; clearing here rather than at the end of a run also cleans up
+// after a run that panicked.
 func (mc *Machine) reset() {
+	for _, a := range mc.heap[mc.block:] {
+		clear(a.cells[:a.hi])
+	}
 	mc.frames = mc.frames[:0]
 	mc.heap = mc.heap[:0]
+	mc.block = 0
 	mc.arenaN = 0
 	mc.cells = 0
 	mc.output = mc.output[:0]
@@ -115,10 +136,11 @@ func (mc *Machine) reset() {
 	mc.pah, mc.pan = 0, 0
 }
 
-// arenaAlloc carves n cells from the arena, growing it when exhausted.
-// Arrays handed out earlier keep the old arena block alive, so growth
-// mid-run is safe; the contents are NOT cleared (callers overwrite or
-// clear as their semantics require).
+// arenaAlloc carves n zero cells from the arena, growing it when
+// exhausted. The caller registers them with newArray before anything
+// else is carved. Arrays handed out earlier keep the old arena block
+// alive, so growth mid-run is safe; the new block is fresh memory, and
+// the array about to be registered is the first carved from it.
 func (mc *Machine) arenaAlloc(n int) []int64 {
 	if mc.arenaN+n > len(mc.arena) {
 		sz := len(mc.arena) * 2
@@ -130,14 +152,17 @@ func (mc *Machine) arenaAlloc(n int) []int64 {
 		}
 		mc.arena = make([]int64, sz)
 		mc.arenaN = 0
+		mc.block = len(mc.heap)
 	}
 	s := mc.arena[mc.arenaN : mc.arenaN+n : mc.arenaN+n]
 	mc.arenaN += n
 	return s
 }
 
-func (mc *Machine) newArray(cells []int64) int64 {
-	mc.heap = append(mc.heap, cells)
+// newArray registers cells as a heap array whose first hi cells the
+// run has written, and returns its handle.
+func (mc *Machine) newArray(cells []int64, hi int) int64 {
+	mc.heap = append(mc.heap, harray{cells: cells, hi: hi})
 	mc.cells += int64(len(cells))
 	return int64(len(mc.heap))
 }
@@ -177,7 +202,7 @@ func (mc *Machine) arrayAt(h int64, pos lang.Pos) ([]int64, *vm.Crash) {
 	if h < 0 || h > int64(len(mc.heap)) {
 		return nil, mc.crash(vm.KindWildPointer, pos, "invalid array handle")
 	}
-	return mc.heap[h-1], nil
+	return mc.heap[h-1].cells, nil
 }
 
 // record is the path-termination map update (PathTracer.record), plus
@@ -265,7 +290,7 @@ func (mc *Machine) Run(entry string, input []byte) vm.Result {
 		for i, b := range input {
 			cells[i] = int64(b)
 		}
-		argHandle = mc.newArray(cells)
+		argHandle = mc.newArray(cells, len(cells))
 	}
 	ret, crash, steps := mc.exec(int32(fi), argHandle)
 	res := vm.Result{Ret: ret, Steps: steps, Output: mc.output, Cmps: mc.cmps}
@@ -420,13 +445,13 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			}
 			cells := mc.arenaAlloc(len(src))
 			copy(cells, src)
-			slots[in.dst] = mc.newArray(cells)
+			slots[in.dst] = mc.newArray(cells, len(cells))
 		case opLoad:
 			// Fast path: valid handle, in-bounds index. The crash paths
 			// (and their lang.Pos materialisation) stay off it entirely.
 			h := slots[in.a]
 			if uint64(h-1) < uint64(len(mc.heap)) {
-				arr := mc.heap[h-1]
+				arr := mc.heap[h-1].cells
 				idx := slots[in.b]
 				if uint64(idx) < uint64(len(arr)) {
 					slots[in.dst] = arr[idx]
@@ -439,13 +464,16 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 		case opStore:
 			h := slots[in.a]
 			if uint64(h-1) < uint64(len(mc.heap)) {
-				arr := mc.heap[h-1]
+				a := &mc.heap[h-1]
 				idx := slots[in.b]
-				if uint64(idx) < uint64(len(arr)) {
-					arr[idx] = slots[in.dst]
+				if uint64(idx) < uint64(len(a.cells)) {
+					a.cells[idx] = slots[in.dst]
+					if int(idx) >= a.hi {
+						a.hi = int(idx) + 1
+					}
 					continue
 				}
-				return 0, mc.crash(vm.KindOOBWrite, p.pos[pc-1], oobMsg(idx, len(arr))), steps
+				return 0, mc.crash(vm.KindOOBWrite, p.pos[pc-1], oobMsg(idx, len(a.cells))), steps
 			}
 			_, crash := mc.arrayAt(h, p.pos[pc-1])
 			return 0, crash, steps
@@ -474,7 +502,7 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 		case opLen:
 			h := slots[in.a]
 			if uint64(h-1) < uint64(len(mc.heap)) {
-				slots[in.dst] = int64(len(mc.heap[h-1]))
+				slots[in.dst] = int64(len(mc.heap[h-1].cells))
 				continue
 			}
 			_, crash := mc.arrayAt(h, p.pos[pc-1])
@@ -487,9 +515,7 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			if mc.cells+n > lim.MaxHeapCells {
 				return 0, mc.crash(vm.KindOOM, p.pos[pc-1], "heap limit exceeded"), steps
 			}
-			cells := mc.arenaAlloc(int(n))
-			clear(cells)
-			slots[in.dst] = mc.newArray(cells)
+			slots[in.dst] = mc.newArray(mc.arenaAlloc(int(n)), 0)
 		case opAssert:
 			if slots[in.a] == 0 {
 				return 0, mc.crash(vm.KindAssertFail, p.pos[pc-1], "assertion failed"), steps
@@ -645,7 +671,7 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			slots[in.dst] = cv
 			h := slots[in2.a]
 			if uint64(h-1) < uint64(len(mc.heap)) {
-				arr := mc.heap[h-1]
+				arr := mc.heap[h-1].cells
 				if uint64(cv) < uint64(len(arr)) {
 					slots[in2.dst] = arr[cv]
 					continue

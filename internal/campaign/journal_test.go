@@ -272,10 +272,13 @@ func TestJournalCheckpointIdentical(t *testing.T) {
 // TestFinishEmittedOnce: a campaign's journal holds exactly one finish
 // event however often it is resumed. Resuming a campaign that already
 // finished emits none; a campaign interrupted at the boundary where its
-// exec count reached the budget emits it when resumed.
+// exec count reached the budget emits it when resumed, with the cycle
+// count of the uninterrupted campaign.
 func TestFinishEmittedOnce(t *testing.T) {
 	opts := testOpts()
-	finishes := func(dir string) int {
+	// finishes counts the journal's finish events and returns the last
+	// one's cycle.
+	finishes := func(dir string) (n, cycle int) {
 		t.Helper()
 		events, diag, err := journal.ReadDir(filepath.Join(dir, "journal"))
 		if err != nil {
@@ -284,7 +287,13 @@ func TestFinishEmittedOnce(t *testing.T) {
 		if !diag.OK() {
 			t.Fatalf("journal not OK: errors=%v gaps=%v", diag.Errors, diag.Gaps)
 		}
-		return journal.KindCounts(events)[journal.KindFinish]
+		for _, ev := range events {
+			if ev.Kind == journal.KindFinish {
+				n++
+				cycle = ev.Cycle
+			}
+		}
+		return n, cycle
 	}
 	run := func(dir string, stopAfter int64, ck *Checkpoint) *fuzz.Report {
 		t.Helper()
@@ -310,38 +319,49 @@ func TestFinishEmittedOnce(t *testing.T) {
 		}
 		return rep
 	}
-	resume := func(dir string) {
+	resume := func(dir string) *fuzz.Report {
 		t.Helper()
 		ck, warns, err := LoadLatest(OSFS{}, dir)
 		if err != nil {
 			t.Fatalf("LoadLatest: %v (warnings %v)", err, warns)
 		}
-		run(dir, 0, ck)
+		return run(dir, 0, ck)
 	}
 
 	done := t.TempDir()
-	run(done, 0, nil)
-	if n := finishes(done); n != 1 {
+	want := run(done, 0, nil).Stats.Cycles
+	n, wantCycle := finishes(done)
+	if n != 1 {
 		t.Fatalf("finished campaign: %d finish events, want 1", n)
 	}
+	if wantCycle != want {
+		t.Fatalf("finished campaign: finish event at cycle %d, report counts %d cycles", wantCycle, want)
+	}
 	resume(done)
-	if n := finishes(done); n != 1 {
+	if n, _ := finishes(done); n != 1 {
 		t.Errorf("resuming a finished campaign: %d finish events, want 1", n)
 	}
 
+	// Stopped on the exec that reaches the budget, the campaign leaves
+	// the queue loop before counting its cycle; the resumed campaign
+	// must count it, in its report and in its finish event.
 	atBudget := t.TempDir()
 	if rep := run(atBudget, testBudget, nil); rep == nil || rep.Stats.Execs < testBudget {
 		t.Fatalf("stop at the budget boundary did not reach the budget: %+v", rep)
 	}
-	if n := finishes(atBudget); n != 0 {
+	if n, _ := finishes(atBudget); n != 0 {
 		t.Fatalf("campaign stopped at the budget boundary: %d finish events before resume, want 0", n)
 	}
-	resume(atBudget)
-	if n := finishes(atBudget); n != 1 {
-		t.Errorf("resuming a campaign stopped at the budget boundary: %d finish events, want 1", n)
+	if got := resume(atBudget).Stats.Cycles; got != want {
+		t.Errorf("resumed at the budget boundary: %d cycles, uninterrupted %d", got, want)
 	}
-	resume(atBudget)
-	if n := finishes(atBudget); n != 1 {
+	if n, cycle := finishes(atBudget); n != 1 || cycle != wantCycle {
+		t.Errorf("resuming a campaign stopped at the budget boundary: %d finish events at cycle %d, want 1 at cycle %d", n, cycle, wantCycle)
+	}
+	if got := resume(atBudget).Stats.Cycles; got != want {
+		t.Errorf("resumed again: %d cycles, uninterrupted %d", got, want)
+	}
+	if n, _ := finishes(atBudget); n != 1 {
 		t.Errorf("resuming it again: %d finish events, want 1", n)
 	}
 }

@@ -900,6 +900,12 @@ func (f *Fuzzer) Fuzz(budget int64) {
 	}
 	if f.stats.Execs < budget {
 		f.finished = false
+	} else if f.midCycle && !f.finished {
+		// The checkpoint hook stopped the campaign on the exec that
+		// reached the budget, before the loop below counted its cycle,
+		// and the loop will not run again: count the cycle here, as the
+		// uninterrupted campaign did.
+		f.endCycle()
 	}
 	for f.stats.Execs < budget {
 		if !f.midCycle {
@@ -950,10 +956,7 @@ func (f *Fuzzer) Fuzz(budget int64) {
 				return
 			}
 		}
-		f.stats.Cycles++
-		if f.qi >= f.qlen {
-			f.midCycle = false
-		}
+		f.endCycle()
 	}
 	f.publishTelemetry()
 	// The finish event closes a completed budget, once; interrupted runs
@@ -976,6 +979,15 @@ func (f *Fuzzer) Fuzz(budget int64) {
 	}
 	if f.jrnl != nil {
 		f.jrnl.Flush()
+	}
+}
+
+// endCycle counts the queue loop's pass, which ended at the end of the
+// queue or at the budget, and leaves the cycle once the queue is done.
+func (f *Fuzzer) endCycle() {
+	f.stats.Cycles++
+	if f.qi >= f.qlen {
+		f.midCycle = false
 	}
 }
 
