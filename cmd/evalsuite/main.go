@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/evalharness"
 	"repro/internal/fuzz"
-	"repro/internal/instrument"
 	"repro/internal/strategy"
 )
 
@@ -37,15 +36,8 @@ func main() {
 		fig2Sub   = flag.String("fig2-subject", "lame", "subject for the Figure 2 series")
 		stateDir  = flag.String("state", "", "persist finished runs here; a restarted suite reloads them instead of recomputing")
 		engineF   = flag.String("engine", "bytecode", "execution engine: bytecode|cgt")
-		analysisF = flag.String("analysis", "", "static-analysis strictness: strict verifies IR and bytecode on every compile")
-		optF      = flag.Bool("opt", true, "enable verified bytecode optimization passes")
 	)
 	flag.Parse()
-
-	if *analysisF != "" && *analysisF != "strict" {
-		fmt.Fprintf(os.Stderr, "evalsuite: unknown -analysis level %q (want strict or empty)\n", *analysisF)
-		os.Exit(1)
-	}
 
 	engine, err := fuzz.ParseEngine(*engineF)
 	if err != nil {
@@ -60,7 +52,6 @@ func main() {
 		BaseSeed:    *seed,
 		StateDir:    *stateDir,
 		Engine:      engine,
-		Instr:       instrument.Config{Analysis: *analysisF, NoOpt: !*optF},
 	}
 	if *subjectsF != "" {
 		cfg.Subjects = strings.Split(*subjectsF, ",")

@@ -64,17 +64,10 @@ func main() {
 		watchdog    = flag.Duration("watchdog", 5*time.Second, "declare a fleet worker wedged after this long without progress (0 disables)")
 		maxRestarts = flag.Int("max-restarts", 3, "consecutive worker failures before the fleet retires the worker")
 		chaosEvery  = flag.Int64("chaos-every", 0, "fault injection: panic each worker's first attempt once past this exec count (0 disables; for supervision smoke tests)")
-		analysisLvl = flag.String("analysis", "", "static-analysis strictness: strict runs the IR and bytecode verifiers on every compile (default off)")
-		opt         = flag.Bool("opt", true, "enable verified bytecode optimization passes (constant folding, dead code)")
 		journalOn   = flag.Bool("journal", true, "write the structured event journal under <state>/journal (durable campaigns; inspect with paprof -journal)")
 		stopAfter   = flag.Int64("stop-after", 0, "interrupt the campaign once the exec counter reaches this (reproducible interruption for resume/journal smoke tests)")
 	)
 	flag.Parse()
-
-	if *analysisLvl != "" && *analysisLvl != "strict" {
-		fatalf("unknown -analysis level %q (want strict or empty)", *analysisLvl)
-	}
-	icfg := instrument.Config{Analysis: *analysisLvl, NoOpt: !*opt}
 
 	engine, engErr := fuzz.ParseEngine(*engineName)
 	if engErr != nil {
@@ -177,10 +170,10 @@ func main() {
 		PID:      os.Getpid(),
 	}
 	if single {
-		// The fuzzer compiles the same (program, feedback, config) key,
-		// so this is the process-wide memoized program it will run.
-		cp, _ := instrument.CompiledFor(fb, prog, icfg)
-		info.Instrs, info.Nops = cp.NumInstrs(), cp.NumNops()
+		// The fuzzer compiles the same (program, feedback) key, so this
+		// is the process-wide memoized program it will run.
+		cp, _ := instrument.CompiledFor(fb, prog, instrument.Config{})
+		info.Instrs = cp.NumInstrs()
 	}
 	// Round-based configurations restart their counters every round, so
 	// they get only the status line and the live endpoint —
@@ -206,18 +199,18 @@ func main() {
 	// supervisor-shared: worker restores append without truncating, so
 	// peer events survive a resume.
 	jw := openJournal(*stateDir, *journalOn && durable, rec)
-	// The engine, -analysis and -opt are not campaign state: engines
-	// and optimizer settings are byte-identical (the identity suites
-	// enforce this), so a resume re-applies them from the flags.
+	// The engine is not campaign state: engines are byte-identical (the
+	// identity suites enforce this), so a resume re-applies it from the
+	// flags. Crash inputs are always kept (at most 512 bytes each, one
+	// per unique crash), so -crashes prints them with or without -o.
 	opts := fuzz.Options{
 		Feedback:        fb,
 		Profile:         profile,
 		Seed:            meta.Seed,
 		MapSize:         meta.MapSize,
 		Entry:           meta.Entry,
-		KeepCrashInputs: *stateDir != "",
+		KeepCrashInputs: true,
 		Engine:          engine,
-		Instr:           icfg,
 		Telemetry:       rec,
 		Journal:         jw,
 	}

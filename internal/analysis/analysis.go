@@ -1,16 +1,14 @@
 // Package analysis is a reusable static-analysis layer over the cfg
 // IR: graph utilities (predecessors, reverse postorder, dominator and
-// post-dominator trees), a generic bit-vector dataflow solver with the
-// classic instances (liveness, reaching definitions, definite
-// assignment), interval/constant propagation, and an IR verifier.
+// post-dominator trees), definite assignment, interval/constant
+// propagation, and an IR verifier.
 //
 // The paper's contribution lives entirely in per-function CFG
 // transformations (DAG conversion, Ball-Larus numbering, probe
 // placement); this package is what proves those transformations
-// preserve the invariants they depend on. The verifier runs after
-// every instrumentation and bytecode-compile pass under
-// -analysis=strict (on by default in tests), and the interval analysis
-// backs the palint subject linter.
+// preserve the invariants they depend on. The IR verifier runs under
+// palint -verify and the tests, and the interval analysis backs the
+// palint subject linter.
 package analysis
 
 import "repro/internal/cfg"
@@ -27,9 +25,6 @@ func (s BitSet) Has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Set sets bit i.
 func (s BitSet) Set(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
-
-// Unset clears bit i.
-func (s BitSet) Unset(i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
 
 // SetFirstN sets bits [0, n).
 func (s BitSet) SetFirstN(n int) {

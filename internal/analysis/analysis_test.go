@@ -108,72 +108,6 @@ func TestPostDominators(t *testing.T) {
 	_ = PostDominators(prog.Func("main"))
 }
 
-func TestLivenessParamsAndLoop(t *testing.T) {
-	f := loopFunc(t)
-	liveIn, liveOut := Liveness(f)
-	// The loop counter and accumulator must be live around the back
-	// edge: some block has them live-out.
-	anyLive := 0
-	for b := range f.Blocks {
-		for s := 0; s < f.FrameSize; s++ {
-			if liveOut[b].Has(s) || liveIn[b].Has(s) {
-				anyLive++
-			}
-		}
-	}
-	if anyLive == 0 {
-		t.Fatal("loop function has no live slots at any boundary")
-	}
-	// Nothing is live out of a return block.
-	for b := range f.Blocks {
-		if f.Blocks[b].Term.Kind != cfg.TermRet {
-			continue
-		}
-		for s := 0; s < f.FrameSize; s++ {
-			if liveOut[b].Has(s) {
-				t.Fatalf("slot s%d live out of return block b%d", s, b)
-			}
-		}
-	}
-}
-
-func TestReachingDefsParams(t *testing.T) {
-	f := diamond(t)
-	sites, in, _ := ReachingDefs(f)
-	if len(sites) == 0 || sites[0].Index != -1 {
-		t.Fatalf("first site should be the parameter entry def, got %+v", sites)
-	}
-	if !in[0].Has(0) {
-		t.Fatal("parameter def does not reach the entry block")
-	}
-	// The two arm definitions of x both reach the join block.
-	xDefs := []int{}
-	for i, s := range sites {
-		if s.Index >= 0 && s.Block != 0 && f.Blocks[s.Block].Instrs[s.Index].Op == cfg.OpConst {
-			xDefs = append(xDefs, i)
-		}
-	}
-	join := -1
-	preds := Preds(f)
-	for b := range f.Blocks {
-		if len(preds[b]) >= 2 && f.Blocks[b].Term.Kind == cfg.TermRet {
-			join = b
-		}
-	}
-	if join < 0 {
-		t.Fatalf("no join block found")
-	}
-	reaching := 0
-	for _, d := range xDefs {
-		if in[join].Has(d) {
-			reaching++
-		}
-	}
-	if reaching < 2 {
-		t.Fatalf("want both arm defs reaching the join, got %d (sites %v)", reaching, xDefs)
-	}
-}
-
 func TestIntervalArithmetic(t *testing.T) {
 	if got := addI(Interval{1, 2}, Interval{10, 20}); got != (Interval{11, 22}) {
 		t.Fatalf("addI = %v", got)

@@ -2,107 +2,6 @@ package analysis
 
 import "repro/internal/cfg"
 
-// GenKill is a bit-vector dataflow problem in gen/kill form. The
-// transfer function of every block b is out = Gen[b] ∪ (in \ Kill[b])
-// (forward) or in = Gen[b] ∪ (out \ Kill[b]) (backward).
-type GenKill struct {
-	// Bits is the lattice width.
-	Bits int
-	// Forward selects the propagation direction.
-	Forward bool
-	// May selects union joins (may problems); false means intersection
-	// joins (must problems).
-	May bool
-	// Boundary is the entry set (forward) or the set flowing out of
-	// every return block (backward). Nil means empty.
-	Boundary BitSet
-	// Gen and Kill are the per-block transfer sets. Nil entries mean
-	// empty.
-	Gen, Kill []BitSet
-}
-
-// Solve runs the worklist iteration to fixpoint and returns the in/out
-// set of every block. Blocks unreachable in the propagation direction
-// keep the initial value (empty for may problems, full for must
-// problems), which is the sound answer for both.
-func (p GenKill) Solve(f *cfg.Func) (in, out []BitSet) {
-	n := len(f.Blocks)
-	in = make([]BitSet, n)
-	out = make([]BitSet, n)
-	for b := 0; b < n; b++ {
-		in[b] = NewBitSet(p.Bits)
-		out[b] = NewBitSet(p.Bits)
-		if !p.May {
-			in[b].SetFirstN(p.Bits)
-			out[b].SetFirstN(p.Bits)
-		}
-	}
-	preds := Preds(f)
-	succs := Succs(f)
-	order := ReversePostorder(f)
-	if !p.Forward {
-		rev := make([]int, len(order))
-		for i, b := range order {
-			rev[len(order)-1-i] = b
-		}
-		order = rev
-	}
-	// src/dst select the join input and transfer output per direction.
-	join, res := in, out
-	joinEdges, boundaryAt := preds, func(b int) bool { return b == 0 }
-	if !p.Forward {
-		join, res = out, in
-		joinEdges = succs
-		boundaryAt = func(b int) bool { return f.Blocks[b].Term.Kind == cfg.TermRet }
-	}
-	tmp := NewBitSet(p.Bits)
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			// Join.
-			j := join[b]
-			if boundaryAt(b) || len(joinEdges[b]) > 0 {
-				if p.May {
-					clear(j)
-				} else {
-					j.SetFirstN(p.Bits)
-				}
-				if boundaryAt(b) && p.Boundary != nil {
-					if p.May {
-						j.UnionWith(p.Boundary)
-					} else {
-						j.IntersectWith(p.Boundary)
-					}
-				} else if boundaryAt(b) && !p.May {
-					clear(j)
-				}
-				for _, o := range joinEdges[b] {
-					if p.May {
-						j.UnionWith(res[o])
-					} else {
-						j.IntersectWith(res[o])
-					}
-				}
-			}
-			// Transfer.
-			tmp.CopyFrom(j)
-			if p.Kill != nil && p.Kill[b] != nil {
-				for i, w := range p.Kill[b] {
-					tmp[i] &^= w
-				}
-			}
-			if p.Gen != nil && p.Gen[b] != nil {
-				tmp.UnionWith(p.Gen[b])
-			}
-			if !tmp.Equal(res[b]) {
-				res[b].CopyFrom(tmp)
-				changed = true
-			}
-		}
-	}
-	return in, out
-}
-
 // InstrUses appends the slots read by in to buf and returns it.
 func InstrUses(in *cfg.Instr, buf []int) []int {
 	switch in.Op {
@@ -141,124 +40,52 @@ func TermUses(t *cfg.Term, buf []int) []int {
 	return buf
 }
 
-// Liveness computes per-block live-in/live-out slot sets (a backward
-// may problem over FrameSize bits). A slot is live at a point when some
-// path from that point reads it before writing it.
-func Liveness(f *cfg.Func) (liveIn, liveOut []BitSet) {
-	n := len(f.Blocks)
-	p := GenKill{
-		Bits: f.FrameSize,
-		May:  true,
-		Gen:  make([]BitSet, n),
-		Kill: make([]BitSet, n),
-	}
-	var buf []int
-	for b := 0; b < n; b++ {
-		gen := NewBitSet(f.FrameSize)
-		kill := NewBitSet(f.FrameSize)
-		blk := &f.Blocks[b]
-		for i := range blk.Instrs {
-			buf = InstrUses(&blk.Instrs[i], buf[:0])
-			for _, s := range buf {
-				if !kill.Has(s) {
-					gen.Set(s) // upward-exposed use
-				}
-			}
-			if d := InstrDef(&blk.Instrs[i]); d >= 0 {
-				kill.Set(d)
-			}
-		}
-		buf = TermUses(&blk.Term, buf[:0])
-		for _, s := range buf {
-			if !kill.Has(s) {
-				gen.Set(s)
-			}
-		}
-		p.Gen[b], p.Kill[b] = gen, kill
-	}
-	return p.Solve(f)
-}
-
-// DefSite identifies one definition for ReachingDefs: instruction Index
-// of block Block writes Slot. Index -1 denotes the implicit entry
-// definition of a parameter (Block 0).
-type DefSite struct {
-	Block int
-	Index int
-	Slot  int
-}
-
-// ReachingDefs computes the classic reaching-definitions problem (a
-// forward may problem over definition sites). It returns the site
-// table plus per-block in/out sets indexed by site.
-func ReachingDefs(f *cfg.Func) (sites []DefSite, in, out []BitSet) {
-	for s := 0; s < f.NParams; s++ {
-		sites = append(sites, DefSite{Block: 0, Index: -1, Slot: s})
-	}
-	for b := range f.Blocks {
-		for i := range f.Blocks[b].Instrs {
-			if d := InstrDef(&f.Blocks[b].Instrs[i]); d >= 0 {
-				sites = append(sites, DefSite{Block: b, Index: i, Slot: d})
-			}
-		}
-	}
-	bySlot := make([][]int, f.FrameSize)
-	for i, s := range sites {
-		bySlot[s.Slot] = append(bySlot[s.Slot], i)
-	}
-	n := len(f.Blocks)
-	p := GenKill{
-		Bits:     len(sites),
-		Forward:  true,
-		May:      true,
-		Boundary: NewBitSet(len(sites)),
-		Gen:      make([]BitSet, n),
-		Kill:     make([]BitSet, n),
-	}
-	p.Boundary.SetFirstN(f.NParams)
-	for b := 0; b < n; b++ {
-		gen := NewBitSet(len(sites))
-		kill := NewBitSet(len(sites))
-		for i, s := range sites {
-			if s.Block != b || s.Index < 0 {
-				continue
-			}
-			// A later definition of the same slot kills all others
-			// (including earlier gens of this block).
-			for _, o := range bySlot[s.Slot] {
-				kill.Set(o)
-				gen.Unset(o)
-			}
-			kill.Unset(i)
-			gen.Set(i)
-		}
-		p.Gen[b], p.Kill[b] = gen, kill
-	}
-	in, out = p.Solve(f)
-	return sites, in, out
-}
-
 // definitelyAssigned computes, per block, the set of slots assigned on
-// every path from the entry to the block's start (a forward must
-// problem). Parameters are assigned at entry.
+// every path from the entry to the block's start: a forward must
+// problem (intersection join) whose transfer adds the block's
+// definitions. Parameters are assigned at entry. Blocks unreachable
+// from the entry keep the full set, the sound answer for a must
+// problem.
 func definitelyAssigned(f *cfg.Func) (in []BitSet) {
 	n := len(f.Blocks)
-	p := GenKill{
-		Bits:     f.FrameSize,
-		Forward:  true,
-		Boundary: NewBitSet(f.FrameSize),
-		Gen:      make([]BitSet, n),
-	}
-	p.Boundary.SetFirstN(f.NParams)
+	in = make([]BitSet, n)
+	out := make([]BitSet, n)
+	gen := make([]BitSet, n)
 	for b := 0; b < n; b++ {
-		gen := NewBitSet(f.FrameSize)
+		in[b] = NewBitSet(f.FrameSize)
+		out[b] = NewBitSet(f.FrameSize)
+		in[b].SetFirstN(f.FrameSize)
+		out[b].SetFirstN(f.FrameSize)
+		gen[b] = NewBitSet(f.FrameSize)
 		for i := range f.Blocks[b].Instrs {
 			if d := InstrDef(&f.Blocks[b].Instrs[i]); d >= 0 {
-				gen.Set(d)
+				gen[b].Set(d)
 			}
 		}
-		p.Gen[b] = gen
 	}
-	in, _ = p.Solve(f)
+	preds := Preds(f)
+	order := ReversePostorder(f)
+	tmp := NewBitSet(f.FrameSize)
+	for changed := true; changed; {
+		changed = false
+		for _, b := range order {
+			j := in[b]
+			if b == 0 {
+				clear(j)
+				j.SetFirstN(f.NParams)
+			} else {
+				j.SetFirstN(f.FrameSize)
+			}
+			for _, o := range preds[b] {
+				j.IntersectWith(out[o])
+			}
+			tmp.CopyFrom(j)
+			tmp.UnionWith(gen[b])
+			if !tmp.Equal(out[b]) {
+				out[b].CopyFrom(tmp)
+				changed = true
+			}
+		}
+	}
 	return in
 }

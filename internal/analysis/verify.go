@@ -15,8 +15,7 @@ const maxEnumPaths = 2048
 // Verify checks every structural invariant of a lowered program that
 // the instrumentation and bytecode layers depend on. It returns the
 // first violation found, with a diagnostic naming the function, block,
-// and invariant. A nil error is the contract the -analysis=strict mode
-// enforces after every instrumentation and compile pass.
+// and invariant. palint -verify enforces a nil error on every subject.
 func Verify(p *cfg.Program) error {
 	for name, idx := range p.ByName {
 		if idx < 0 || idx >= len(p.Funcs) {

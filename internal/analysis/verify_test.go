@@ -22,8 +22,8 @@ func TestVerifySubjects(t *testing.T) {
 	}
 }
 
-// TestVerifyLanggenCorpus runs the verifier (and the dataflow analyses,
-// for crash-freedom) over a corpus of generated programs whose CFGs
+// TestVerifyLanggenCorpus runs the verifier (and the graph and interval
+// analyses, for crash-freedom) over a corpus of generated programs whose CFGs
 // exercise nested loops, early returns, and deep branching.
 func TestVerifyLanggenCorpus(t *testing.T) {
 	cfgGen := langgen.Default()
@@ -39,8 +39,6 @@ func TestVerifyLanggenCorpus(t *testing.T) {
 		for _, f := range prog.Funcs {
 			Dominators(f)
 			PostDominators(f)
-			Liveness(f)
-			ReachingDefs(f)
 			IntervalsOf(f)
 		}
 	}
@@ -73,7 +71,6 @@ func TestVerifyAdversarialShapes(t *testing.T) {
 		if idom[1] != 0 || !Dominates(idom, 1, 1) {
 			t.Fatalf("self-loop dominators wrong: %v", idom)
 		}
-		Liveness(f)
 		IntervalsOf(f)
 	})
 
@@ -89,7 +86,6 @@ func TestVerifyAdversarialShapes(t *testing.T) {
 		if f == nil {
 			t.Fatal("nop not compiled")
 		}
-		Liveness(f)
 		if ii := IntervalsOf(f); !ii.Reached[0] {
 			t.Fatal("entry of empty function not reached")
 		}

@@ -76,7 +76,7 @@ func TestArenaCellsReadZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newDiffPair(t, prog, instrument.FeedbackPath, instrument.Config{}, 1<<12, vm.DefaultLimits())
+		d := newDiffPair(t, prog, instrument.FeedbackPath, 1<<12, vm.DefaultLimits())
 		for i, in := range inputs {
 			d.check(t, fmt.Sprintf("%s/%d", v.name, i), in)
 		}
@@ -88,7 +88,7 @@ func TestArenaCellsReadZero(t *testing.T) {
 	}
 	lim := vm.DefaultLimits()
 	lim.InjectPanicAtStep = 1000
-	d := newDiffPair(t, prog, instrument.FeedbackPath, instrument.Config{}, 1<<12, lim)
+	d := newDiffPair(t, prog, instrument.FeedbackPath, 1<<12, lim)
 	clean := make([]byte, 6)
 	panics := 0
 	for i, in := range inputs {

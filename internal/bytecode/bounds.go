@@ -31,11 +31,8 @@ import "repro/internal/cfg"
 // boundCap, whose bucket mask is already all eight bits, so imprecise
 // code only ever falls back to the baseline rule — never below it.
 //
-// Both factors are computed on the source CFG, not the optimized one
-// the bytecode implements: the optimization passes share the edge set
-// ("the passes never change the CFG shape") and only ever remove
-// executions (branch folding, dead-block elimination), so source-CFG
-// bounds remain valid upper bounds for the lowered code.
+// Both factors are computed on the source CFG, which the bytecode
+// lowers block for block and edge for edge.
 
 // boundCap saturates the bound arithmetic. Any value >= 128 already
 // makes every bucket reachable, so the cap only needs headroom for

@@ -97,17 +97,11 @@ type Spec struct {
 	Path2 bool
 	// Segment bounds hashed path-segment length for ProbePathAFL.
 	Segment int
-	// Opt enables the IR optimization passes (constant folding,
-	// dead-store elimination) and lowering-time branch folding and
-	// dead-block elimination. All passes preserve observational
-	// equivalence with the reference interpreter, including exact step
-	// counts and coverage bytes.
+	// Opt is ignored: every program lowers one way.
+	//
+	// Deprecated: the optimization passes are deleted. The field stays
+	// only for the campaign benchmark, which still sets it.
 	Opt bool
-	// Verify runs the IR verifier after every optimization pass and the
-	// bytecode structural verifier after lowering and fusion; a
-	// violation fails compilation with a diagnostic naming the
-	// function, block, and invariant.
-	Verify bool
 	// Fns has one entry per program function.
 	Fns []FnSpec
 }
@@ -300,10 +294,12 @@ func (p *Program) Source() *cfg.Program { return p.src }
 // NumInstrs returns the flat instruction count (probes included).
 func (p *Program) NumInstrs() int { return len(p.code) }
 
-// NumNops returns how many instruction slots hold counted nops — dead
-// stores reclaimed by the verified optimization passes (step parity
-// forbids deleting the slots outright). Telemetry reports it next to
-// NumInstrs so optimizer effectiveness is visible per subject.
+// NumNops returns how many instruction slots hold counted nops: the
+// lowering of unknown operators, which the interpreter charges a step.
+//
+// Deprecated: it counted the dead stores the deleted optimizer
+// reclaimed and reads 0 on every subject. It stays only for the
+// campaign benchmark's compile.nops.
 func (p *Program) NumNops() int {
 	n := 0
 	for i := range p.code {

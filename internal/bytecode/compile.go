@@ -1,7 +1,6 @@
 package bytecode
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/lang"
 )
@@ -17,8 +16,8 @@ import (
 // (probes + opJmp) so the branch pays nothing for the untaken side,
 // and edges with no probes are branched to directly.
 //
-// Compile panics when spec.Verify detects an invariant violation; that
-// only happens when an optimization or lowering pass is broken, so
+// Compile panics when the structural verifier rejects the lowered
+// code; that only happens when the lowering or fusion is broken, so
 // callers that want the error instead use CompileChecked.
 func Compile(prog *cfg.Program, spec Spec) *Program {
 	p, err := CompileChecked(prog, spec)
@@ -29,52 +28,16 @@ func Compile(prog *cfg.Program, spec Spec) *Program {
 }
 
 // CompileChecked is Compile returning verification failures as errors.
-// With spec.Opt set, each function is rewritten by the optimization
-// passes (constant folding, dead-store elimination) before lowering,
-// and decided branches/interval-unreachable blocks are folded away at
-// lowering time. With spec.Verify set, the IR verifier runs after every
-// optimization pass and the bytecode structural verifier runs after
+// Every compile runs the bytecode structural verifier twice: after
 // lowering and again after fusion.
 func CompileChecked(prog *cfg.Program, spec Spec) (*Program, error) {
-	c := &compiler{
-		out:     &Program{src: prog, spec: spec, fns: make([]fnInfo, len(prog.Funcs))},
-		layouts: make([]fnLayout, len(prog.Funcs)),
+	c := lower(prog, spec)
+	if err := c.verify(); err != nil {
+		return nil, err
 	}
-	for fi, f := range prog.Funcs {
-		lf := f
-		var ii *analysis.Intervals
-		if spec.Opt {
-			var err error
-			lf, ii, err = optimizeFunc(f, spec.Verify)
-			if err != nil {
-				return nil, err
-			}
-		}
-		c.fn(fi, lf, c.fnSpec(fi), ii)
-	}
-	if spec.Verify {
-		if err := c.verify(); err != nil {
-			return nil, err
-		}
-	}
-	for fi := range prog.Funcs {
-		c.fuse(int(c.out.fns[fi].entryPC), int(c.layouts[fi].end))
-	}
-	// With every entry point final, fold ProbePath's entry push into
-	// the calls themselves (the entry function still executes its own
-	// push when the machine enters it directly).
-	if spec.Kind == ProbePath {
-		code := c.out.code
-		for i := range code {
-			if code[i].op == opCall && code[c.out.fns[code[i].imm].entryPC].op == opProbePush {
-				code[i].op = opCallPush
-			}
-		}
-	}
-	if spec.Verify {
-		if err := c.verifyFused(); err != nil {
-			return nil, err
-		}
+	c.fuseAll()
+	if err := c.verifyFused(); err != nil {
+		return nil, err
 	}
 	return c.out, nil
 }
@@ -88,14 +51,43 @@ type compiler struct {
 
 // fnLayout is the code-layout record of one lowered function.
 type fnLayout struct {
-	// blockStart is the pc of each basic block (-1 when the block was
-	// eliminated as interval-unreachable).
+	// blockStart is the pc of each basic block.
 	blockStart []int32
 	// trampStart lists the pcs of the conditional-branch probe
 	// trampolines emitted after the function body.
 	trampStart []int32
 	// end is one past the function's last instruction.
 	end int32
+}
+
+// lower lowers every function of prog, unfused and unverified.
+func lower(prog *cfg.Program, spec Spec) *compiler {
+	c := &compiler{
+		out:     &Program{src: prog, spec: spec, fns: make([]fnInfo, len(prog.Funcs))},
+		layouts: make([]fnLayout, len(prog.Funcs)),
+	}
+	for fi, f := range prog.Funcs {
+		c.fn(fi, f, c.fnSpec(fi))
+	}
+	return c
+}
+
+// fuseAll fuses every lowered function, then, with every entry point
+// final, folds ProbePath's entry push into the calls themselves (the
+// entry function still executes its own push when the machine enters
+// it directly).
+func (c *compiler) fuseAll() {
+	for fi := range c.out.fns {
+		c.fuse(int(c.out.fns[fi].entryPC), int(c.layouts[fi].end))
+	}
+	if c.out.spec.Kind == ProbePath {
+		code := c.out.code
+		for i := range code {
+			if code[i].op == opCall && code[c.out.fns[code[i].imm].entryPC].op == opProbePush {
+				code[i].op = opCallPush
+			}
+		}
+	}
 }
 
 func (c *compiler) fnSpec(fi int) FnSpec {
@@ -120,68 +112,7 @@ type brPend struct {
 	thenEdge, elseEdge   int
 }
 
-// foldedBr reports whether blk's conditional branch is decided by the
-// interval analysis — exactly one outgoing edge feasible — returning
-// the taken edge index and target block. A block whose every outgoing
-// edge is infeasible (it faults before its terminator) is lowered as a
-// normal branch: it never executes past the fault, and keeping both
-// targets avoids dangling references.
-func foldedBr(blk *cfg.Block, ii *analysis.Intervals) (edge, target int, ok bool) {
-	if ii == nil {
-		return 0, 0, false
-	}
-	tf, ef := ii.EdgeFeasible[blk.EdgeThen], ii.EdgeFeasible[blk.EdgeElse]
-	switch {
-	case tf && !ef:
-		return blk.EdgeThen, blk.Term.Then, true
-	case ef && !tf:
-		return blk.EdgeElse, blk.Term.Else, true
-	}
-	return 0, 0, false
-}
-
-// lowerReach decides which blocks get lowered: without interval
-// analysis, all of them; otherwise the closure of the entry under the
-// control flow the lowering will actually emit (folded branches follow
-// only their taken side). By construction this is exactly the set of
-// blocks an emitted terminator can reference, so eliminated blocks are
-// never jump targets.
-func lowerReach(f *cfg.Func, ii *analysis.Intervals) []bool {
-	reach := make([]bool, len(f.Blocks))
-	if ii == nil {
-		for b := range reach {
-			reach[b] = true
-		}
-		return reach
-	}
-	stack := []int{0}
-	reach[0] = true
-	push := func(b int) {
-		if !reach[b] {
-			reach[b] = true
-			stack = append(stack, b)
-		}
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		blk := &f.Blocks[b]
-		switch blk.Term.Kind {
-		case cfg.TermJmp:
-			push(blk.Term.Then)
-		case cfg.TermBr:
-			if _, target, ok := foldedBr(blk, ii); ok {
-				push(target)
-			} else {
-				push(blk.Term.Then)
-				push(blk.Term.Else)
-			}
-		}
-	}
-	return reach
-}
-
-func (c *compiler) fn(fi int, f *cfg.Func, fs FnSpec, ii *analysis.Intervals) {
+func (c *compiler) fn(fi int, f *cfg.Func, fs FnSpec) {
 	out := c.out
 	out.fns[fi] = fnInfo{
 		name:      f.Name,
@@ -192,18 +123,11 @@ func (c *compiler) fn(fi int, f *cfg.Func, fs FnSpec, ii *analysis.Intervals) {
 	}
 	c.emitEnterProbes(fs)
 
-	lower := lowerReach(f, ii)
 	blockStart := make([]int32, len(f.Blocks))
 	var jmps []jmpFix
 	var brs []brPend
 	for b := range f.Blocks {
 		blk := &f.Blocks[b]
-		if !lower[b] {
-			// Dead-block elimination: no feasible path reaches b, so no
-			// lowered terminator references it and no code is emitted.
-			blockStart[b] = -1
-			continue
-		}
 		blockStart[b] = int32(len(out.code))
 		for i := range blk.Instrs {
 			c.instr(&blk.Instrs[i])
@@ -215,21 +139,12 @@ func (c *compiler) fn(fi int, f *cfg.Func, fs FnSpec, ii *analysis.Intervals) {
 			jmps = append(jmps, jmpFix{pc: len(out.code), block: blk.Term.Then})
 			c.emit(instr{op: opJmp}, blk.Term.Pos)
 		case cfg.TermBr:
-			if e, target, ok := foldedBr(blk, ii); ok {
-				// Branch folding: the untaken side is infeasible, so the
-				// branch lowers like an unconditional jump, taken-edge
-				// probes inlined (the same events fire in the same order).
-				c.emitEdgeProbes(f, fs, e, blk.Term.Pos)
-				jmps = append(jmps, jmpFix{pc: len(out.code), block: target})
-				c.emit(instr{op: opJmp}, blk.Term.Pos)
-			} else {
-				brs = append(brs, brPend{
-					pc:        len(out.code),
-					thenBlock: blk.Term.Then, elseBlock: blk.Term.Else,
-					thenEdge: blk.EdgeThen, elseEdge: blk.EdgeElse,
-				})
-				c.emit(instr{op: opBr, a: int32(blk.Term.Cond)}, blk.Term.Pos)
-			}
+			brs = append(brs, brPend{
+				pc:        len(out.code),
+				thenBlock: blk.Term.Then, elseBlock: blk.Term.Else,
+				thenEdge: blk.EdgeThen, elseEdge: blk.EdgeElse,
+			})
+			c.emit(instr{op: opBr, a: int32(blk.Term.Cond)}, blk.Term.Pos)
 		case cfg.TermRet:
 			c.emitRetProbes(fs, b, blk.Term.Pos)
 			c.emit(instr{op: opRet, a: int32(blk.Term.Val)}, blk.Term.Pos)

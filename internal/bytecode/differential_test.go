@@ -39,14 +39,14 @@ type diffPair struct {
 	lim  vm.Limits
 }
 
-func newDiffPair(t *testing.T, prog *cfg.Program, fb instrument.Feedback, c instrument.Config, mapSize int, lim vm.Limits) *diffPair {
+func newDiffPair(t *testing.T, prog *cfg.Program, fb instrument.Feedback, mapSize int, lim vm.Limits) *diffPair {
 	t.Helper()
 	m1 := coverage.NewMap(mapSize)
-	tr, err := instrument.New(fb, prog, m1, c)
+	tr, err := instrument.New(fb, prog, m1, instrument.Config{})
 	if err != nil {
 		t.Fatalf("tracer: %v", err)
 	}
-	cp, ok := instrument.CompiledFor(fb, prog, c)
+	cp, ok := instrument.CompiledFor(fb, prog, instrument.Config{})
 	if !ok {
 		t.Fatalf("feedback %v has no bytecode lowering", fb)
 	}
@@ -147,12 +147,30 @@ func TestDifferentialAllSubjects(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			inputs := subjectInputs(sub, rng, 40)
 			for _, fb := range allFeedbacks {
-				d := newDiffPair(t, prog, fb, instrument.Config{}, 1<<16, vm.DefaultLimits())
+				d := newDiffPair(t, prog, fb, 1<<16, vm.DefaultLimits())
 				for _, in := range inputs {
 					d.check(t, fb.String(), in)
 				}
 			}
 		})
+	}
+}
+
+// TestStrictVerifyAllSubjects compiles every subject under every
+// feedback. The structural verifier runs on every compile and
+// CompiledFor panics on any violation, so this passes only when the
+// verifier accepts all of them.
+func TestStrictVerifyAllSubjects(t *testing.T) {
+	for _, sub := range subjects.All() {
+		prog, err := sub.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fb := range allFeedbacks {
+			if _, ok := instrument.CompiledFor(fb, prog, instrument.Config{}); !ok {
+				t.Fatalf("%s/%s: no bytecode lowering", sub.Name, fb)
+			}
+		}
 	}
 }
 
@@ -176,7 +194,7 @@ func TestDifferentialTightLimits(t *testing.T) {
 		inputs := subjectInputs(sub, rng, 20)
 		for li, lim := range tight {
 			for _, fb := range allFeedbacks {
-				d := newDiffPair(t, prog, fb, instrument.Config{}, 1<<14, lim)
+				d := newDiffPair(t, prog, fb, 1<<14, lim)
 				for _, in := range inputs {
 					d.check(t, fmt.Sprintf("%s/lim%d/%s", name, li, fb), in)
 				}
@@ -262,7 +280,7 @@ func TestDifferentialThresholdPrograms(t *testing.T) {
 	}
 	for _, prog := range []*cfg.Program{recursive, threshold} {
 		for _, fb := range allFeedbacks {
-			d := newDiffPair(t, prog, fb, instrument.Config{}, 1<<16, vm.DefaultLimits())
+			d := newDiffPair(t, prog, fb, 1<<16, vm.DefaultLimits())
 			for _, in := range inputs {
 				d.check(t, fb.String(), in)
 			}
@@ -272,7 +290,7 @@ func TestDifferentialThresholdPrograms(t *testing.T) {
 	// shallow one (the overflow flush), so the overflow path ran.
 	segCells := func(depth byte) int {
 		cells := func(fb instrument.Feedback) int {
-			d := newDiffPair(t, recursive, fb, instrument.Config{}, 1<<16, vm.DefaultLimits())
+			d := newDiffPair(t, recursive, fb, 1<<16, vm.DefaultLimits())
 			d.check(t, "depth", []byte{depth, 0})
 			return d.m1.CountNonZero()
 		}
@@ -325,7 +343,7 @@ func TestDifferentialHashModeFallback(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, fb := range []instrument.Feedback{instrument.FeedbackPath, instrument.FeedbackPath2, instrument.FeedbackSelective} {
-		d := newDiffPair(t, prog, fb, instrument.Config{}, 1<<12, vm.DefaultLimits())
+		d := newDiffPair(t, prog, fb, 1<<12, vm.DefaultLimits())
 		for i := 0; i < 50; i++ {
 			in := make([]byte, rng.Intn(4))
 			rng.Read(in)

@@ -5,9 +5,8 @@ import (
 	"sort"
 )
 
-// The bytecode structural verifier checks the compiler's own output,
-// complementing the IR verifier that guards the optimization passes.
-// It runs twice when Spec.Verify is set: once after lowering (full
+// The bytecode structural verifier checks the compiler's own output.
+// It runs twice on every compile: once after lowering (full
 // segment-shape check) and once after fusion (jump-target check, since
 // fusion moves targets into superinstruction operand fields).
 //
@@ -15,12 +14,12 @@ import (
 //
 //   - the code between the entry pc and the first block is probes only
 //     (the EnterFunc event);
-//   - every lowered block is [instructions, one opStepChk, probes,
-//     terminator] in that order, with every instruction's slots inside
-//     the function frame and every side-table index in range;
+//   - every block is [instructions, one opStepChk, probes, terminator]
+//     in that order, with every instruction's slots inside the
+//     function frame and every side-table index in range;
 //   - every trampoline is probes followed by an opJmp;
-//   - every jump target is a lowered block start or a trampoline start
-//     of the same function.
+//   - every jump target is a block start or a trampoline start of the
+//     same function.
 
 // isProbe reports whether op is an inlined feedback probe.
 func isProbe(op uint8) bool { return op >= opProbeAdd && op <= opProbePAFlush }
@@ -51,14 +50,12 @@ func (c *compiler) fnErrf(fi int) func(format string, args ...any) error {
 }
 
 // fnTargets returns the set of pcs that intra-function jumps may
-// reference: lowered block starts and trampoline starts.
+// reference: block starts and trampoline starts.
 func (c *compiler) fnTargets(fi int) map[int32]bool {
 	lay := &c.layouts[fi]
 	targets := make(map[int32]bool, len(lay.blockStart)+len(lay.trampStart))
 	for _, s := range lay.blockStart {
-		if s >= 0 {
-			targets[s] = true
-		}
+		targets[s] = true
 	}
 	for _, s := range lay.trampStart {
 		targets[s] = true
@@ -82,9 +79,7 @@ func (c *compiler) verifyFn(fi int) error {
 	}
 	var segs []seg
 	for b, s := range lay.blockStart {
-		if s >= 0 {
-			segs = append(segs, seg{s, b})
-		}
+		segs = append(segs, seg{s, b})
 	}
 	for _, s := range lay.trampStart {
 		segs = append(segs, seg{s, -1})

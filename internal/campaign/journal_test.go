@@ -295,7 +295,7 @@ func TestFinishEmittedOnce(t *testing.T) {
 		}
 		return n, cycle
 	}
-	run := func(dir string, stopAfter int64, ck *Checkpoint) *fuzz.Report {
+	run := func(dir string, stopAfter int64, ck *Checkpoint) (*fuzz.Report, bool) {
 		t.Helper()
 		w := openJournalT(t, dir)
 		o := opts
@@ -310,14 +310,14 @@ func TestFinishEmittedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, _, err := r.Run()
+		rep, interrupted, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return rep, interrupted
 	}
 	resume := func(dir string) *fuzz.Report {
 		t.Helper()
@@ -325,11 +325,16 @@ func TestFinishEmittedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LoadLatest: %v (warnings %v)", err, warns)
 		}
-		return run(dir, 0, ck)
+		rep, interrupted := run(dir, 0, ck)
+		if interrupted || rep == nil {
+			t.Fatal("resumed campaign did not finish")
+		}
+		return rep
 	}
 
 	done := t.TempDir()
-	want := run(done, 0, nil).Stats.Cycles
+	rep, _ := run(done, 0, nil)
+	want := rep.Stats.Cycles
 	n, wantCycle := finishes(done)
 	if n != 1 {
 		t.Fatalf("finished campaign: %d finish events, want 1", n)
@@ -342,12 +347,20 @@ func TestFinishEmittedOnce(t *testing.T) {
 		t.Errorf("resuming a finished campaign: %d finish events, want 1", n)
 	}
 
-	// Stopped on the exec that reaches the budget, the campaign leaves
-	// the queue loop before counting its cycle; the resumed campaign
-	// must count it, in its report and in its finish event.
+	// Stopped on the exec that reaches the budget, the campaign is
+	// interrupted: it leaves the queue loop before counting its cycle,
+	// and the resumed campaign must count it, in its report and in its
+	// finish event.
 	atBudget := t.TempDir()
-	if rep := run(atBudget, testBudget, nil); rep == nil || rep.Stats.Execs < testBudget {
-		t.Fatalf("stop at the budget boundary did not reach the budget: %+v", rep)
+	if rep, interrupted := run(atBudget, testBudget, nil); !interrupted || rep != nil {
+		t.Fatalf("stop at the budget boundary: interrupted=%v report=%v, want an interruption", interrupted, rep != nil)
+	}
+	ck, _, err := LoadLatest(OSFS{}, atBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Snap.Stats.Execs < testBudget {
+		t.Fatalf("shutdown checkpoint at %d execs, before the budget %d", ck.Snap.Stats.Execs, testBudget)
 	}
 	if n, _ := finishes(atBudget); n != 0 {
 		t.Fatalf("campaign stopped at the budget boundary: %d finish events before resume, want 0", n)

@@ -160,18 +160,24 @@ func (r *Runner) Attach(prog *cfg.Program, opts fuzz.Options, ck *Checkpoint) er
 
 // Run fuzzes until meta.Budget executions or a stop request, writing
 // periodic checkpoints. On normal completion it returns the final
-// report and persists a final checkpoint plus all crash inputs; on
-// interruption it returns interrupted=true and a nil report — the
-// campaign continues via resume.
+// report and persists a final checkpoint plus all crash inputs. When
+// the boundary hook stops the campaign, even on the exec that reached
+// the budget, it returns interrupted=true and a nil report and writes
+// nothing more — the campaign continues via resume.
 func (r *Runner) Run() (rep *fuzz.Report, interrupted bool, err error) {
 	if r.f == nil {
 		return nil, false, fmt.Errorf("campaign: Run before Start/Attach")
 	}
-	r.f.SetCheckpointHook(r.hook)
+	stopped := false
+	r.f.SetCheckpointHook(func(f *fuzz.Fuzzer) bool {
+		stopped = !r.hook(f)
+		return !stopped
+	})
 	defer r.f.SetCheckpointHook(nil)
 	r.f.Fuzz(r.meta.Budget)
-	if r.f.Execs() < r.meta.Budget {
-		// Stopped early; the hook wrote the final checkpoint.
+	if stopped {
+		// The hook wrote the shutdown checkpoint, or the Boundary gave
+		// the state dir to someone else: either way, nothing to write.
 		return nil, true, nil
 	}
 	rep = r.f.Report()

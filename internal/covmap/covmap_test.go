@@ -22,7 +22,7 @@ import (
 
 // runCampaign runs a short deterministic campaign and returns the
 // program plus the consumed virgin-map cells.
-func runCampaign(t *testing.T, name string, fb instrument.Feedback, c instrument.Config, budget int64) (*cfg.Program, []coverage.VirginCell) {
+func runCampaign(t *testing.T, name string, fb instrument.Feedback, budget int64) (*cfg.Program, []coverage.VirginCell) {
 	t.Helper()
 	sub := subjects.Get(name)
 	if sub == nil {
@@ -32,7 +32,7 @@ func runCampaign(t *testing.T, name string, fb instrument.Feedback, c instrument
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	f, err := fuzz.New(prog, fuzz.Options{Feedback: fb, Seed: 1, Instr: c})
+	f, err := fuzz.New(prog, fuzz.Options{Feedback: fb, Seed: 1})
 	if err != nil {
 		t.Fatalf("%s/%v: %v", name, fb, err)
 	}
@@ -68,7 +68,7 @@ func TestEveryCampaignCellResolves(t *testing.T) {
 	}
 	for _, name := range subjects.Names() {
 		for _, fb := range feedbacks {
-			prog, cells := runCampaign(t, name, fb, instrument.Config{}, 300)
+			prog, cells := runCampaign(t, name, fb, 300)
 			ix, err := covmap.New(prog, fb, coverage.DefaultMapSize)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, fb, err)
@@ -131,37 +131,34 @@ func TestIndexFollowsProbes(t *testing.T) {
 	}
 }
 
-// TestDiscoveredPathsDecode checks, for both probe-placement variants,
-// that every exact path meaning behind a cell a path-feedback campaign
-// actually consumed decodes to a block sequence without error.
+// TestDiscoveredPathsDecode checks that every exact path meaning behind
+// a cell a path-feedback campaign actually consumed decodes to a block
+// sequence without error.
 func TestDiscoveredPathsDecode(t *testing.T) {
-	for _, noopt := range []bool{false, true} {
-		c := instrument.Config{NoOpt: noopt}
-		for _, name := range subjects.Names() {
-			prog, cells := runCampaign(t, name, instrument.FeedbackPath, c, 200)
-			ix, err := covmap.New(prog, instrument.FeedbackPath, coverage.DefaultMapSize)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			decoded := 0
-			for _, o := range covmap.FromVirgin(cells) {
-				for _, m := range ix.Resolve(o.Cell) {
-					if m.Kind != covmap.KindPath {
-						continue
-					}
-					steps, derr := ix.Decode(m)
-					if derr != nil {
-						t.Fatalf("%s noopt=%v: cell %d path %d: %v", name, noopt, o.Cell, m.PathID, derr)
-					}
-					if len(steps) == 0 {
-						t.Fatalf("%s noopt=%v: cell %d path %d decoded empty", name, noopt, o.Cell, m.PathID)
-					}
-					decoded++
+	for _, name := range subjects.Names() {
+		prog, cells := runCampaign(t, name, instrument.FeedbackPath, 200)
+		ix, err := covmap.New(prog, instrument.FeedbackPath, coverage.DefaultMapSize)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		decoded := 0
+		for _, o := range covmap.FromVirgin(cells) {
+			for _, m := range ix.Resolve(o.Cell) {
+				if m.Kind != covmap.KindPath {
+					continue
 				}
+				steps, derr := ix.Decode(m)
+				if derr != nil {
+					t.Fatalf("%s: cell %d path %d: %v", name, o.Cell, m.PathID, derr)
+				}
+				if len(steps) == 0 {
+					t.Fatalf("%s: cell %d path %d decoded empty", name, o.Cell, m.PathID)
+				}
+				decoded++
 			}
-			if decoded == 0 {
-				t.Errorf("%s noopt=%v: no exact path meanings decoded", name, noopt)
-			}
+		}
+		if decoded == 0 {
+			t.Errorf("%s: no exact path meanings decoded", name)
 		}
 	}
 }
@@ -171,7 +168,7 @@ func TestDiscoveredPathsDecode(t *testing.T) {
 // non-empty frontier with interproc byte attribution, annotated
 // source, per-function path counts, and a well-formed HTML page.
 func TestReportRendering(t *testing.T) {
-	prog, cells := runCampaign(t, subjects.Names()[0], instrument.FeedbackPath, instrument.Config{}, 300)
+	prog, cells := runCampaign(t, subjects.Names()[0], instrument.FeedbackPath, 300)
 	ix, err := covmap.New(prog, instrument.FeedbackPath, coverage.DefaultMapSize)
 	if err != nil {
 		t.Fatal(err)

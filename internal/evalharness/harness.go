@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/fuzz"
-	"repro/internal/instrument"
 	"repro/internal/strategy"
 	"repro/internal/subjects"
 	"repro/internal/triage"
@@ -57,9 +56,6 @@ type Config struct {
 	// (fuzz.EngineAuto, the compiled bytecode engine, by default; or
 	// fuzz.EngineCGT).
 	Engine fuzz.Engine
-	// Instr tunes instrumentation construction for every campaign
-	// (analysis strictness, optimizer toggle).
-	Instr instrument.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -285,7 +281,6 @@ func runOne(cfg Config, subject string, f strategy.Name, run int) (*RunResult, e
 			MapSize: cfg.MapSize,
 			Limits:  vm.DefaultLimits(),
 			Engine:  cfg.Engine,
-			Instr:   cfg.Instr,
 		},
 		Budget:      cfg.Budget,
 		RoundBudget: cfg.RoundBudget,

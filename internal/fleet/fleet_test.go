@@ -481,6 +481,26 @@ func TestFleetStopAnywhereResumes(t *testing.T) {
 	if got := canonical(t, final.Merged); !bytes.Equal(got, want) {
 		t.Fatalf("fleet stopped at an arbitrary point resumed to a different report (%d vs %d canonical bytes)", len(got), len(want))
 	}
+
+	// Stopped on the exec that reaches the budget, the fleet is
+	// interrupted too, and its resume counts the cycles the stop cut
+	// short.
+	atBudget := t.TempDir()
+	opts := fleetOpts(2)
+	opts.StopAfter = testBudget
+	if res := runFleet(t, atBudget, opts); !res.Interrupted {
+		t.Fatal("fleet stopped at its budget reported as finished")
+	}
+	final = resumeFleet(t, atBudget, fleetOpts(2))
+	if final.Interrupted {
+		t.Fatal("resumed fleet interrupted without a stop request")
+	}
+	if got, want := final.Merged.Stats.Cycles, clean.Merged.Stats.Cycles; got != want {
+		t.Fatalf("fleet stopped at its budget resumed to %d cycles, uninterrupted %d", got, want)
+	}
+	if got := canonical(t, final.Merged); !bytes.Equal(got, want) {
+		t.Fatalf("fleet stopped at its budget resumed to a different report (%d vs %d canonical bytes)", len(got), len(want))
+	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {

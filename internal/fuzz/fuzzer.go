@@ -82,8 +82,6 @@ const maxInputLen = 512
 type Options struct {
 	// Feedback selects the coverage feedback mechanism.
 	Feedback instrument.Feedback
-	// Instr tunes instrumentation construction.
-	Instr instrument.Config
 	// MapSize is the coverage map size (power of two);
 	// coverage.DefaultMapSize when zero.
 	MapSize int
@@ -96,7 +94,8 @@ type Options struct {
 	// Profile selects AFL++ vs AFL behaviour.
 	Profile Profile
 	// KeepCrashInputs retains the first crashing input per unique
-	// stack hash (default true via New).
+	// stack hash and per bug key (default false: reports then carry
+	// crash inputs as nil).
 	KeepCrashInputs bool
 	// FaultInjector, when non-nil, is consulted before every execution
 	// and simulates an engine panic when it returns true. It exists
@@ -366,7 +365,7 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 	if prog.Func(opts.Entry) == nil {
 		return nil, fmt.Errorf("fuzz: program has no entry function %q", opts.Entry)
 	}
-	cp, ok := instrument.CompiledFor(opts.Feedback, prog, opts.Instr)
+	cp, ok := instrument.CompiledFor(opts.Feedback, prog, instrument.Config{})
 	if !ok {
 		return nil, fmt.Errorf("fuzz: unknown feedback %v", opts.Feedback)
 	}
@@ -493,7 +492,10 @@ func (f *Fuzzer) EngineName() string {
 func (f *Fuzzer) BytecodeInstrs() int { return f.mach.Program().NumInstrs() }
 
 // BytecodeNops reports how many compiled instruction slots are counted
-// nops (dead stores reclaimed by the optimizer).
+// nops.
+//
+// Deprecated: it reads 0 since the optimizer is deleted; see
+// bytecode.Program.NumNops. It stays only for the campaign benchmark.
 func (f *Fuzzer) BytecodeNops() int { return f.mach.Program().NumNops() }
 
 // recordFault quarantines one engine panic as an internal-fault

@@ -18,7 +18,6 @@ package instrument
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/vm"
@@ -72,22 +71,12 @@ const (
 	selectiveMaxPaths = 256
 )
 
-// Config tunes tracer construction and compilation.
-type Config struct {
-	// Analysis selects the static-analysis strictness. "strict" makes
-	// New verify the IR up front and makes the bytecode compiler run
-	// the IR verifier after every optimization pass plus the structural
-	// verifier after lowering and fusion; "" (the default) skips
-	// verification. Tests run strict; production fuzzing keeps it off
-	// for speed.
-	Analysis string
-	// NoOpt disables the bytecode optimization passes (constant
-	// folding, dead-store elimination, branch folding, dead-block
-	// elimination). Optimization is on by default — the differential
-	// tests pin its observational equivalence — and the flag exists for
-	// debugging (pafuzz and evalsuite -opt=false).
-	NoOpt bool
-}
+// Config is the parameter CompiledFor and New take; it has no fields.
+//
+// Deprecated: the -analysis and -opt knobs it carried are deleted, and
+// every program compiles one way. It stays only for the campaign
+// benchmark, which still passes Config{}.
+type Config struct{}
 
 // splitmix64 is the 64-bit finalizer used to derive salts and hashed
 // indices.
@@ -116,14 +105,8 @@ func edgeBase(p *cfg.Program) []uint32 {
 }
 
 // New constructs the tracer implementing fb over prog, writing to m.
-// With cfg.Analysis set to "strict", the IR verifier runs over prog
-// first and a violation fails construction.
-func New(fb Feedback, prog *cfg.Program, m *coverage.Map, cfg Config) (vm.Tracer, error) {
-	if cfg.Analysis == "strict" {
-		if err := analysis.Verify(prog); err != nil {
-			return nil, err
-		}
-	}
+// The Config argument is ignored.
+func New(fb Feedback, prog *cfg.Program, m *coverage.Map, _ Config) (vm.Tracer, error) {
 	switch fb {
 	case FeedbackEdge:
 		return NewEdgeTracer(prog, m), nil

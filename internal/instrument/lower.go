@@ -8,24 +8,23 @@ import (
 	"repro/internal/cfg"
 )
 
-// compileKey identifies one compiled (program, feedback, config)
-// triple. Config is comparable (plain scalars), so the whole key is.
+// compileKey identifies one compiled (program, feedback) pair.
 type compileKey struct {
 	prog *cfg.Program
 	fb   Feedback
-	cfg  Config
 }
 
 // compileCache memoizes bytecode compilation per process: subjects are
 // compiled once and shared across every fuzzer, campaign resume, and
-// evalharness worker that uses the same (program, feedback, config).
+// evalharness worker that uses the same (program, feedback).
 var compileCache sync.Map // compileKey -> *bytecode.Program
 
 // CompiledFor lowers prog's fb instrumentation into a compiled
 // bytecode program, memoized process-wide. Every feedback New accepts
-// has a lowering; ok is false only for an unknown feedback.
-func CompiledFor(fb Feedback, prog *cfg.Program, c Config) (cp *bytecode.Program, ok bool) {
-	key := compileKey{prog: prog, fb: fb, cfg: c}
+// has a lowering; ok is false only for an unknown feedback. The Config
+// argument is ignored.
+func CompiledFor(fb Feedback, prog *cfg.Program, _ Config) (cp *bytecode.Program, ok bool) {
+	key := compileKey{prog: prog, fb: fb}
 	if v, hit := compileCache.Load(key); hit {
 		return v.(*bytecode.Program), true
 	}
@@ -33,12 +32,6 @@ func CompiledFor(fb Feedback, prog *cfg.Program, c Config) (cp *bytecode.Program
 	if !ok {
 		return nil, false
 	}
-	// Optimization is on by default; the differential tests pin its
-	// observational equivalence against the reference interpreter.
-	// Strict analysis adds the IR and bytecode verifiers to every
-	// compile.
-	spec.Opt = !c.NoOpt
-	spec.Verify = c.Analysis == "strict"
 	cp = bytecode.Compile(prog, spec)
 	if v, raced := compileCache.LoadOrStore(key, cp); raced {
 		// A concurrent caller won the store; use its program so pointer

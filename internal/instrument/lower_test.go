@@ -8,8 +8,8 @@ import (
 )
 
 // TestCompiledForMemoized asserts the compile-once contract: repeated
-// and concurrent lookups for the same (program, feedback, config)
-// return the identical *bytecode.Program, so a process compiles each
+// and concurrent lookups for the same (program, feedback) return the
+// identical *bytecode.Program, so a process compiles each
 // subject at most once per feedback no matter how many fuzzers,
 // resumes, or eval workers share it.
 func TestCompiledForMemoized(t *testing.T) {
@@ -41,21 +41,17 @@ func TestCompiledForMemoized(t *testing.T) {
 	}
 }
 
-// TestCompiledForKeyedByConfig asserts distinct configs get distinct
-// compilations, and that an equal config hits the same entry.
+// TestCompiledForKeyedByConfig asserts the compile cache key separates
+// feedbacks: distinct feedbacks of one program get distinct
+// compilations (TestCompiledForMemoized covers equal keys).
 func TestCompiledForKeyedByConfig(t *testing.T) {
 	prog, err := subjects.Get("cflow").Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := CompiledFor(FeedbackPath, prog, Config{})
-	noopt, _ := CompiledFor(FeedbackPath, prog, Config{NoOpt: true})
-	if base == noopt {
-		t.Fatal("unoptimized config shares the optimized compilation")
-	}
-	again, _ := CompiledFor(FeedbackPath, prog, Config{NoOpt: false})
-	if base != again {
-		t.Fatal("an equal config missed the cache entry")
+	path, _ := CompiledFor(FeedbackPath, prog, Config{})
+	if edge, _ := CompiledFor(FeedbackEdge, prog, Config{}); edge == path {
+		t.Fatal("distinct feedbacks share a compilation")
 	}
 }
 

@@ -76,7 +76,6 @@ func FormatFuzzerStats(s *Snapshot, info Info, rate float64, startUnix, nowUnix 
 	line("target_mode", info.Engine)
 	line("feedback", info.Feedback)
 	line("bytecode_instrs", info.Instrs)
-	line("bytecode_nops", info.Nops)
 	line("go_version", info.GoVersion)
 	line("afl_version", "pafuzz-"+Version)
 	line("afl_banner", info.Banner)

@@ -179,11 +179,8 @@ type Info struct {
 	Engine string
 	// Feedback names the coverage feedback mechanism.
 	Feedback string
-	// Instrs is the compiled bytecode instruction count; Nops is how
-	// many of those slots the verified optimization passes reduced to
-	// counted nops.
+	// Instrs is the compiled bytecode instruction count.
 	Instrs int
-	Nops   int
 	Seed   int64
 	Budget int64
 	// GoVersion and PID are recorded for reproducibility.
