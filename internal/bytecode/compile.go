@@ -155,19 +155,29 @@ func (c *compiler) fn(fi int, f *cfg.Func, fs FnSpec) {
 	// function body, so block starts are final by now.
 	var tramps []int32
 	for _, br := range brs {
-		thenPC := c.edgeTarget(f, fs, br.thenEdge, blockStart[br.thenBlock], &tramps)
-		elsePC := c.edgeTarget(f, fs, br.elseEdge, blockStart[br.elseBlock], &tramps)
+		thenPC := c.edgeTarget(f, fs, br.thenEdge, startOf(blockStart, br.thenBlock), &tramps)
+		elsePC := c.edgeTarget(f, fs, br.elseEdge, startOf(blockStart, br.elseBlock), &tramps)
 		out.code[br.pc].b = thenPC
 		out.code[br.pc].dst = elsePC
 	}
 	for _, j := range jmps {
-		out.code[j.pc].a = blockStart[j.block]
+		out.code[j.pc].a = startOf(blockStart, j.block)
 	}
 	c.layouts[fi] = fnLayout{
 		blockStart: blockStart,
 		trampStart: tramps,
 		end:        int32(len(out.code)),
 	}
+}
+
+// startOf is the pc of block b, or -1 when b names no block of the
+// function: the verifier then rejects the jump with a diagnostic
+// naming the function and block, where indexing would panic.
+func startOf(blockStart []int32, b int) int32 {
+	if b < 0 || b >= len(blockStart) {
+		return -1
+	}
+	return blockStart[b]
 }
 
 // fuse rewrites the function's code (body and trampolines, which all

@@ -156,6 +156,41 @@ func TestDifferentialAllSubjects(t *testing.T) {
 	}
 }
 
+// TestDifferentialOptOff pins the lowering with the optimizer off, now
+// the only lowering, to the reference interpreter, and the deprecated
+// Spec.Opt to a no-op: campbench's uninstrumented baseline, a ProbeNone
+// spec with Opt set, lowers to as many instructions as one without and
+// matches the interpreter running no tracer.
+func TestDifferentialOptOff(t *testing.T) {
+	for _, name := range []string{"cflow", "jq", "sqlite3"} {
+		sub := subjects.Get(name)
+		if sub == nil {
+			t.Fatalf("unknown subject %s", name)
+		}
+		prog := sub.MustProgram()
+		rng := rand.New(rand.NewSource(23))
+		inputs := subjectInputs(sub, rng, 25)
+		for _, fb := range allFeedbacks {
+			d := newDiffPair(t, prog, fb, 1<<16, vm.DefaultLimits())
+			for _, in := range inputs {
+				d.check(t, name+"/noopt/"+fb.String(), in)
+			}
+		}
+
+		plain := bytecode.Compile(prog, bytecode.Spec{Kind: bytecode.ProbeNone})
+		opt := bytecode.Compile(prog, bytecode.Spec{Kind: bytecode.ProbeNone, Opt: true})
+		if opt.NumInstrs() != plain.NumInstrs() {
+			t.Fatalf("%s: Opt changed the lowering: %d instructions, %d without", name, opt.NumInstrs(), plain.NumInstrs())
+		}
+		m1, m2 := coverage.NewMap(1<<16), coverage.NewMap(1<<16)
+		lim := vm.DefaultLimits()
+		d := &diffPair{prog: prog, tr: vm.NullTracer{}, mach: bytecode.NewMachine(opt, m2, lim), m1: m1, m2: m2, lim: lim}
+		for _, in := range inputs {
+			d.check(t, name+"/none", in)
+		}
+	}
+}
+
 // TestStrictVerifyAllSubjects compiles every subject under every
 // feedback. The structural verifier runs on every compile and
 // CompiledFor panics on any violation, so this passes only when the
