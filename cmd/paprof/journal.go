@@ -1,8 +1,8 @@
 // The forensics modes of paprof: `-journal` validates and summarises a
 // campaign's structured event journal; `-genealogy` renders corpus
-// provenance (genealogy DAG, per-stage discovery attribution, path
-// rarity) from a campaign's checkpoints. Both work offline from the
-// state directory alone — no target compilation, no re-execution.
+// provenance (per-stage discovery attribution, genealogy DAG) from a
+// campaign's checkpoints. Both work offline from the state directory
+// alone — no target compilation, no re-execution.
 package main
 
 import (
@@ -49,7 +49,7 @@ func runJournal(dir string) {
 	}
 	if len(events) > 0 {
 		fmt.Println()
-		journal.EventAttribution(os.Stdout, events)
+		journal.Attribution(os.Stdout, diag.Dir, journal.Corpus(events), events)
 	}
 	if flights, _ := filepath.Glob(filepath.Join(jdir, journal.FlightDir, "*.jsonl")); len(flights) > 0 {
 		fmt.Printf("\nflight-recorder dumps:\n")
@@ -70,9 +70,9 @@ func runJournal(dir string) {
 }
 
 // runGenealogy loads corpus provenance from a campaign (or fleet) state
-// directory's checkpoints and renders the genealogy DAG, per-stage
-// discovery-attribution table, and path-rarity histogram. With htmlOut
-// the same report is written as a self-contained HTML page.
+// directory's checkpoints and renders the per-stage discovery-attribution
+// table and the genealogy DAG. With htmlOut the same report is written
+// as a self-contained HTML page.
 func runGenealogy(dir, htmlOut string) {
 	st := loadState(dir)
 	var corpus []journal.CorpusMeta
@@ -84,9 +84,9 @@ func runGenealogy(dir, htmlOut string) {
 	if len(corpus) == 0 {
 		fatalf("no corpus provenance under %s (no usable checkpoint?)", dir)
 	}
-	// The journal stream is optional garnish here: provenance lives in
-	// the checkpoints, but event-based attribution is shown when a
-	// journal is present.
+	// The journal stream is optional here: provenance lives in the
+	// checkpoints, but a journal adds the crash column and the
+	// coverage-delta stream.
 	var events []journal.Event
 	if jdir := filepath.Join(dir, "journal"); dirExists(jdir) {
 		events, _, _ = journal.ReadDir(jdir)
@@ -100,14 +100,10 @@ func runGenealogy(dir, htmlOut string) {
 	} else {
 		fmt.Fprintf(os.Stderr, "paprof: no cell attribution: %v\n", err)
 	}
-	journal.Attribution(os.Stdout, st.label, corpus)
-	fmt.Println()
-	journal.Rarity(os.Stdout, corpus)
+	journal.Attribution(os.Stdout, st.label, corpus, events)
 	fmt.Println()
 	journal.Genealogy(os.Stdout, corpus)
 	if len(events) > 0 {
-		fmt.Println()
-		journal.EventAttribution(os.Stdout, events)
 		fmt.Println()
 		journal.CoverageDelta(os.Stdout, events, resolve)
 	}

@@ -24,7 +24,7 @@ import (
 	"repro/internal/analysis/interproc"
 	"repro/internal/bytecode"
 	"repro/internal/campaign"
-	"repro/internal/core"
+	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/fuzz"
 	"repro/internal/instrument"
@@ -46,7 +46,7 @@ func main() {
 		engineName  = flag.String("engine", "", "also re-execute the input in a loop under this execution engine (bytecode|cgt) so -cpuprofile/-memprofile capture engine hot paths")
 		engineExecs = flag.Int("execs", 10000, "repeat count for the -engine profiling loop")
 		journalDir  = flag.String("journal", "", "validate and summarise a campaign's event journal (state dir or journal dir) and exit; exit status 1 on gaps or schema errors")
-		genealogy   = flag.String("genealogy", "", "render corpus genealogy, discovery attribution, and path rarity from a campaign (or fleet) state directory and exit")
+		genealogy   = flag.String("genealogy", "", "render discovery attribution and corpus genealogy from a campaign (or fleet) state directory and exit")
 		explainDir  = flag.String("explain", "", "print the source-level meaning of every observed coverage-map cell from a campaign (or fleet) state directory and exit; exit status 1 if any cell is unresolvable")
 		covReport   = flag.String("coverage-report", "", "render the annotated-source coverage report, per-function path-discovery counts, and frontier explorer from a campaign (or fleet) state directory and exit; exit status 1 if any observed cell is unresolvable")
 		htmlOut     = flag.String("html", "", "with -genealogy or -coverage-report: also write the report as a self-contained HTML page to this file")
@@ -117,15 +117,14 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	target := core.FromProgram(prog)
 
 	if *factsDump {
-		interproc.ForProgram(target.Prog).Dump(os.Stdout)
+		interproc.ForProgram(prog).Dump(os.Stdout)
 		return
 	}
 
 	fmt.Println("function            blocks edges back  acyclic-paths probes(naive/opt)")
-	for _, ps := range target.PathReport() {
+	for _, ps := range instrument.PathReport(prog) {
 		if ps.HashedFallback {
 			fmt.Printf("%-20s %5d %5d %4d  (hash fallback: too many paths)\n",
 				ps.Func, ps.Blocks, ps.Edges, ps.BackEdges)
@@ -151,7 +150,7 @@ func main() {
 		input = []byte(*inputStr)
 	}
 
-	prof, err := target.PathProfiler()
+	prof, err := instrument.NewProfiler(prog)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -180,7 +179,7 @@ func main() {
 	}
 
 	if *engineName != "" {
-		runEngineLoop(target, *engineName, input, *engineExecs)
+		runEngineLoop(prog, *engineName, input, *engineExecs)
 	}
 }
 
@@ -191,20 +190,20 @@ func main() {
 // fixed input can never reproduce novelty past its first execution, so
 // the patched run is the steady-state fast path a campaign would
 // execute for this input.
-func runEngineLoop(target *core.Target, engineName string, input []byte, execs int) {
+func runEngineLoop(prog *cfg.Program, engineName string, input []byte, execs int) {
 	eng, err := fuzz.ParseEngine(engineName)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	lim := vm.DefaultLimits()
 	m := coverage.NewMap(coverage.DefaultMapSize)
-	cp, _ := instrument.CompiledFor(instrument.FeedbackPath, target.Prog, instrument.Config{})
+	cp, _ := instrument.CompiledFor(instrument.FeedbackPath, prog, instrument.Config{})
 	mach := bytecode.NewMachine(cp, m, lim)
 	if eng == fuzz.EngineCGT {
 		patch := bytecode.NewPatchable(cp, m.Len())
 		consumed := coverage.NewBitset(m.Len())
 		m.Reset()
-		mach.Run(target.Entry, input)
+		mach.Run("main", input)
 		m.ClassifySparse()
 		for _, idx := range m.Indices() {
 			consumed.Set(idx)
@@ -219,7 +218,7 @@ func runEngineLoop(target *core.Target, engineName string, input []byte, execs i
 	var last vm.Result
 	for i := 0; i < execs; i++ {
 		m.Reset()
-		last = mach.Run(target.Entry, input)
+		last = mach.Run("main", input)
 	}
 	el := time.Since(start)
 	fmt.Printf("engine %s: %d execs in %s (%.0f ns/exec), status=%v steps=%d\n",

@@ -13,7 +13,8 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/cfg"
+	"repro/internal/instrument"
 	"repro/internal/vm"
 )
 
@@ -58,11 +59,11 @@ func main(input) {
 `
 
 func main() {
-	target, err := core.Compile(tokenizer)
+	prog, err := cfg.Compile(tokenizer)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := target.PathProfiler()
+	prof, err := instrument.NewProfiler(prog)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cfg"
 	"repro/internal/fuzz"
+	"repro/internal/instrument"
 	"repro/internal/strategy"
 )
 
@@ -47,13 +48,13 @@ func main(input) {
 `
 
 func main() {
-	target, err := core.Compile(fig1)
+	prog, err := cfg.Compile(fig1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("=== Ball-Larus numbering (Figure 1 machinery) ===")
-	for _, ps := range target.PathReport() {
+	for _, ps := range instrument.PathReport(prog) {
 		fmt.Printf("%-8s blocks=%-3d edges=%-3d acyclic paths=%-4d probes naive=%d optimized=%d\n",
 			ps.Func, ps.Blocks, ps.Edges, ps.NumPaths, ps.ProbesNaive, ps.ProbesOptimal)
 	}
@@ -67,7 +68,7 @@ func main() {
 		firstAt := int64(-1)
 		const trials = 3
 		for seed := int64(1); seed <= trials; seed++ {
-			out, err := strategy.Run(name, target.Prog, strategy.Config{
+			out, err := strategy.Run(name, prog, strategy.Config{
 				Opts:   fuzz.Options{Seed: seed},
 				Budget: budget,
 				Seeds:  seeds,

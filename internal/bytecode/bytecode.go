@@ -288,9 +288,6 @@ type Program struct {
 	backVals []int64
 }
 
-// Source returns the cfg program this was compiled from.
-func (p *Program) Source() *cfg.Program { return p.src }
-
 // NumInstrs returns the flat instruction count (probes included).
 func (p *Program) NumInstrs() int { return len(p.code) }
 

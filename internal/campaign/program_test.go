@@ -25,6 +25,12 @@ func TestMetaProgram(t *testing.T) {
 	if err := os.WriteFile(edited, []byte(src+"// edited\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	const noMainSrc = "func f(a) { return a; }\n"
+	noMain := filepath.Join(dir, "nomain.mc")
+	if err := os.WriteFile(noMain, []byte(noMainSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noMainSum := sha256.Sum256([]byte(noMainSrc))
 
 	for _, tc := range []struct {
 		name    string
@@ -38,6 +44,8 @@ func TestMetaProgram(t *testing.T) {
 		{name: "new source records its sha256", meta: Meta{Source: path}, wantSum: recorded},
 		{name: "edited source is refused", meta: Meta{Source: edited, SourceSum: recorded}, wantSum: recorded,
 			wantErr: "changed since the campaign started", is: ErrSourceChanged},
+		{name: "source without main is refused", meta: Meta{Source: noMain}, wantSum: hex.EncodeToString(noMainSum[:]),
+			wantErr: `program has no "main" function`},
 		{name: "neither subject nor source", meta: Meta{Fuzzer: "path"}, wantErr: "neither a subject nor a source file"},
 		{name: "guided campaign is refused", meta: Meta{Subject: "flvmeta", Guide: true}, wantErr: "analysis-guided", is: ErrGuided},
 	} {

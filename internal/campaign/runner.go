@@ -85,9 +85,6 @@ func NewRunner(dir string, cfg Config) *Runner {
 // Fuzzer exposes the underlying campaign (nil before Start/Attach).
 func (r *Runner) Fuzzer() *fuzz.Fuzzer { return r.f }
 
-// Meta returns the campaign identity.
-func (r *Runner) Meta() Meta { return r.meta }
-
 // RequestStop asks the campaign to shut down gracefully: at the next
 // queue-entry boundary a final checkpoint is written and Run returns
 // with interrupted=true. Safe to call from any goroutine (signal

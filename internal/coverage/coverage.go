@@ -196,13 +196,6 @@ func (v *Virgin) Len() int { return len(v.bits) }
 // behaviour has been observed. O(1).
 func (v *Virgin) Count() int { return v.consumed }
 
-// Untouched reports whether cell i is still fully virgin — no
-// behaviour has ever been observed there. The index is masked exactly
-// as Map.Add masks, so callers can pass unmasked probe indices.
-func (v *Virgin) Untouched(i uint32) bool {
-	return v.bits[i&uint32(len(v.bits)-1)] == 0xff
-}
-
 // Merge checks classified trace bits against the virgin map, consumes
 // any new bits, and reports the highest novelty found.
 //
@@ -444,103 +437,4 @@ func (v *Virgin) FullyConsumedInto(bs *Bitset) int {
 		}
 	}
 	return n
-}
-
-// Peek is Merge without consuming: it reports novelty but leaves the
-// virgin map untouched. It uses the same word skim as Merge and can
-// additionally return as soon as NewTuples is established.
-func (v *Virgin) Peek(classified []uint8) Novelty {
-	if len(classified) != len(v.bits) {
-		// Preserve the scalar semantics for mismatched lengths (a prefix
-		// scan, historically) rather than reading past either slice.
-		return v.peekScalar(classified)
-	}
-	ret := NoNew
-	i := 0
-	for ; i+8 <= len(classified); i += 8 {
-		cw := binary.LittleEndian.Uint64(classified[i:])
-		if cw == 0 {
-			continue
-		}
-		vw := binary.LittleEndian.Uint64(v.bits[i:])
-		if cw&vw == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			c := classified[j]
-			if c == 0 {
-				continue
-			}
-			vb := v.bits[j]
-			if vb&c != 0 {
-				if vb == 0xff {
-					return NewTuples
-				}
-				ret = NewCounts
-			}
-		}
-	}
-	for ; i < len(classified); i++ {
-		c := classified[i]
-		if c == 0 {
-			continue
-		}
-		vb := v.bits[i]
-		if vb&c != 0 {
-			if vb == 0xff {
-				return NewTuples
-			}
-			ret = NewCounts
-		}
-	}
-	return ret
-}
-
-func (v *Virgin) peekScalar(classified []uint8) Novelty {
-	ret := NoNew
-	for i, c := range classified {
-		if c == 0 {
-			continue
-		}
-		vb := v.bits[i]
-		if vb&c != 0 {
-			if vb == 0xff {
-				return NewTuples
-			}
-			ret = NewCounts
-		}
-	}
-	return ret
-}
-
-// Hash64 returns a 64-bit FNV-1a hash of the classified trace, used to
-// cheaply compare executions for identity.
-func Hash64(bits []uint8) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range bits {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
-}
-
-// SparseHash64 hashes only touched entries (index and bucket), which is
-// considerably faster for mostly-empty maps and equally discriminating.
-func SparseHash64(bits []uint8) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i, b := range bits {
-		if b == 0 {
-			continue
-		}
-		h ^= uint64(i)
-		h *= prime
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
 }

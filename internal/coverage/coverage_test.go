@@ -112,22 +112,6 @@ func TestVirginMerge(t *testing.T) {
 	}
 }
 
-func TestVirginPeekDoesNotConsume(t *testing.T) {
-	v := coverage.NewVirgin(8)
-	trace := make([]uint8, 8)
-	trace[2] = 1
-	if v.Peek(trace) != coverage.NewTuples {
-		t.Fatal("peek novelty")
-	}
-	if v.Peek(trace) != coverage.NewTuples {
-		t.Fatal("peek consumed")
-	}
-	v.Merge(trace)
-	if v.Peek(trace) != coverage.NoNew {
-		t.Fatal("merge did not consume")
-	}
-}
-
 // TestVirginMergeIdempotent is the novelty-consumption property: after
 // any merge, re-merging the same classified trace reports NoNew.
 func TestVirginMergeIdempotent(t *testing.T) {
@@ -162,30 +146,6 @@ func TestVirginMonotone(t *testing.T) {
 	}
 	if v.Merge(b) != coverage.NoNew {
 		t.Error("second superset merge novel")
-	}
-}
-
-func TestHashes(t *testing.T) {
-	a := make([]uint8, 32)
-	b := make([]uint8, 32)
-	if coverage.Hash64(a) != coverage.Hash64(b) {
-		t.Error("equal traces hash differently")
-	}
-	if coverage.SparseHash64(a) != coverage.SparseHash64(b) {
-		t.Error("equal traces sparse-hash differently")
-	}
-	b[5] = 3
-	if coverage.Hash64(a) == coverage.Hash64(b) {
-		t.Error("different traces collide (Hash64)")
-	}
-	if coverage.SparseHash64(a) == coverage.SparseHash64(b) {
-		t.Error("different traces collide (SparseHash64)")
-	}
-	// Sparse and dense agree on discrimination for position swaps.
-	c := make([]uint8, 32)
-	c[6] = 3
-	if coverage.SparseHash64(b) == coverage.SparseHash64(c) {
-		t.Error("position not mixed into sparse hash")
 	}
 }
 

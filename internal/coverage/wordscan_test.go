@@ -36,23 +36,6 @@ func mergeRef(virgin, classified []uint8) Novelty {
 	return ret
 }
 
-func peekRef(virgin, classified []uint8) Novelty {
-	ret := NoNew
-	for i, c := range classified {
-		if c == 0 {
-			continue
-		}
-		vb := virgin[i]
-		if vb&c != 0 {
-			if vb == 0xff {
-				return NewTuples
-			}
-			ret = NewCounts
-		}
-	}
-	return ret
-}
-
 // fillMap populates bits with a sparsity profile resembling real
 // traces: mostly zero, occasional runs of counts, a few saturated and
 // word-boundary-straddling entries.
@@ -131,35 +114,6 @@ func TestMergeMatchesScalar(t *testing.T) {
 			}
 			if !bytes.Equal(v.bits, ref) {
 				t.Fatalf("size %d trial %d: virgin state diverges from scalar", size, trial)
-			}
-		}
-	}
-}
-
-func TestPeekMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, size := range []int{8, 64, 1 << 10, 1 << 14} {
-		v := NewVirgin(size)
-		ref := make([]uint8, size)
-		for i := range ref {
-			ref[i] = 0xff
-		}
-		trace := make([]uint8, size)
-		for trial := 0; trial < 60; trial++ {
-			fillMap(rng, trace)
-			Classify(trace)
-			if got, want := v.Peek(trace), peekRef(ref, trace); got != want {
-				t.Fatalf("size %d trial %d: peek %v want %v", size, trial, got, want)
-			}
-			before := append([]uint8(nil), v.bits...)
-			v.Peek(trace)
-			if !bytes.Equal(before, v.bits) {
-				t.Fatalf("size %d trial %d: Peek mutated the virgin map", size, trial)
-			}
-			// Consume some state so later peeks see partial virginity.
-			if trial%3 == 0 {
-				v.Merge(trace)
-				mergeRef(ref, trace)
 			}
 		}
 	}

@@ -4,24 +4,15 @@ import (
 	"fmt"
 	"html"
 	"strings"
+
+	"repro/internal/journal"
 )
 
 // WriteHTML renders the report as a self-contained HTML page (the
 // /coverage dashboard page and the `paprof -coverage-report -html`
-// artifact), styled like the genealogy report.
+// artifact) in the shell the genealogy report uses.
 func (r *Report) WriteHTML(title string) []byte {
 	var b strings.Builder
-	b.WriteString("<!doctype html><html><head><meta charset=\"utf-8\"><title>")
-	b.WriteString(html.EscapeString(title))
-	b.WriteString(`</title><style>
-body{font-family:monospace;background:#111;color:#ddd;margin:2em}
-h1,h2{color:#8cf} table{border-collapse:collapse;margin:1em 0}
-td,th{border:1px solid #444;padding:2px 10px;text-align:right}
-th{color:#8cf} td.l,th.l{text-align:left} pre{color:#bbb}
-.cov{background:#132} .miss{background:#311} .amb{background:#331}
-.num{color:#666;user-select:none}
-</style></head><body>`)
-	fmt.Fprintf(&b, "<h1>%s</h1>", html.EscapeString(title))
 	fmt.Fprintf(&b, "<p>%s · feedback=%s · map=%d</p>", html.EscapeString(r.Label), html.EscapeString(r.Feedback), r.MapSize)
 
 	fmt.Fprintf(&b, "<h2>summary</h2><table><tr><th>observed</th><th>resolved</th><th>exact</th><th>ambiguous</th><th>hash-bucket</th><th>collisions</th><th>unresolved</th></tr>")
@@ -84,6 +75,8 @@ th{color:#8cf} td.l,th.l{text-align:left} pre{color:#bbb}
 		b.WriteString(line)
 		b.WriteByte('\n')
 	}
-	b.WriteString("</pre></body></html>")
-	return []byte(b.String())
+	b.WriteString("</pre>")
+	return journal.Page(title, `.cov{background:#132} .miss{background:#311} .amb{background:#331}
+.num{color:#666;user-select:none}
+`, b.String())
 }

@@ -18,9 +18,10 @@ type Options struct {
 	// input-dependency analysis: each frontier branch shows which input
 	// bytes govern it.
 	Facts *interproc.Facts
-	// MaxFrontier caps the rendered frontier rows (0 = 50).
-	MaxFrontier int
 }
+
+// maxFrontier caps the rendered frontier rows.
+const maxFrontier = 50
 
 // FuncCov is one function's row of the coverage table.
 type FuncCov struct {
@@ -359,13 +360,9 @@ func (r *Report) buildFrontier(ix *Index, cs *coverageSets, obs []Obs, opt Optio
 		}
 		return rows[i].Block < rows[j].Block
 	})
-	max := opt.MaxFrontier
-	if max <= 0 {
-		max = 50
-	}
-	if len(rows) > max {
-		r.FrontierNote = fmt.Sprintf("showing %d of %d frontier branches", max, len(rows))
-		rows = rows[:max]
+	if len(rows) > maxFrontier {
+		r.FrontierNote = fmt.Sprintf("showing %d of %d frontier branches", maxFrontier, len(rows))
+		rows = rows[:maxFrontier]
 	}
 	r.Frontier = rows
 }

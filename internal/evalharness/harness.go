@@ -156,17 +156,6 @@ func (s *SuiteResult) CumulativeEdges(subject string, f strategy.Name) triage.Se
 	return out
 }
 
-// AllBugs unions every fuzzer's cumulative bugs on a subject.
-func (s *SuiteResult) AllBugs(subject string) triage.Set[string] {
-	out := triage.NewSet[string]()
-	for _, f := range s.Cfg.Fuzzers {
-		for k := range s.CumulativeBugs(subject, f) {
-			out.Add(k)
-		}
-	}
-	return out
-}
-
 // RunSuite executes the configured campaigns.
 func RunSuite(cfg Config) (*SuiteResult, error) {
 	cfg = cfg.withDefaults()

@@ -124,10 +124,6 @@ func TestTotalBugsAcrossSubjects(t *testing.T) {
 	if got := sr.TotalBugs(strategy.Path).Len(); got != 2 {
 		t.Errorf("TotalBugs(path) = %d, want 2", got)
 	}
-	all := sr.AllBugs("alpha")
-	if all.Len() != 3 { // bugA, bugB, bugC
-		t.Errorf("AllBugs = %d, want 3", all.Len())
-	}
 }
 
 func TestOppRecoveryArithmetic(t *testing.T) {

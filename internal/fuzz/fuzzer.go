@@ -399,9 +399,6 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 	return f, nil
 }
 
-// Program returns the program under test.
-func (f *Fuzzer) Program() *cfg.Program { return f.prog }
-
 // Execs returns the campaign execution counter.
 func (f *Fuzzer) Execs() int64 { return f.stats.Execs }
 
@@ -1236,11 +1233,6 @@ func encodeWidthTo(buf *[8]byte, v int64, w int, bigEndian bool) []byte {
 	return out
 }
 
-func encodeWidth(v int64, w int, bigEndian bool) []byte {
-	var buf [8]byte
-	return append([]byte(nil), encodeWidthTo(&buf, v, w, bigEndian)...)
-}
-
 // minWidth is the fewest bytes that hold v, for dictionary tokens.
 func minWidth(v int64) int {
 	switch {
@@ -1253,12 +1245,6 @@ func minWidth(v int64) int {
 	default:
 		return 8
 	}
-}
-
-// encodeMin encodes v in the fewest bytes that hold it (little-endian),
-// for dictionary tokens.
-func encodeMin(v int64) []byte {
-	return encodeWidth(v, minWidth(v), false)
 }
 
 // addTokenVal feeds v's minimal encoding to the auto-dictionary without

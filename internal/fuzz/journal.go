@@ -42,25 +42,9 @@ func (f *Fuzzer) write(ev journal.Event) {
 	f.jrnl.Emit(ev)
 }
 
-// Journal returns the attached journal writer (nil when journaling is
-// off).
-func (f *Fuzzer) Journal() *journal.Writer { return f.jrnl }
-
 // JournalEvents returns the campaign's emitted-event counter — the
 // value checkpointed as Snapshot.JournalSeq.
 func (f *Fuzzer) JournalEvents() uint64 { return f.events }
-
-// FlightEvents returns this worker's flight-recorder ring (the last N
-// journal events), oldest first; nil when journaling is off. The fleet
-// supervisor calls it from a worker attempt's recover to ship crash
-// context with poison findings — same goroutine as the fuzz loop, so
-// the read is safe.
-func (f *Fuzzer) FlightEvents() []journal.Event {
-	if f.jrnl == nil {
-		return nil
-	}
-	return f.jrnl.FlightEvents(f.opts.JournalWorker)
-}
 
 // CorpusProvenance renders the queue's provenance metadata — parent
 // edges, discovery stage, exec index, first-discovered cells — as the

@@ -124,14 +124,15 @@ func TestHavocChangesSomething(t *testing.T) {
 }
 
 func TestEncodeHelpers(t *testing.T) {
-	if got := encodeWidth(0x1122, 2, false); got[0] != 0x22 || got[1] != 0x11 {
+	var buf [8]byte
+	if got := encodeWidthTo(&buf, 0x1122, 2, false); got[0] != 0x22 || got[1] != 0x11 {
 		t.Errorf("LE encode: %x", got)
 	}
-	if got := encodeWidth(0x1122, 2, true); got[0] != 0x11 || got[1] != 0x22 {
+	if got := encodeWidthTo(&buf, 0x1122, 2, true); got[0] != 0x11 || got[1] != 0x22 {
 		t.Errorf("BE encode: %x", got)
 	}
-	if len(encodeMin(7)) != 1 || len(encodeMin(300)) != 2 || len(encodeMin(1<<20)) != 4 || len(encodeMin(1<<40)) != 8 {
-		t.Error("encodeMin widths wrong")
+	if minWidth(7) != 1 || minWidth(300) != 2 || minWidth(1<<20) != 4 || minWidth(1<<40) != 8 {
+		t.Error("minWidth wrong")
 	}
 	if !fitsWidth(255, 1) || fitsWidth(256, 1) || !fitsWidth(-128, 1) || fitsWidth(-129, 1) {
 		t.Error("fitsWidth(1) wrong")

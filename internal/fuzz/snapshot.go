@@ -307,8 +307,3 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	f.replanCGT()
 	return nil
 }
-
-// Faults returns the recorded internal-fault records (copies).
-func (f *Fuzzer) Faults() []InternalFault {
-	return append([]InternalFault(nil), f.faults...)
-}

@@ -71,7 +71,7 @@ func main(input) {
     f(1 - input[0], 1 - input[1]);
     return 0;
 }`)
-	hash := func(fb instrument.Feedback, in []byte) uint64 {
+	cells := func(fb instrument.Feedback, in []byte) string {
 		m := coverage.NewMap(1 << 12)
 		tr, err := instrument.New(fb, p, m, instrument.Config{})
 		if err != nil {
@@ -79,14 +79,14 @@ func main(input) {
 		}
 		vm.Run(p, "main", in, tr, vm.DefaultLimits())
 		coverage.Classify(m.Bytes())
-		return coverage.SparseHash64(m.Bytes())
+		return string(m.Bytes())
 	}
 	mixed := []byte{1, 0}   // f(1,0) then f(0,1): paths TE, ET
 	aligned := []byte{1, 1} // f(1,1) then f(0,0): paths TT, EE
-	if hash(instrument.FeedbackEdge, mixed) != hash(instrument.FeedbackEdge, aligned) {
+	if cells(instrument.FeedbackEdge, mixed) != cells(instrument.FeedbackEdge, aligned) {
 		t.Fatalf("edge coverage distinguishes the calibration inputs — test premise broken")
 	}
-	if hash(instrument.FeedbackPath, mixed) == hash(instrument.FeedbackPath, aligned) {
+	if cells(instrument.FeedbackPath, mixed) == cells(instrument.FeedbackPath, aligned) {
 		t.Errorf("path coverage failed to distinguish branch combinations (the paper's core claim)")
 	}
 }
@@ -212,15 +212,15 @@ func TestHashFallbackForHugeFunctions(t *testing.T) {
 	in1 := make([]byte, 64)
 	in2 := make([]byte, 64)
 	in2[10] = 255
-	hash := func(in []byte) uint64 {
+	cells := func(in []byte) string {
 		m.Reset()
 		vm.Run(p, "main", in, tr, vm.DefaultLimits())
-		return coverage.SparseHash64(m.Bytes())
+		return string(m.Bytes())
 	}
-	if hash(in1) == hash(in2) {
+	if cells(in1) == cells(in2) {
 		t.Error("hash-mode path tracer does not distinguish different paths")
 	}
-	if hash(in1) != hash(in1) {
+	if cells(in1) != cells(in1) {
 		t.Error("hash-mode path tracer is nondeterministic")
 	}
 }
@@ -264,7 +264,7 @@ func main(input) {
     }
     return s;
 }`)
-	hash := func(fb instrument.Feedback, in string) uint64 {
+	cells := func(fb instrument.Feedback, in string) string {
 		m := coverage.NewMap(1 << 12)
 		tr, err := instrument.New(fb, p, m, instrument.Config{})
 		if err != nil {
@@ -272,15 +272,15 @@ func main(input) {
 		}
 		vm.Run(p, "main", []byte(in), tr, vm.DefaultLimits())
 		coverage.Classify(m.Bytes())
-		return coverage.SparseHash64(m.Bytes())
+		return string(m.Bytes())
 	}
 	// "AABB" vs "ABAB": same iteration-path multiset {A,A,B,B}; plain
 	// path feedback cannot tell them apart, 2-grams can (AA,AB,BB vs
 	// AB,BA,AB).
-	if hash(instrument.FeedbackPath, "AABB") != hash(instrument.FeedbackPath, "ABAB") {
+	if cells(instrument.FeedbackPath, "AABB") != cells(instrument.FeedbackPath, "ABAB") {
 		t.Fatal("plain path feedback distinguishes the calibration pair — premise broken")
 	}
-	if hash(instrument.FeedbackPath2, "AABB") == hash(instrument.FeedbackPath2, "ABAB") {
+	if cells(instrument.FeedbackPath2, "AABB") == cells(instrument.FeedbackPath2, "ABAB") {
 		t.Error("path 2-grams failed to distinguish path orderings")
 	}
 }
@@ -342,11 +342,11 @@ func main(input) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make(map[uint64]bool)
+		seen := make(map[string]bool)
 		for x := 0; x < 8; x++ {
 			m.Reset()
 			vm.Run(p, "main", []byte{byte(x)}, tr, vm.DefaultLimits())
-			seen[coverage.SparseHash64(m.Bytes())] = true
+			seen[string(m.Bytes())] = true
 		}
 		return len(seen)
 	}
@@ -356,4 +356,29 @@ func main(input) {
 		t.Errorf("selective (%d distinct maps) not coarser than path (%d)", sel, full)
 	}
 	t.Logf("distinct maps: path=%d selective=%d", full, sel)
+}
+
+func TestPathReport(t *testing.T) {
+	p := compile(t, `
+func branchy(a) {
+    if (a > 1) { a = a + 1; } else { a = a - 1; }
+    if (a > 2) { a = a * 2; } else { a = a * 3; }
+    return a;
+}
+func main(input) { return branchy(len(input)); }
+`)
+	stats := instrument.PathReport(p)
+	if len(stats) != 2 {
+		t.Fatalf("%d functions", len(stats))
+	}
+	for _, ps := range stats {
+		if ps.Func == "branchy" {
+			if ps.NumPaths != 4 {
+				t.Errorf("branchy paths = %d, want 4", ps.NumPaths)
+			}
+			if ps.HashedFallback {
+				t.Error("unexpected hash fallback")
+			}
+		}
+	}
 }

@@ -13,7 +13,7 @@ import (
 // tracers it records exact (function, path id) frequencies rather than
 // hashed map updates, which is what the paper's Figure 1 illustrates
 // and what performance-profiling clients of the encoding consume. It
-// backs the paprof tool and the quickstart example.
+// backs the paprof tool and the pathprofiler example.
 type Profiler struct {
 	prog   *cfg.Program
 	encs   []*balllarus.Encoding
@@ -47,9 +47,6 @@ func NewProfiler(prog *cfg.Program) (*Profiler, error) {
 	}
 	return p, nil
 }
-
-// Encoding exposes the numbering of one function.
-func (p *Profiler) Encoding(fnID int) *balllarus.Encoding { return p.encs[fnID] }
 
 // Begin implements vm.Tracer.
 func (p *Profiler) Begin() { p.regs = p.regs[:0] }
@@ -123,4 +120,40 @@ func (p *Profiler) Counts() []PathCount {
 // counts. The profiler accumulates across calls until Reset.
 func (p *Profiler) Profile(entry string, input []byte, lim vm.Limits) vm.Result {
 	return vm.Run(p.prog, entry, input, p, lim)
+}
+
+// PathStats summarises the Ball-Larus numbering of one function.
+type PathStats struct {
+	Func           string
+	Blocks         int
+	Edges          int
+	BackEdges      int
+	NumPaths       uint64
+	ProbesNaive    int
+	ProbesOptimal  int
+	HashedFallback bool
+}
+
+// PathReport returns per-function path statistics for prog — the data
+// behind the paper's Figure 1 walkthrough. A function with too many
+// paths to number exactly is marked HashedFallback.
+func PathReport(prog *cfg.Program) []PathStats {
+	var out []PathStats
+	for _, f := range prog.Funcs {
+		ps := PathStats{
+			Func:      f.Name,
+			Blocks:    len(f.Blocks),
+			Edges:     len(f.Edges),
+			BackEdges: f.NumBackEdges(),
+		}
+		if enc, err := balllarus.Encode(f); err != nil {
+			ps.HashedFallback = true
+		} else {
+			ps.NumPaths = enc.NumPaths
+			ps.ProbesNaive = enc.NaivePlan().Probes
+			ps.ProbesOptimal = enc.OptimizedPlan().Probes
+		}
+		out = append(out, ps)
+	}
+	return out
 }

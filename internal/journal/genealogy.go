@@ -114,21 +114,36 @@ type stageRow struct {
 	Stage      string
 	Entries    int
 	FirstCells int
+	Crashes    int
 }
 
 // AttributionRows aggregates per-stage discovery attribution: how many
-// corpus entries each mutation stage produced, and how many coverage
-// cells those entries were first to discover.
-func AttributionRows(corpus []CorpusMeta) []stageRow {
+// corpus entries each mutation stage produced, how many coverage cells
+// those entries were first to discover, and how many first-found
+// crashes the journal's events credit to the stage (a crash event with
+// no stage counts under "?").
+func AttributionRows(corpus []CorpusMeta, events []Event) []stageRow {
 	agg := make(map[string]*stageRow)
-	for _, m := range corpus {
-		r := agg[m.Stage]
-		if r == nil {
-			r = &stageRow{Stage: m.Stage}
-			agg[m.Stage] = r
+	row := func(stage string) *stageRow {
+		if stage == "" {
+			stage = "?"
 		}
+		r := agg[stage]
+		if r == nil {
+			r = &stageRow{Stage: stage}
+			agg[stage] = r
+		}
+		return r
+	}
+	for _, m := range corpus {
+		r := row(m.Stage)
 		r.Entries++
 		r.FirstCells += len(m.FirstCells)
+	}
+	for _, ev := range events {
+		if ev.Kind == KindCrash {
+			row(ev.Stage).Crashes++
+		}
 	}
 	var rows []stageRow
 	for _, s := range stageOrder {
@@ -150,103 +165,36 @@ func AttributionRows(corpus []CorpusMeta) []stageRow {
 
 // Attribution renders the per-stage discovery-attribution table: which
 // stage found which share of the corpus and of first-discovered
-// coverage (the per-feedback attribution the paper's analysis needs —
-// cells are edge ids or path ids depending on the campaign feedback,
-// named in the caller-supplied label).
-func Attribution(w io.Writer, label string, corpus []CorpusMeta) {
-	rows := AttributionRows(corpus)
-	totalE, totalC := 0, 0
+// coverage (cells are edge ids or path ids depending on the campaign
+// feedback, named in the caller-supplied label), and which found the
+// crashes. The crash column reads "-" without journal events.
+func Attribution(w io.Writer, label string, corpus []CorpusMeta, events []Event) {
+	rows := AttributionRows(corpus, events)
+	totalE, totalC, totalX := 0, 0, 0
 	for _, r := range rows {
 		totalE += r.Entries
 		totalC += r.FirstCells
+		totalX += r.Crashes
 	}
 	fmt.Fprintf(w, "discovery attribution (%s):\n", label)
-	fmt.Fprintf(w, "  %-8s %8s %8s %14s\n", "stage", "entries", "cells", "cell-share")
+	fmt.Fprintf(w, "  %-8s %8s %8s %14s %8s\n", "stage", "entries", "cells", "cell-share", "crashes")
 	for _, r := range rows {
 		share := 0.0
 		if totalC > 0 {
 			share = 100 * float64(r.FirstCells) / float64(totalC)
 		}
-		fmt.Fprintf(w, "  %-8s %8d %8d %13.1f%%\n", r.Stage, r.Entries, r.FirstCells, share)
+		fmt.Fprintf(w, "  %-8s %8d %8d %13.1f%% %8s\n", r.Stage, r.Entries, r.FirstCells, share, crashCount(r.Crashes, events))
 	}
-	fmt.Fprintf(w, "  %-8s %8d %8d\n", "total", totalE, totalC)
+	fmt.Fprintf(w, "  %-8s %8d %8d %14s %8s\n", "total", totalE, totalC, "", crashCount(totalX, events))
 }
 
-// RarityBucket is one row of the path-rarity histogram: cells touched
-// by [Lo, Hi] corpus entries.
-type RarityBucket struct {
-	Lo, Hi int
-	Cells  int
-}
-
-// RarityBuckets computes the path-rarity histogram: for every covered
-// map cell, how many corpus entries touch it, bucketed by powers of
-// two. Cells in low buckets are rare paths — the coverage only a few
-// inputs reach, the frontier path-sensitive feedback is supposed to
-// protect.
-func RarityBuckets(corpus []CorpusMeta, cellCount func(m CorpusMeta) []uint32) []RarityBucket {
-	counts := make(map[uint32]int)
-	for _, m := range corpus {
-		for _, c := range cellCount(m) {
-			counts[c]++
-		}
+// crashCount renders a crash count, or "-" without journal events to
+// count from.
+func crashCount(n int, events []Event) string {
+	if len(events) == 0 {
+		return "-"
 	}
-	var buckets []RarityBucket
-	for lo := 1; ; lo *= 2 {
-		hi := lo*2 - 1
-		b := RarityBucket{Lo: lo, Hi: hi}
-		for _, n := range counts {
-			if n >= lo && n <= hi {
-				b.Cells++
-			}
-		}
-		if b.Cells > 0 {
-			buckets = append(buckets, b)
-		}
-		over := 0
-		for _, n := range counts {
-			if n > hi {
-				over++
-			}
-		}
-		if over == 0 {
-			break
-		}
-	}
-	return buckets
-}
-
-// Rarity renders the path-rarity histogram over first-discovered cells.
-func Rarity(w io.Writer, corpus []CorpusMeta) {
-	// Rarity counts every entry that covers a cell; FirstCells only
-	// credits the discoverer, so rebuild per-cell touch counts from the
-	// recorded sparse coverage sizes we have: FirstCells is the
-	// discovery set, the per-entry Cov the magnitude. Without full
-	// per-entry coverage in the metadata the histogram uses the
-	// discovery sets, which bounds rarity from below.
-	buckets := RarityBuckets(corpus, func(m CorpusMeta) []uint32 { return m.FirstCells })
-	fmt.Fprintf(w, "path-rarity histogram (entries touching each first-discovered cell):\n")
-	if len(buckets) == 0 {
-		fmt.Fprintf(w, "  (no cell provenance recorded)\n")
-		return
-	}
-	max := 0
-	for _, b := range buckets {
-		if b.Cells > max {
-			max = b.Cells
-		}
-	}
-	for _, b := range buckets {
-		bar := ""
-		if max > 0 {
-			bar = strings.Repeat("#", 1+b.Cells*40/max)
-		}
-		rng := fmt.Sprintf("%d", b.Lo)
-		if b.Hi != b.Lo {
-			rng = fmt.Sprintf("%d-%d", b.Lo, b.Hi)
-		}
-		fmt.Fprintf(w, "  %8s %6d %s\n", rng, b.Cells, bar)
-	}
+	return fmt.Sprint(n)
 }
 
 // CellResolver maps a coverage-map cell to a human-readable program
@@ -309,58 +257,34 @@ func CoverageDelta(w io.Writer, events []Event, resolve CellResolver) {
 	}
 }
 
-// EventAttribution renders per-stage discovery counts straight from a
-// journal stream (novelty and crash events), for `paprof -journal`
-// where no checkpoint is at hand.
-func EventAttribution(w io.Writer, events []Event) {
-	type row struct{ novelty, cells, crashes int }
-	agg := make(map[string]*row)
-	get := func(stage string) *row {
-		if stage == "" {
-			stage = "?"
-		}
-		r := agg[stage]
-		if r == nil {
-			r = &row{}
-			agg[stage] = r
-		}
-		return r
-	}
+// Corpus reconstructs corpus provenance from a journal's novelty
+// events: the view of a campaign that needs no checkpoint, for the
+// live dashboard (whose queue the fuzz goroutine owns) and `paprof
+// -journal`.
+func Corpus(events []Event) []CorpusMeta {
+	var out []CorpusMeta
 	for _, ev := range events {
-		switch ev.Kind {
-		case KindNovelty:
-			r := get(ev.Stage)
-			r.novelty++
-			r.cells += len(ev.Cells)
-		case KindCrash:
-			get(ev.Stage).crashes++
+		if ev.Kind != KindNovelty || ev.Entry == nil {
+			continue
 		}
-	}
-	fmt.Fprintf(w, "  %-8s %8s %8s %8s\n", "stage", "novelty", "cells", "crashes")
-	var stages []string
-	for _, s := range stageOrder {
-		if _, ok := agg[s]; ok {
-			stages = append(stages, s)
+		m := CorpusMeta{
+			Worker:     ev.Worker,
+			ID:         *ev.Entry,
+			Parent:     -1,
+			Stage:      ev.Stage,
+			Depth:      ev.Depth,
+			Steps:      ev.Steps,
+			FoundAt:    ev.Execs,
+			Len:        ev.Len,
+			CovCount:   ev.Cov,
+			FirstCells: ev.Cells,
 		}
-	}
-	var rest []string
-	for s := range agg {
-		seen := false
-		for _, t := range stageOrder {
-			if s == t {
-				seen = true
-			}
+		if ev.Parent != nil {
+			m.Parent = *ev.Parent
 		}
-		if !seen {
-			rest = append(rest, s)
-		}
+		out = append(out, m)
 	}
-	sort.Strings(rest)
-	stages = append(stages, rest...)
-	for _, s := range stages {
-		r := agg[s]
-		fmt.Fprintf(w, "  %-8s %8d %8d %8d\n", s, r.novelty, r.cells, r.crashes)
-	}
+	return out
 }
 
 // ProvenanceCSV renders the corpus provenance as CSV — the per-run
@@ -375,40 +299,19 @@ func ProvenanceCSV(corpus []CorpusMeta) []byte {
 	return []byte(b.String())
 }
 
-// HTMLReport renders the genealogy, attribution, and rarity views as a
+// HTMLReport renders the attribution table and the genealogy as a
 // self-contained HTML page (the telemetry dashboard's /genealogy).
-// With a non-nil resolver and journaled events, a coverage-delta
-// attribution section resolves each novel input's cells to source.
+// With journaled events it adds the event counts and a coverage-delta
+// section, which resolves each novel input's cells to source through a
+// non-nil resolver.
 func HTMLReport(title, label string, corpus []CorpusMeta, events []Event, resolve CellResolver) []byte {
 	var b strings.Builder
-	b.WriteString("<!doctype html><html><head><meta charset=\"utf-8\"><title>")
-	b.WriteString(html.EscapeString(title))
-	b.WriteString(`</title><style>
-body{font-family:monospace;background:#111;color:#ddd;margin:2em}
-h1,h2{color:#8cf} table{border-collapse:collapse;margin:1em 0}
-td,th{border:1px solid #444;padding:2px 10px;text-align:right}
-th{color:#8cf} td.l,th.l{text-align:left} pre{color:#bbb}
-</style></head><body>`)
-	fmt.Fprintf(&b, "<h1>%s</h1>", html.EscapeString(title))
-
-	b.WriteString("<h2>discovery attribution</h2><table><tr><th class=l>stage</th><th>entries</th><th>first cells</th></tr>")
-	for _, r := range AttributionRows(corpus) {
-		fmt.Fprintf(&b, "<tr><td class=l>%s</td><td>%d</td><td>%d</td></tr>", html.EscapeString(r.Stage), r.Entries, r.FirstCells)
+	b.WriteString("<h2>discovery attribution</h2><table><tr><th class=l>stage</th><th>entries</th><th>first cells</th><th>crashes</th></tr>")
+	for _, r := range AttributionRows(corpus, events) {
+		fmt.Fprintf(&b, "<tr><td class=l>%s</td><td>%d</td><td>%d</td><td>%s</td></tr>", html.EscapeString(r.Stage), r.Entries, r.FirstCells, crashCount(r.Crashes, events))
 	}
 	b.WriteString("</table>")
-
-	b.WriteString("<h2>path rarity</h2><pre>")
-	var rb strings.Builder
-	Rarity(&rb, corpus)
-	b.WriteString(html.EscapeString(rb.String()))
-	b.WriteString("</pre>")
-
-	b.WriteString("<h2>genealogy</h2><pre>")
-	var gb strings.Builder
-	Genealogy(&gb, corpus)
-	b.WriteString(html.EscapeString(gb.String()))
-	b.WriteString("</pre>")
-
+	preSection(&b, "genealogy", func(w io.Writer) { Genealogy(w, corpus) })
 	if len(events) > 0 {
 		fmt.Fprintf(&b, "<h2>journal (%d events)</h2><table><tr><th class=l>kind</th><th>count</th></tr>", len(events))
 		counts := KindCounts(events)
@@ -420,19 +323,9 @@ th{color:#8cf} td.l,th.l{text-align:left} pre{color:#bbb}
 		for _, k := range kinds {
 			fmt.Fprintf(&b, "<tr><td class=l>%s</td><td>%d</td></tr>", html.EscapeString(k), counts[k])
 		}
-		b.WriteString("</table><h2>journal attribution</h2><pre>")
-		var eb strings.Builder
-		EventAttribution(&eb, events)
-		b.WriteString(html.EscapeString(eb.String()))
-		b.WriteString("</pre>")
-
-		b.WriteString("<h2>coverage-delta attribution</h2><pre>")
-		var cb strings.Builder
-		CoverageDelta(&cb, events, resolve)
-		b.WriteString(html.EscapeString(cb.String()))
-		b.WriteString("</pre>")
+		b.WriteString("</table>")
+		preSection(&b, "coverage-delta attribution", func(w io.Writer) { CoverageDelta(w, events, resolve) })
 	}
 	fmt.Fprintf(&b, "<p>%s</p>", html.EscapeString(label))
-	b.WriteString("</body></html>")
-	return []byte(b.String())
+	return Page(title, "", b.String())
 }

@@ -36,7 +36,7 @@ func TestGenealogyTree(t *testing.T) {
 }
 
 func TestAttributionRows(t *testing.T) {
-	rows := AttributionRows(sampleCorpus())
+	rows := AttributionRows(sampleCorpus(), nil)
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3: %+v", len(rows), rows)
 	}
@@ -44,66 +44,91 @@ func TestAttributionRows(t *testing.T) {
 	if rows[0].Stage != "seed" || rows[1].Stage != "havoc" || rows[2].Stage != "splice" {
 		t.Fatalf("row order wrong: %+v", rows)
 	}
-	if rows[0].Entries != 2 || rows[0].FirstCells != 5 {
-		t.Fatalf("seed row %+v, want 2 entries / 5 cells", rows[0])
+	if rows[0].Entries != 2 || rows[0].FirstCells != 5 || rows[0].Crashes != 0 {
+		t.Fatalf("seed row %+v, want 2 entries / 5 cells / 0 crashes", rows[0])
+	}
+
+	// Crash events fill the crash column: a stage without entries still
+	// gets a row, a stageless crash lands in the "?" row, and other
+	// kinds are ignored.
+	events := []Event{
+		{Kind: KindCrash, Stage: "havoc"},
+		{Kind: KindCrash, Stage: "havoc"},
+		{Kind: KindCrash, Stage: "cmplog"},
+		{Kind: KindCrash},
+		{Kind: KindNovelty, Stage: "splice"},
+		{Kind: KindCycle},
+	}
+	rows = AttributionRows(sampleCorpus(), events)
+	want := []stageRow{
+		{Stage: "seed", Entries: 2, FirstCells: 5},
+		{Stage: "havoc", Entries: 1, FirstCells: 1, Crashes: 2},
+		{Stage: "splice", Entries: 1, FirstCells: 2},
+		{Stage: "cmplog", Crashes: 1},
+		{Stage: "?", Crashes: 1},
+	}
+	if fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("rows with crashes = %+v, want %+v", rows, want)
 	}
 
 	var b strings.Builder
-	Attribution(&b, "flvmeta/path", sampleCorpus())
+	Attribution(&b, "flvmeta/path", sampleCorpus(), events)
 	out := b.String()
 	if !strings.Contains(out, "discovery attribution (flvmeta/path):") {
 		t.Fatalf("missing label header:\n%s", out)
 	}
-	if !strings.Contains(out, "total") {
-		t.Fatalf("missing total row:\n%s", out)
-	}
-}
-
-func TestRarityBuckets(t *testing.T) {
-	// Cell 1 is touched by two entries (bucket 2-3); everything else by
-	// one (bucket 1).
-	buckets := RarityBuckets(sampleCorpus(), func(m CorpusMeta) []uint32 { return m.FirstCells })
-	if len(buckets) != 2 {
-		t.Fatalf("got %d buckets, want 2: %+v", len(buckets), buckets)
-	}
-	if buckets[0].Lo != 1 || buckets[0].Cells != 6 {
-		t.Fatalf("singleton bucket %+v, want Lo=1 Cells=6", buckets[0])
-	}
-	if buckets[1].Lo != 2 || buckets[1].Cells != 1 {
-		t.Fatalf("shared bucket %+v, want Lo=2 Cells=1", buckets[1])
-	}
-
-	var b strings.Builder
-	Rarity(&b, nil)
-	if !strings.Contains(b.String(), "(no cell provenance recorded)") {
-		t.Fatalf("empty corpus rarity:\n%s", b.String())
-	}
-}
-
-func TestEventAttribution(t *testing.T) {
-	events := []Event{
-		{Kind: KindNovelty, Stage: "havoc", Cells: []uint32{1, 2}},
-		{Kind: KindNovelty, Stage: "havoc", Cells: []uint32{3}},
-		{Kind: KindNovelty, Stage: "splice"},
-		{Kind: KindCrash, Stage: "havoc"},
-		{Kind: KindCrash}, // stageless crash lands in the "?" row
-		{Kind: KindCycle}, // non-discovery kinds are ignored
-	}
-	var b strings.Builder
-	EventAttribution(&b, events)
-	out := b.String()
-	if !strings.Contains(out, "havoc") || !strings.Contains(out, "splice") || !strings.Contains(out, "?") {
-		t.Fatalf("missing stage rows:\n%s", out)
-	}
-	havocLine := ""
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "havoc") {
-			havocLine = line
+	for _, want := range []string{"crashes", "\n  havoc           1        1          12.5%        2\n", "\n  total           4        8                       4\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("attribution missing %q:\n%s", want, out)
 		}
 	}
-	if fields := strings.Fields(havocLine); len(fields) != 4 ||
-		fields[1] != "2" || fields[2] != "3" || fields[3] != "1" {
-		t.Fatalf("havoc row %q, want novelty=2 cells=3 crashes=1", havocLine)
+	// Without journal events the crash column is unknown, not zero.
+	b.Reset()
+	Attribution(&b, "l", sampleCorpus(), nil)
+	if !strings.Contains(b.String(), "\n  total           4        8                       -\n") {
+		t.Fatalf("journal-less attribution:\n%s", b.String())
+	}
+}
+
+// TestEventAttribution: from a journal alone (`paprof -journal`),
+// Corpus rebuilds provenance from the novelty events (a missing parent
+// reads as a seed's -1), and the attribution table counts each stage's
+// entries, their cells, and its crash events, stageless crashes under
+// "?".
+func TestEventAttribution(t *testing.T) {
+	events := []Event{
+		{Kind: KindStart},
+		{Kind: KindNovelty, Worker: 1, Stage: "havoc", Entry: Int(0), Cells: []uint32{1, 2}, Cov: 2, Len: 4},
+		{Kind: KindNovelty, Stage: "havoc", Entry: Int(1), Parent: Int(0), Depth: 1, Steps: 9,
+			Execs: 500, Len: 6, Cov: 3, Cells: []uint32{3}},
+		{Kind: KindNovelty, Stage: "splice", Entry: Int(2)},
+		{Kind: KindNovelty, Stage: "splice"}, // no entry: not a queue admission
+		{Kind: KindCrash, Stage: "havoc"},
+		{Kind: KindCrash},
+		{Kind: KindCycle},
+	}
+	corpus := Corpus(events)
+	want := []CorpusMeta{
+		{Worker: 1, ID: 0, Parent: -1, Stage: "havoc", Len: 4, CovCount: 2, FirstCells: []uint32{1, 2}},
+		{ID: 1, Parent: 0, Stage: "havoc", Depth: 1, Steps: 9, FoundAt: 500, Len: 6, CovCount: 3, FirstCells: []uint32{3}},
+		{ID: 2, Parent: -1, Stage: "splice"},
+	}
+	if fmt.Sprint(corpus) != fmt.Sprint(want) {
+		t.Fatalf("Corpus = %+v, want %+v", corpus, want)
+	}
+
+	var b strings.Builder
+	Attribution(&b, "j", corpus, events)
+	rows := make(map[string]string)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = strings.Join(f, " ")
+		}
+	}
+	for _, want := range []string{"havoc 2 3 100.0% 1", "splice 1 0 0.0% 0", "? 0 0 0.0% 1", "total 3 3 2"} {
+		if rows[strings.Fields(want)[0]] != want {
+			t.Errorf("row %q, want %q:\n%s", rows[strings.Fields(want)[0]], want, b.String())
+		}
 	}
 }
 
@@ -126,7 +151,7 @@ func TestProvenanceCSV(t *testing.T) {
 }
 
 func TestHTMLReport(t *testing.T) {
-	events := []Event{{Kind: KindNovelty, Stage: "havoc", Cells: []uint32{1}}}
+	events := []Event{{Kind: KindNovelty, Stage: "havoc", Cells: []uint32{1}}, {Kind: KindCrash, Stage: "splice"}}
 	page := string(HTMLReport("t<b>itle", "subj/fuzzer", sampleCorpus(), events, nil))
 	if !strings.HasPrefix(page, "<!doctype html>") || !strings.HasSuffix(page, "</body></html>") {
 		t.Fatalf("page not well-formed:\n%.120s...", page)
@@ -135,14 +160,25 @@ func TestHTMLReport(t *testing.T) {
 	if strings.Contains(page, "t<b>itle") || !strings.Contains(page, "t&lt;b&gt;itle") {
 		t.Fatal("title not HTML-escaped")
 	}
-	for _, want := range []string{"discovery attribution", "path rarity", "genealogy", "journal (1 events)", "subj/fuzzer"} {
+	for _, want := range []string{"genealogy", "journal (2 events)", "coverage-delta attribution", "subj/fuzzer",
+		"<tr><td class=l>splice</td><td>1</td><td>2</td><td>1</td></tr>"} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("page missing %q", want)
 		}
 	}
+	// One attribution table, with the crash column, and no rarity.
+	if n := strings.Count(page, "attribution</h2>"); n != 2 {
+		t.Fatalf("page has %d attribution sections, want discovery and coverage-delta", n)
+	}
+	if strings.Count(page, "<h2>discovery attribution</h2>") != 1 || !strings.Contains(page, "<th>crashes</th>") {
+		t.Fatal("page lacks the one discovery attribution table with crashes")
+	}
+	if strings.Contains(page, "rarity") {
+		t.Fatal("page still has a rarity section")
+	}
 	// Without events the journal sections are omitted entirely.
 	bare := string(HTMLReport("t", "l", sampleCorpus(), nil, nil))
-	if strings.Contains(bare, "journal (") {
+	if strings.Contains(bare, "journal (") || strings.Contains(bare, "coverage-delta") {
 		t.Fatal("event sections rendered with no events")
 	}
 }

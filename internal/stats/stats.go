@@ -20,30 +20,6 @@ func MedianInt(xs []int) int {
 	return s[(len(s)-1)/2]
 }
 
-// MedianInt64 is MedianInt for int64.
-func MedianInt64(xs []int64) int64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
-}
-
-// MedianFloat returns the interpolated median.
-func MedianFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // GeoMean returns the geometric mean of positive values; zero or
 // negative entries are skipped (they would be undefined), and 0 is
 // returned when nothing remains.
@@ -62,18 +38,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Ratio formats a ratio to two decimals, with "-" for non-positive
 // denominators.
 func Ratio(num, den float64) string {
@@ -81,13 +45,4 @@ func Ratio(num, den float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2f", num/den)
-}
-
-// Sum adds int64 values.
-func Sum(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

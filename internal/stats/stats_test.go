@@ -22,12 +22,6 @@ func TestMedians(t *testing.T) {
 	if stats.MedianInt([]int{4, 1, 3, 2}) != 2 {
 		t.Error("even")
 	}
-	if stats.MedianInt64([]int64{10, 30, 20}) != 20 {
-		t.Error("int64")
-	}
-	if got := stats.MedianFloat([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("float median = %v", got)
-	}
 }
 
 func TestGeoMean(t *testing.T) {
@@ -47,15 +41,6 @@ func TestGeoMean(t *testing.T) {
 }
 
 func TestMeanSumRatio(t *testing.T) {
-	if stats.Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("mean")
-	}
-	if stats.Mean(nil) != 0 {
-		t.Error("empty mean")
-	}
-	if stats.Sum([]int64{1, 2, 3}) != 6 {
-		t.Error("sum")
-	}
 	if stats.Ratio(1, 0) != "-" {
 		t.Error("ratio zero denominator")
 	}

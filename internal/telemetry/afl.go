@@ -32,8 +32,9 @@ func FormatPlotRow(s *Snapshot, rate float64, relSec int64) string {
 		rate, s.Execs, s.CoverageCount)
 }
 
-// FormatFuzzerStats renders a fuzzer_stats file. startUnix/nowUnix are
-// wall-clock unix seconds (injected so golden tests are deterministic).
+// FormatFuzzerStats renders a fuzzer_stats file: the campaign identity
+// around one line per counter row. startUnix/nowUnix are wall-clock
+// unix seconds (injected so golden tests are deterministic).
 func FormatFuzzerStats(s *Snapshot, info Info, rate float64, startUnix, nowUnix int64) []byte {
 	var b strings.Builder
 	line := func(k string, v any) {
@@ -47,30 +48,16 @@ func FormatFuzzerStats(s *Snapshot, info Info, rate float64, startUnix, nowUnix 
 	line("last_update", nowUnix)
 	line("run_time", runTime)
 	line("fuzzer_pid", info.PID)
-	line("cycles_done", s.Cycles)
-	line("execs_done", s.Execs)
-	line("execs_per_sec", strconv.FormatFloat(rate, 'f', 2, 64))
-	line("total_steps", s.TotalSteps)
-	line("corpus_count", s.QueueLen)
-	line("corpus_favored", s.Favored)
-	line("pending_total", s.PendingTotal)
-	line("pending_favs", s.PendingFavored)
-	line("cur_item", s.CurItem)
-	line("max_depth", s.MaxDepth)
-	line("map_density", fmt.Sprintf("%.2f%%", 100*s.MapDensity()))
-	line("bitmap_cvg", fmt.Sprintf("%.2f%%", 100*s.MapDensity()))
-	line("edges_found", s.CoverageCount)
-	line("coverage_bits", s.CoverageBits)
-	line("saved_crashes", s.UniqueBugs)
-	line("unique_crashes", s.UniqueCrashes)
-	line("afl_crashes", s.AFLUniqueCrashes)
-	line("saved_hangs", s.Timeouts)
-	line("total_crashes", s.CrashExecs)
-	line("internal_faults", s.InternalFaults)
-	line("execs_seed", s.SeedExecs)
-	line("execs_havoc", s.HavocExecs)
-	line("execs_splice", s.SpliceExecs)
-	line("execs_cmplog", s.CmplogExecs)
+	for _, row := range counterRows {
+		line(row.stats, *row.field(&s.Counters))
+		// The two derived lines keep their places in the file.
+		switch row.stats {
+		case "execs_done":
+			line("execs_per_sec", strconv.FormatFloat(rate, 'f', 2, 64))
+		case "max_depth":
+			line("bitmap_cvg", fmt.Sprintf("%.2f%%", 100*s.MapDensity()))
+		}
+	}
 	line("exec_budget", info.Budget)
 	line("rng_seed", info.Seed)
 	line("target_mode", info.Engine)

@@ -130,13 +130,12 @@ func (r *Recorder) serveGenealogy(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, fmt.Sprintf("reading journal: %v", err), http.StatusInternalServerError)
 		return
 	}
-	corpus := corpusFromEvents(events)
 	title := "pafuzz genealogy"
 	if info := r.Info(); info.Banner != "" {
 		title += " · " + info.Banner
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Write(journal.HTMLReport(title, diag.Dir, corpus, events, r.resolver()))
+	w.Write(journal.HTMLReport(title, diag.Dir, journal.Corpus(events), events, r.resolver()))
 }
 
 // serveCoverage renders the coverage-cartography page through the
@@ -166,88 +165,34 @@ func (r *Recorder) serveCoverage(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// corpusFromEvents reconstructs corpus provenance from the journal's
-// novelty events — the live-dashboard path, where the queue itself is
-// owned by the fuzz goroutine and cannot be read safely.
-func corpusFromEvents(events []journal.Event) []journal.CorpusMeta {
-	var out []journal.CorpusMeta
-	for _, ev := range events {
-		if ev.Kind != journal.KindNovelty || ev.Entry == nil {
-			continue
-		}
-		m := journal.CorpusMeta{
-			Worker:     ev.Worker,
-			ID:         *ev.Entry,
-			Parent:     -1,
-			Stage:      ev.Stage,
-			Depth:      ev.Depth,
-			Steps:      ev.Steps,
-			FoundAt:    ev.Execs,
-			Len:        ev.Len,
-			CovCount:   ev.Cov,
-			FirstCells: ev.Cells,
-		}
-		if ev.Parent != nil {
-			m.Parent = *ev.Parent
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
 // promMetric is one exposition entry.
 type promMetric struct {
 	name, help, typ string
 	value           float64
 }
 
-// promMetrics flattens the latest snapshot into the exposition set.
+// promMetrics flattens the latest snapshot into the exposition set:
+// one series per counter row, then the sampled rates and the density.
 func (r *Recorder) promMetrics() []promMetric {
 	s := r.Latest()
 	if s == nil {
 		s = &Snapshot{}
 	}
 	p, _ := r.LastPoint()
-	c := func(name, help string, v int64) promMetric {
-		return promMetric{name: name, help: help, typ: "counter", value: float64(v)}
+	out := make([]promMetric, 0, len(counterRows)+5)
+	for _, row := range counterRows {
+		out = append(out, promMetric{name: row.metric, help: row.help, typ: string(row.typ), value: float64(*row.field(&s.Counters))})
 	}
 	g := func(name, help string, v float64) promMetric {
-		return promMetric{name: name, help: help, typ: "gauge", value: v}
+		return promMetric{name: name, help: help, typ: string(gauge), value: v}
 	}
-	return []promMetric{
-		c("pafuzz_execs_total", "Total target executions.", s.Execs),
-		c("pafuzz_timeouts_total", "Executions ended by the step limit.", s.Timeouts),
-		c("pafuzz_crash_execs_total", "Executions that crashed.", s.CrashExecs),
-		c("pafuzz_steps_total", "Total execution steps charged, repeats included.", s.TotalSteps),
-		c("pafuzz_repeat_execs_total", "Executions answered from the repeat memo without running the target; included in pafuzz_execs_total.", s.RepeatExecs),
-		c("pafuzz_queue_added_total", "Queue entries ever added (novelty events).", s.Added),
-		c("pafuzz_cycles_total", "Completed queue cycles.", s.Cycles),
-		c("pafuzz_unique_crashes_total", "Unique crashes by stack hash.", s.UniqueCrashes),
-		c("pafuzz_unique_bugs_total", "Unique ground-truth bugs.", s.UniqueBugs),
-		c("pafuzz_internal_faults_total", "Quarantined harness panics.", s.InternalFaults),
-		c("pafuzz_stage_execs_total_seed", "Executions spent on seed calibration.", s.SeedExecs),
-		c("pafuzz_stage_execs_total_havoc", "Executions spent in havoc mutations.", s.HavocExecs),
-		c("pafuzz_stage_execs_total_splice", "Executions spent in splice mutations.", s.SpliceExecs),
-		c("pafuzz_stage_execs_total_cmplog", "Executions spent in the cmplog stage.", s.CmplogExecs),
-		g("pafuzz_queue_depth", "Current queue size.", float64(s.QueueLen)),
-		g("pafuzz_queue_favored", "Favored (set-cover) corpus size.", float64(s.Favored)),
-		g("pafuzz_queue_pending", "Queue entries never fuzzed.", float64(s.PendingTotal)),
-		g("pafuzz_queue_pending_favored", "Favored entries never fuzzed.", float64(s.PendingFavored)),
-		g("pafuzz_queue_max_depth", "Deepest mutation chain in the queue.", float64(s.MaxDepth)),
-		g("pafuzz_coverage_count", "Coverage map indices ever touched.", float64(s.CoverageCount)),
-		g("pafuzz_coverage_bits", "Consumed virgin map cells.", float64(s.CoverageBits)),
+	return append(out,
 		g("pafuzz_map_density", "Touched fraction of the coverage map.", s.MapDensity()),
 		g("pafuzz_execs_per_sec", "Sampled execution rate.", p.ExecsPerSec),
 		g("pafuzz_novelty_per_sec", "Sampled novelty (queue-add) rate.", p.NoveltyPerSec),
 		g("pafuzz_crashes_per_sec", "Sampled crash rate.", p.CrashesPerSec),
 		g("pafuzz_timeouts_per_sec", "Sampled timeout rate.", p.TimeoutsPerSec),
-		g("pafuzz_fleet_workers", "Configured fleet worker count (0 for single campaigns).", float64(s.FleetWorkers)),
-		g("pafuzz_fleet_active", "Fleet workers currently running or parked at a sync barrier.", float64(s.FleetActive)),
-		c("pafuzz_fleet_restarts_total", "Fleet worker restarts (panic or wedge recoveries).", s.FleetRestarts),
-		c("pafuzz_fleet_wedges_total", "Watchdog wedge declarations.", s.FleetWedges),
-		c("pafuzz_fleet_retired_total", "Workers retired after repeated failures.", s.FleetRetired),
-		c("pafuzz_fleet_quarantined_total", "Poison inputs quarantined by the fleet supervisor.", s.FleetQuarantined),
-	}
+	)
 }
 
 func (r *Recorder) serveMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -258,18 +203,14 @@ func (r *Recorder) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	// Per-worker series for fleet campaigns, labeled by worker id.
 	if ws := r.Workers(); len(ws) > 0 {
-		for _, m := range []struct {
-			name, help, typ string
-			val             func(Counters) int64
-		}{
-			{"pafuzz_worker_execs_total", "Per-worker target executions.", "counter", func(c Counters) int64 { return c.Execs }},
-			{"pafuzz_worker_queue_depth", "Per-worker queue size.", "gauge", func(c Counters) int64 { return c.QueueLen }},
-			{"pafuzz_worker_crash_execs_total", "Per-worker crashing executions.", "counter", func(c Counters) int64 { return c.CrashExecs }},
-			{"pafuzz_worker_unique_bugs_total", "Per-worker unique ground-truth bugs.", "counter", func(c Counters) int64 { return c.UniqueBugs }},
-		} {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
+		for _, row := range counterRows {
+			if row.fleet == supervisor {
+				continue
+			}
+			name := "pafuzz_worker_" + strings.TrimPrefix(row.metric, "pafuzz_")
+			fmt.Fprintf(&b, "# HELP %s Per worker: %s\n# TYPE %s %s\n", name, row.help, name, row.typ)
 			for _, w := range ws {
-				fmt.Fprintf(&b, "%s{worker=\"%d\"} %d\n", m.name, w.ID, m.val(w.Counters))
+				fmt.Fprintf(&b, "%s{worker=\"%d\"} %d\n", name, w.ID, *row.field(&w.Counters))
 			}
 		}
 	}
@@ -335,31 +276,26 @@ func (r *Recorder) serveDashboard(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, dashboardHTML)
+	w.Write(dashboardHTML)
 }
 
 // dashboardHTML is the self-contained live dashboard: it polls
 // /snapshot.json once a second and renders headline numbers plus an
 // execs/sec + coverage sparkline on a canvas. No external assets.
-const dashboardHTML = `<!doctype html>
-<html><head><meta charset="utf-8"><title>pafuzz live</title>
-<style>
-body{font:14px/1.5 system-ui,sans-serif;background:#14161a;color:#e6e6e6;margin:2rem}
-h1{font-size:1.1rem;font-weight:600}h1 small{color:#8a8f98;font-weight:400}
-.grid{display:grid;grid-template-columns:repeat(auto-fill,minmax(160px,1fr));gap:10px;margin:1rem 0}
-.card{background:#1d2026;border:1px solid #2a2e36;border-radius:8px;padding:10px 12px}
-.card .k{color:#8a8f98;font-size:11px;text-transform:uppercase;letter-spacing:.05em}
-.card .v{font-size:20px;font-variant-numeric:tabular-nums;margin-top:2px}
-canvas{width:100%;height:140px;background:#1d2026;border:1px solid #2a2e36;border-radius:8px}
-table{border-collapse:collapse;margin-top:1rem;font-variant-numeric:tabular-nums}
-td,th{padding:3px 12px;text-align:right;border-bottom:1px solid #2a2e36}
-th{color:#8a8f98;font-weight:500}td:first-child,th:first-child{text-align:left}
-</style></head><body>
-<h1>pafuzz <small id="banner"></small>
-<small><a href="genealogy" style="color:#8a8f98">genealogy</a> · <a href="coverage" style="color:#8a8f98">coverage</a></small></h1>
+var dashboardHTML = journal.Page("pafuzz live", `.grid{display:grid;grid-template-columns:repeat(auto-fill,minmax(160px,1fr));gap:10px;margin:1em 0}
+.card{border:1px solid #444;padding:6px 10px}
+.card .k{color:#8cf;font-size:11px;text-transform:uppercase}
+.card .v{font-size:20px}
+canvas{width:100%;height:140px;border:1px solid #444}
+`, dashboardBody)
+
+// dashboardBody reads the point keys of /snapshot.json's series: each
+// point carries the counters under the same names as its "counters"
+// object, plus the sampled rates and the map density.
+const dashboardBody = `<p><span id="banner"></span> · <a href="genealogy">genealogy</a> · <a href="coverage">coverage</a></p>
 <div class="grid" id="cards"></div>
 <canvas id="spark" width="900" height="140"></canvas>
-<table id="stages"><thead><tr><th>stage</th><th>count</th><th>total</th><th>mean</th><th>max</th></tr></thead><tbody></tbody></table>
+<table id="stages"><thead><tr><th class=l>stage</th><th>count</th><th>total</th><th>mean</th><th>max</th></tr></thead><tbody></tbody></table>
 <script>
 const fmt=n=>n>=1e9?(n/1e9).toFixed(2)+"G":n>=1e6?(n/1e6).toFixed(2)+"M":n>=1e3?(n/1e3).toFixed(1)+"k":(+n).toFixed(n%1?2:0);
 const ms=ns=>ns>=1e9?(ns/1e9).toFixed(2)+"s":ns>=1e6?(ns/1e6).toFixed(1)+"ms":(ns/1e3).toFixed(0)+"µs";
@@ -377,7 +313,7 @@ async function tick(){
   document.getElementById("cards").innerHTML=cards.map(([k,v])=>
    '<div class="card"><div class="k">'+k+'</div><div class="v">'+v+"</div></div>").join("");
   const tb=document.querySelector("#stages tbody");
-  tb.innerHTML=(d.stages||[]).map(s=>"<tr><td>"+s.stage+"</td><td>"+fmt(s.count)+"</td><td>"+
+  tb.innerHTML=(d.stages||[]).map(s=>"<tr><td class=l>"+s.stage+"</td><td>"+fmt(s.count)+"</td><td>"+
    ms(s.total_ns)+"</td><td>"+ms(s.total_ns/Math.max(1,s.count))+"</td><td>"+ms(s.max_ns)+"</td></tr>").join("");
   draw(d.series||[]);
  }catch(e){}
@@ -395,8 +331,7 @@ function draw(S){
   g.stroke();
  };
  plot("execs_per_sec","#5ab0f6",8,66);
- plot("coverage_count","#7bd88f",78,134);
+ plot("CoverageCount","#7bd88f",78,134);
 }
 tick();
-</script></body></html>
-`
+</script>`

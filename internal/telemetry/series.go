@@ -2,80 +2,46 @@ package telemetry
 
 import "time"
 
-// Point is one time-series sample: the cumulative counters at sample
-// time plus the rates derived from the interval since the previous
-// sample. Rates are per second of wall-clock time.
+// Point is one time-series sample: the counters at sample time plus
+// the rates derived from the interval since the previous sample. Rates
+// are per second of wall-clock time.
 type Point struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
-	Execs   int64         `json:"execs"`
+	Counters
 
 	ExecsPerSec    float64 `json:"execs_per_sec"`
 	NoveltyPerSec  float64 `json:"novelty_per_sec"`
 	CrashesPerSec  float64 `json:"crashes_per_sec"`
 	TimeoutsPerSec float64 `json:"timeouts_per_sec"`
-
-	CoverageCount int64   `json:"coverage_count"`
-	CoverageBits  int64   `json:"coverage_bits"`
-	MapDensity    float64 `json:"map_density"`
-
-	QueueLen       int64 `json:"queue_len"`
-	Favored        int64 `json:"favored"`
-	PendingTotal   int64 `json:"pending_total"`
-	PendingFavored int64 `json:"pending_favored"`
-	MaxDepth       int64 `json:"max_depth"`
-	CurItem        int64 `json:"cur_item"`
-	Cycles         int64 `json:"cycles"`
-
-	Crashes        int64 `json:"crashes"`
-	Timeouts       int64 `json:"timeouts"`
-	UniqueBugs     int64 `json:"unique_bugs"`
-	UniqueCrashes  int64 `json:"unique_crashes"`
-	InternalFaults int64 `json:"internal_faults"`
+	MapDensity     float64 `json:"map_density"`
 }
 
 // derivePoint folds a snapshot (and the previous sampled one, which
 // may be nil) into a series point. With no predecessor, rates are
 // computed over the snapshot's whole elapsed time, so the very first
-// sample of a campaign is already meaningful. A snapshot with fewer
-// execs than its predecessor comes from a restarted counter set (each
-// round of a round-based strategy runs a fresh fuzzer on the same
-// recorder), so its own totals are the interval's deltas.
+// sample of a campaign is already meaningful. A total smaller than its
+// predecessor's comes from a restarted counter set (each round of a
+// round-based strategy runs a fresh fuzzer on the same recorder), so
+// its own value is the interval's delta.
 func derivePoint(prev, s *Snapshot) Point {
-	p := Point{
-		Elapsed:        s.Elapsed,
-		Execs:          s.Execs,
-		CoverageCount:  s.CoverageCount,
-		CoverageBits:   s.CoverageBits,
-		MapDensity:     s.MapDensity(),
-		QueueLen:       s.QueueLen,
-		Favored:        s.Favored,
-		PendingTotal:   s.PendingTotal,
-		PendingFavored: s.PendingFavored,
-		MaxDepth:       s.MaxDepth,
-		CurItem:        s.CurItem,
-		Cycles:         s.Cycles,
-		Crashes:        s.CrashExecs,
-		Timeouts:       s.Timeouts,
-		UniqueBugs:     s.UniqueBugs,
-		UniqueCrashes:  s.UniqueCrashes,
-		InternalFaults: s.InternalFaults,
-	}
+	p := Point{Elapsed: s.Elapsed, Counters: s.Counters, MapDensity: s.MapDensity()}
 	dt := s.Elapsed
-	execs, added, crashes, timeouts := s.Execs, s.Added, s.CrashExecs, s.Timeouts
 	if prev != nil {
 		dt -= prev.Elapsed
-		if s.Execs >= prev.Execs {
-			execs -= prev.Execs
-			added -= prev.Added
-			crashes -= prev.CrashExecs
-			timeouts -= prev.Timeouts
-		}
 	}
-	if sec := dt.Seconds(); sec > 0 {
-		p.ExecsPerSec = float64(execs) / sec
-		p.NoveltyPerSec = float64(added) / sec
-		p.CrashesPerSec = float64(crashes) / sec
-		p.TimeoutsPerSec = float64(timeouts) / sec
+	sec := dt.Seconds()
+	if sec <= 0 {
+		return p
+	}
+	for _, row := range counterRows {
+		if row.rate == nil {
+			continue
+		}
+		d := *row.field(&p.Counters)
+		if prev != nil && d >= *row.field(&prev.Counters) {
+			d -= *row.field(&prev.Counters)
+		}
+		*row.rate(&p) = float64(d) / sec
 	}
 	return p
 }

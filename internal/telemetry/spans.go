@@ -40,9 +40,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageNames lists every stage name in enum order.
-func StageNames() []string { return stageNames[:] }
-
 // histBuckets is the number of power-of-two latency buckets: bucket i
 // counts spans with duration in [2^i, 2^(i+1)) nanoseconds. 40 buckets
 // reach ~18 minutes, far beyond any stage. The idiom matches the

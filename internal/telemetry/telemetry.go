@@ -30,129 +30,6 @@ import (
 	"repro/internal/journal"
 )
 
-// Counters is the typed registry of campaign counters a fuzzer
-// publishes. All fields are cumulative totals (rates are derived by
-// the collector from consecutive snapshots); gauge-like fields
-// (QueueLen, Favored, ...) carry the value at publish time.
-type Counters struct {
-	// Execution totals.
-	Execs      int64
-	Timeouts   int64
-	CrashExecs int64
-	TotalSteps int64
-	Cycles     int64
-	// Added counts queue entries ever added — the novelty event count
-	// behind the novelty-rate sampler.
-	Added            int64
-	UniqueCrashes    int64
-	UniqueBugs       int64
-	AFLUniqueCrashes int64
-	InternalFaults   int64
-
-	// Queue gauges.
-	QueueLen       int64
-	Favored        int64
-	PendingTotal   int64 // queue entries never fuzzed
-	PendingFavored int64 // favored entries never fuzzed (pending calibration analogue)
-	CurItem        int64 // queue index currently being fuzzed
-	MaxDepth       int64 // deepest mutation chain in the queue
-
-	// Coverage gauges. CoverageCount is the number of map indices ever
-	// touched; CoverageBits is the number of consumed virgin cells
-	// (AFL's bitmap coverage); MapSize normalizes both into densities.
-	CoverageCount int64
-	CoverageBits  int64
-	MapSize       int64
-
-	// Per-stage execution attribution (counts, not times — these stay
-	// deterministic and are checkpointed with the campaign's Stats).
-	SeedExecs   int64
-	HavocExecs  int64
-	SpliceExecs int64
-	CmplogExecs int64
-
-	// RepeatExecs counts the executions the fuzzer answered from its
-	// memo of recent inputs instead of running the target. They are
-	// charged to Execs, TotalSteps and the stage counters like any
-	// other; like the CGT counters below, this one is display-only and
-	// never checkpointed.
-	RepeatExecs int64
-
-	// Coverage-guided tracing engine counters (zero for the other
-	// engines). FastExecs/Retraces/Replans are cumulative; ElidedProbes
-	// and PatchSites are gauges describing the current patch plan.
-	FastExecs    int64
-	Retraces     int64
-	Replans      int64
-	ElidedProbes int64
-	PatchSites   int64
-
-	// Fleet supervision counters (zero for single-fuzzer campaigns).
-	// The fleet supervisor fills these on the aggregate snapshot it
-	// publishes; per-worker snapshots leave them zero.
-	FleetWorkers     int64 // configured worker count
-	FleetActive      int64 // workers currently running or parked at a sync barrier
-	FleetRestarts    int64 // worker restarts (panic or wedge recoveries)
-	FleetWedges      int64 // watchdog wedge declarations
-	FleetRetired     int64 // workers retired after K consecutive failures
-	FleetQuarantined int64 // poison inputs quarantined
-}
-
-// Aggregate sums counter sets across fleet workers: cumulative totals
-// and gauge fields alike are added (the fleet-wide queue depth is the
-// sum of per-worker queues), except MapSize, which is per-worker
-// identical so the first non-zero value is kept, and the fields that
-// describe one shared map, program or finding set — MaxDepth, CurItem,
-// the coverage gauges, the CGT plan gauges and the unique crash and
-// bug counts — which take the maximum. Workers cover overlapping cells
-// and find overlapping bugs, so a sum could exceed the map and
-// over-count findings; the maximum is a lower bound on the fleet's
-// union (the fleet supervisor's closing publish replaces the unique
-// counts with the merged report's exact ones).
-func Aggregate(cs ...Counters) Counters {
-	var out Counters
-	for _, c := range cs {
-		out.Execs += c.Execs
-		out.Timeouts += c.Timeouts
-		out.CrashExecs += c.CrashExecs
-		out.TotalSteps += c.TotalSteps
-		out.Cycles += c.Cycles
-		out.Added += c.Added
-		out.AFLUniqueCrashes += c.AFLUniqueCrashes
-		out.InternalFaults += c.InternalFaults
-		out.QueueLen += c.QueueLen
-		out.Favored += c.Favored
-		out.PendingTotal += c.PendingTotal
-		out.PendingFavored += c.PendingFavored
-		out.SeedExecs += c.SeedExecs
-		out.HavocExecs += c.HavocExecs
-		out.SpliceExecs += c.SpliceExecs
-		out.CmplogExecs += c.CmplogExecs
-		out.RepeatExecs += c.RepeatExecs
-		out.FastExecs += c.FastExecs
-		out.Retraces += c.Retraces
-		out.Replans += c.Replans
-		out.FleetWorkers += c.FleetWorkers
-		out.FleetActive += c.FleetActive
-		out.FleetRestarts += c.FleetRestarts
-		out.FleetWedges += c.FleetWedges
-		out.FleetRetired += c.FleetRetired
-		out.FleetQuarantined += c.FleetQuarantined
-		out.MaxDepth = max(out.MaxDepth, c.MaxDepth)
-		out.CurItem = max(out.CurItem, c.CurItem)
-		out.CoverageCount = max(out.CoverageCount, c.CoverageCount)
-		out.CoverageBits = max(out.CoverageBits, c.CoverageBits)
-		out.UniqueCrashes = max(out.UniqueCrashes, c.UniqueCrashes)
-		out.UniqueBugs = max(out.UniqueBugs, c.UniqueBugs)
-		out.ElidedProbes = max(out.ElidedProbes, c.ElidedProbes)
-		out.PatchSites = max(out.PatchSites, c.PatchSites)
-		if out.MapSize == 0 {
-			out.MapSize = c.MapSize
-		}
-	}
-	return out
-}
-
 // Snapshot is one published, immutable view of the counters.
 type Snapshot struct {
 	Counters
@@ -193,19 +70,17 @@ type Config struct {
 	Info Info
 	// Now injects a clock for deterministic tests (time.Now if nil).
 	Now func() time.Time
-	// SeriesCap bounds the sample ring (default 1024 points).
-	SeriesCap int
 	// SpanCap bounds the span ring (default 4096 spans).
 	SpanCap int
-	// ElapsedBase offsets Elapsed, carrying wall-clock lineage across a
-	// checkpoint/resume boundary so plot_data stays gapless.
-	ElapsedBase time.Duration
 	// Status, when non-nil, receives one FormatStatus line per sample:
 	// the live status line is a view of the collector's tick. Callers
 	// that Sample concurrently with the collector must pass a writer
 	// that is safe for concurrent use.
 	Status io.Writer
 }
+
+// seriesCap bounds the sample ring.
+const seriesCap = 1024
 
 // Recorder is the campaign-side telemetry hub. The publishing side
 // (the fuzz loop) and the consuming side (collector goroutine, HTTP
@@ -214,9 +89,11 @@ type Config struct {
 type Recorder struct {
 	now   func() time.Time
 	start time.Time
-	base  time.Duration
-	info  Info
-	cur   atomic.Pointer[Snapshot]
+	// base offsets Elapsed: AttachAFLOutput carries a resumed
+	// campaign's wall-clock lineage forward so plot_data stays gapless.
+	base time.Duration
+	info Info
+	cur  atomic.Pointer[Snapshot]
 
 	mu     sync.Mutex
 	series *series
@@ -258,9 +135,6 @@ func New(cfg Config) *Recorder {
 	if now == nil {
 		now = time.Now
 	}
-	if cfg.SeriesCap <= 0 {
-		cfg.SeriesCap = 1024
-	}
 	if cfg.SpanCap <= 0 {
 		cfg.SpanCap = 4096
 	}
@@ -271,9 +145,8 @@ func New(cfg Config) *Recorder {
 	return &Recorder{
 		now:    now,
 		start:  now(),
-		base:   cfg.ElapsedBase,
 		info:   info,
-		series: newSeries(cfg.SeriesCap),
+		series: newSeries(seriesCap),
 		spans:  newSpanStore(cfg.SpanCap),
 		status: cfg.Status,
 	}

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -51,12 +53,32 @@ func TestPublishLatest(t *testing.T) {
 	}
 }
 
+// TestElapsedBase: a recorder attached to a resumed state dir takes
+// the plot's last relative time as its elapsed base, and stamps every
+// snapshot it publishes, campaign or worker, with it.
 func TestElapsedBase(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "plot_data"), []byte(PlotHeader+"\n60, 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	clk := newFakeClock()
-	r := New(Config{Now: clk.now, ElapsedBase: time.Minute})
+	r := New(Config{Now: clk.now})
+	if err := r.AttachAFLOutput(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	clk.advance(time.Second)
-	if got := r.Elapsed(); got != time.Minute+time.Second {
-		t.Fatalf("Elapsed = %v, want 1m1s", got)
+	r.Publish(Counters{Execs: 1})
+	r.PublishWorker(0, Counters{Execs: 1})
+	want := time.Minute + time.Second
+	if got := r.Elapsed(); got != want {
+		t.Errorf("Elapsed = %v, want %v", got, want)
+	}
+	if got := r.Latest().Elapsed; got != want {
+		t.Errorf("published Elapsed = %v, want %v", got, want)
+	}
+	if got := r.Workers()[0].Elapsed; got != want {
+		t.Errorf("worker Elapsed = %v, want %v", got, want)
 	}
 }
 
@@ -135,16 +157,14 @@ func TestSampleRatesSurviveReset(t *testing.T) {
 
 // TestSeriesRing verifies the sample ring drops the oldest points.
 func TestSeriesRing(t *testing.T) {
-	clk := newFakeClock()
-	r := New(Config{Now: clk.now, SeriesCap: 4})
-	for i := 1; i <= 6; i++ {
-		clk.advance(time.Second)
-		r.Publish(Counters{Execs: int64(i * 100)})
-		if _, ok := r.Sample(); !ok {
-			t.Fatalf("sample %d skipped", i)
-		}
+	s := newSeries(4)
+	if _, ok := s.last(); ok {
+		t.Fatal("empty ring has a last point")
 	}
-	pts := r.Points()
+	for i := 1; i <= 6; i++ {
+		s.push(Point{Counters: Counters{Execs: int64(i * 100)}})
+	}
+	pts := s.points()
 	if len(pts) != 4 {
 		t.Fatalf("ring retained %d points, want 4", len(pts))
 	}
@@ -152,6 +172,9 @@ func TestSeriesRing(t *testing.T) {
 		if pts[i].Execs != want {
 			t.Errorf("point %d Execs = %d, want %d", i, pts[i].Execs, want)
 		}
+	}
+	if last, ok := s.last(); !ok || last.Execs != 600 {
+		t.Errorf("last = %+v ok=%v, want Execs 600", last, ok)
 	}
 }
 
@@ -260,9 +283,13 @@ func TestDurBucket(t *testing.T) {
 }
 
 func TestStageNames(t *testing.T) {
-	names := StageNames()
-	if len(names) != int(numStages) {
-		t.Fatalf("StageNames has %d entries, want %d", len(names), numStages)
+	seen := make(map[string]bool)
+	for st := Stage(0); st < numStages; st++ {
+		name := st.String()
+		if name == "" || name == "unknown" || seen[name] {
+			t.Errorf("stage %d has name %q, want a distinct one", st, name)
+		}
+		seen[name] = true
 	}
 	if StageCheckpoint.String() != "checkpoint" || Stage(200).String() != "unknown" {
 		t.Error("Stage.String misbehaves")
