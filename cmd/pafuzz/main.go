@@ -60,7 +60,6 @@ func main() {
 		statusPer   = flag.Duration("status-period", time.Second, "wall-clock interval between status lines, which is also the telemetry sampling tick (0 disables the status line)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live metrics on this address (Prometheus at /metrics, JSON at /snapshot.json, dashboard at /)")
 		workers     = flag.Int("workers", 1, "parallel fuzzing workers (>1 requires -o and a single-phase -fuzzer; -budget is per worker)")
-		syncEvery   = flag.Int64("sync-every", 20000, "per-worker executions between fleet corpus syncs (0 disables)")
 		watchdog    = flag.Duration("watchdog", 5*time.Second, "declare a fleet worker wedged after this long without progress (0 disables)")
 		maxRestarts = flag.Int("max-restarts", 3, "consecutive worker failures before the fleet retires the worker")
 		chaosEvery  = flag.Int64("chaos-every", 0, "fault injection: panic each worker's first attempt once past this exec count (0 disables; for supervision smoke tests)")
@@ -83,7 +82,6 @@ func main() {
 
 	fleetOpts := fleet.Options{
 		Workers:     *workers,
-		SyncEvery:   *syncEvery,
 		Watchdog:    *watchdog,
 		MaxRestarts: *maxRestarts,
 		CkptEvery:   *ckptEvery,
@@ -231,7 +229,7 @@ func main() {
 		if man != nil {
 			fmt.Printf("resuming %s fleet: %d workers, %d execs each\n", meta.Fuzzer, man.Workers, meta.Budget)
 		} else {
-			fmt.Printf("fleet: %d workers, %d execs each (sync every %d)\n", *workers, meta.Budget, *syncEvery)
+			fmt.Printf("fleet: %d workers, %d execs each\n", *workers, meta.Budget)
 		}
 		driveFleet(s, *stateDir, meta.Fuzzer, *showCrash)
 	case durable:

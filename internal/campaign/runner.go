@@ -36,8 +36,7 @@ type Config struct {
 	// the runner's own checkpoint logic. Returning false stops the
 	// campaign immediately WITHOUT writing a checkpoint — the fleet
 	// supervisor uses this to abandon a stale worker attempt (its
-	// replacement owns the state directory now) and to park workers at
-	// sync barriers.
+	// replacement owns the state directory now).
 	Boundary func(*fuzz.Fuzzer) bool
 	// Exit is called to terminate the process on a forced (second)
 	// signal. Defaults to os.Exit; tests inject a recorder.

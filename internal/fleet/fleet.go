@@ -1,26 +1,17 @@
 // Package fleet runs N independent fuzz.Fuzzer workers under one
 // supervisor with full fault containment: a heartbeat watchdog that
 // declares wedged workers and recycles them, crash-loop handling with
-// exponential backoff and poison-input quarantine, deterministic
-// periodic corpus sync at exec-count boundaries, and fleet-level
+// exponential backoff and poison-input quarantine, and fleet-level
 // checkpoint/resume composing the campaign package's per-worker
 // snapshots with a fleet manifest.
 //
-// Determinism model: each worker is a fully deterministic campaign
-// (seeded RNG, exec-count budget). Corpus sync happens at epoch
-// boundaries — epoch e is the first queue-entry boundary where the
-// worker's exec counter reaches e*SyncEvery — through a publication
-// board: a worker arriving at epoch e publishes the queue entries it
-// added since its previous sync, parks at a barrier until every live
-// worker has arrived at (or passed) e, then imports the other workers'
-// publications for the epochs it crossed, in (epoch, worker) order.
-// Publications are a pure function of worker state, so a worker
-// replaying after a crash republishes identical content, and what a
-// worker imports depends only on epoch tags, never on goroutine
-// scheduling. The final merged report is therefore a deterministic
-// function of (seed, budget, workers, sync cadence) — as long as no
-// worker is retired, retirement being the one wall-clock-driven
-// (graceful-degradation) transition.
+// Determinism model: worker i is exactly the durable single campaign
+// at seed WorkerSeed(seed, i) with the fleet's budget; workers share
+// nothing but the supervisor, so a restarted or resumed worker replays
+// its own checkpointed campaign and nothing else. The merged report is
+// therefore a deterministic function of (seed, budget, workers) — as
+// long as no worker is retired, retirement being the one
+// wall-clock-driven (graceful-degradation) transition.
 package fleet
 
 import (
@@ -59,10 +50,10 @@ const (
 type Options struct {
 	// Workers is the number of parallel fuzzing workers (default 2).
 	Workers int
-	// SyncEvery is the per-worker exec-count sync cadence: workers
-	// exchange corpus entries at multiples of this counter. 0 disables
-	// corpus sync (workers run fully independently); the pafuzz CLI
-	// defaults its -sync-every flag to 20000.
+	// SyncEvery is ignored: workers run independently.
+	//
+	// Deprecated: corpus sync is gone; the field stays until the
+	// benchmark stops setting it.
 	SyncEvery int64
 	// Watchdog is the wall-clock deadline after which a worker that has
 	// not reached a queue-entry boundary is declared wedged and
@@ -87,13 +78,13 @@ type Options struct {
 	Telemetry *telemetry.Recorder
 	// Journal, when non-nil, is the supervisor-owned event journal every
 	// worker shares (fuzz.Options.JournalShared): worker events carry
-	// their worker id, supervision events (sync, recycle, retire, wedge,
+	// their worker id, supervision events (recycle, retire, wedge,
 	// quarantine) interleave under the writer's own lock, and worker
 	// restores never truncate the shared stream.
 	Journal *journal.Writer
 	// StopAfter, when positive, interrupts the fleet once any worker's
-	// exec counter reaches it — the reproducible mid-run (and, chosen
-	// near a sync boundary, mid-sync) interruption the resume tests use.
+	// exec counter reaches it — the reproducible mid-run interruption
+	// the resume tests use.
 	StopAfter int64
 	// Chaos, when non-nil, is consulted at every worker queue-entry
 	// boundary and may inject a panic or a wedge. Keyed by (worker,
@@ -110,9 +101,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 2
-	}
-	if o.SyncEvery < 0 {
-		o.SyncEvery = 0
 	}
 	if o.MaxRestarts <= 0 {
 		o.MaxRestarts = 3
@@ -138,7 +126,8 @@ func (o Options) withDefaults() Options {
 // WorkerSeed derives worker i's RNG seed from the fleet seed. Worker 0
 // keeps the fleet seed unchanged — a 1-worker fleet is byte-identical
 // to the single-fuzzer campaign with the same seed — and the others get
-// independent streams via splitmix64.
+// independent streams via splitmix64. Worker i's report is the single
+// campaign's at WorkerSeed(seed, i).
 func WorkerSeed(seed int64, worker int) int64 {
 	if worker == 0 {
 		return seed
@@ -190,7 +179,6 @@ type worker struct {
 	gen       int         // current attempt generation; bumped to abandon stale attempts
 	state     workerState //
 	fails     int         // consecutive failures without durable progress
-	arrived   int         // highest sync epoch this worker has published for
 	lastStart int64       // exec counter the current/last attempt resumed from
 	runner    *campaign.Runner
 	abandon   chan struct{} // closed to release a wedged (chaos-blocked) attempt
@@ -200,7 +188,6 @@ type worker struct {
 	// Watchdog heartbeat, written lock-free from the worker goroutine.
 	beat      atomic.Int64 // unix nanos of the last boundary
 	beatExecs atomic.Int64 // exec counter at the last boundary
-	parked    atomic.Bool  // parked at a sync barrier (watchdog-exempt)
 	curInput  atomic.Pointer[[]byte]
 	lastTelem atomic.Int64 // exec counter at the last telemetry publish
 }
@@ -229,10 +216,7 @@ type Supervisor struct {
 	sigs atomic.Int64
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	board    *board
 	workers  []*worker
-	seeded   []int
 	stopping bool
 	quar     []fuzz.PoisonRec
 	restarts int
@@ -246,9 +230,7 @@ type Supervisor struct {
 
 // New builds a supervisor rooted at the fleet state directory dir.
 func New(dir string, opts Options) *Supervisor {
-	s := &Supervisor{dir: dir, opts: opts.withDefaults(), stopCh: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &Supervisor{dir: dir, opts: opts.withDefaults(), stopCh: make(chan struct{})}
 }
 
 // workerDir is worker i's campaign state directory.
@@ -294,8 +276,6 @@ func (s *Supervisor) Start(prog *cfg.Program, base fuzz.Options, meta campaign.M
 	if err := s.opts.FS.MkdirAll(s.dir); err != nil {
 		return err
 	}
-	s.board = newBoard()
-	s.seeded = make([]int, s.opts.Workers)
 	for i := 0; i < s.opts.Workers; i++ {
 		w := &worker{id: i, dir: s.workerDir(i), seed: WorkerSeed(meta.Seed, i)}
 		wm := meta
@@ -306,7 +286,6 @@ func (s *Supervisor) Start(prog *cfg.Program, base fuzz.Options, meta campaign.M
 		if err := r.Start(prog, s.workerOpts(i), wm, seeds); err != nil {
 			return fmt.Errorf("fleet: worker %d: %w", i, err)
 		}
-		s.seeded[i] = r.Fuzzer().QueueLen()
 		s.workers = append(s.workers, w)
 	}
 	s.mu.Lock()
@@ -321,11 +300,15 @@ func (s *Supervisor) Start(prog *cfg.Program, base fuzz.Options, meta campaign.M
 // Attach resumes a fleet from its manifest and the workers' own
 // checkpoints. base must reproduce the original campaign's options
 // (the caller derives them from man.Meta, exactly as single-campaign
-// resume does). A worker whose newest checkpoint fails
+// resume does). A fleet that ran with corpus sync is refused with
+// ErrSynced. A worker whose newest checkpoint fails
 // fuzz.Snapshot.Validate — one written before snapshots carried the
 // random generator's state fails with fuzz.ErrRNGState — refuses the
 // whole resume: no restart could restore it.
 func (s *Supervisor) Attach(prog *cfg.Program, base fuzz.Options, man *Manifest) error {
+	if man.SyncEvery > 0 {
+		return ErrSynced
+	}
 	if man.Workers != s.opts.Workers && s.opts.Workers != 2 { // 2 is the default: adopt silently
 		s.logf("fleet: manifest has %d workers, overriding -workers %d", man.Workers, s.opts.Workers)
 	}
@@ -339,25 +322,14 @@ func (s *Supervisor) Attach(prog *cfg.Program, base fuzz.Options, man *Manifest)
 		}
 	}
 	s.opts.Workers = man.Workers
-	s.opts.SyncEvery = man.SyncEvery
 	s.opts.MaxRestarts = man.MaxRestarts
 	s.prog, s.base, s.meta = prog, base, man.Meta
-	s.board = boardFromManifest(man)
-	s.seeded = append([]int(nil), man.Seeded...)
 	s.quar = append([]fuzz.PoisonRec(nil), man.Quarantine...)
 	s.restarts, s.wedges = man.Restarts, man.Wedges
 	for i := 0; i < man.Workers; i++ {
 		w := &worker{id: i, dir: s.workerDir(i), seed: WorkerSeed(man.Meta.Seed, i)}
-		if i < len(man.Retired) && man.Retired[i] {
+		if man.Retired[i] {
 			w.state = stRetired
-		}
-		// Re-derive the barrier arrival watermark: the highest epoch the
-		// worker has published for. Waiting peers released by those
-		// arrivals stay released across the resume.
-		for _, p := range man.Pubs {
-			if p.Worker == i && p.Epoch > w.arrived {
-				w.arrived = p.Epoch
-			}
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -472,8 +444,7 @@ func (s *Supervisor) harvest(w *worker) (*fuzz.Report, error) {
 }
 
 // Stop requests a graceful fleet shutdown: each worker checkpoints at
-// its next safe boundary (or falls back to its last checkpoint when a
-// sync is pending) and Run returns Interrupted. Safe from any
+// its next boundary and Run returns Interrupted. Safe from any
 // goroutine; repeated calls are no-ops.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
@@ -496,7 +467,6 @@ func (s *Supervisor) setStoppingLocked() {
 	default:
 		close(s.stopCh)
 	}
-	s.cond.Broadcast()
 }
 
 // Signal handles one delivered interrupt, idempotently across repeats:
@@ -518,7 +488,6 @@ func (s *Supervisor) Signal() {
 // consecutive failures without durable progress.
 func (s *Supervisor) manage(w *worker) {
 	defer s.wg.Done()
-	defer s.cond.Broadcast() // whatever state we end in, wake barrier waiters
 	for {
 		s.mu.Lock()
 		if s.stopping {
@@ -593,7 +562,6 @@ func (s *Supervisor) manage(w *worker) {
 		default:
 			w.report = res.rep
 			w.state = stDone
-			s.cond.Broadcast()
 			if err := s.persistManifestLocked(); err != nil {
 				s.logf("fleet: manifest after worker %d done: %v", w.id, err)
 			}
@@ -602,7 +570,6 @@ func (s *Supervisor) manage(w *worker) {
 		}
 		if w.fails >= s.opts.MaxRestarts {
 			w.state = stRetired
-			s.cond.Broadcast()
 			if err := s.persistManifestLocked(); err != nil {
 				s.logf("fleet: manifest after worker %d retired: %v", w.id, err)
 			}
@@ -677,16 +644,10 @@ func (s *Supervisor) attempt(w *worker, gen int, out chan<- attemptResult) {
 		res.err = err
 		return
 	}
-	st := &syncState{}
-	if s.opts.SyncEvery > 0 {
-		st.lastSynced = int(ck.Snap.Stats.Execs / s.opts.SyncEvery)
-	}
-	st.pubIndex = s.pubIndexFor(w.id, st.lastSynced)
-
 	r := campaign.NewRunner(w.dir, campaign.Config{
 		FS: s.opts.FS, Interval: s.opts.CkptEvery, Keep: s.opts.Keep, Log: s.opts.Log,
 		StopAfter: s.opts.StopAfter,
-		Boundary:  func(f *fuzz.Fuzzer) bool { return s.boundary(w, gen, st, f) },
+		Boundary:  func(f *fuzz.Fuzzer) bool { return s.boundary(w, gen, f) },
 	})
 	wopts := s.workerOpts(w.id)
 	wopts.JournalGen = gen // journal events name the attempt that emitted them
@@ -723,26 +684,6 @@ func (s *Supervisor) attempt(w *worker, gen int, out chan<- attemptResult) {
 	s.publishWorkerTelemetry(w, gen, f)
 }
 
-// pubIndexFor derives a worker's publication start index on resume: its
-// queue length at the end of its last completed sync — recorded on the
-// publication record — or its seeded queue length before any sync.
-// Guarded internally.
-func (s *Supervisor) pubIndexFor(workerID, lastSynced int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lastSynced <= 0 {
-		return s.seeded[workerID]
-	}
-	if p := s.board.get(workerID, lastSynced); p != nil && p.QLen > 0 {
-		return p.QLen
-	}
-	// The sync completed (the checkpoint proves it) but its QLen write
-	// was lost. Conservative fallback: republish from the seeded index;
-	// importers dedup re-sent inputs by novelty.
-	s.logf("fleet: worker %d: missing publication watermark for epoch %d", workerID, lastSynced)
-	return s.seeded[workerID]
-}
-
 // addPoisonLocked quarantines one poison-input finding, deduplicated by
 // (worker, message, input). A fresh quarantine is journaled and gets the
 // worker's flight-recorder ring dumped — the events leading up to the
@@ -775,17 +716,12 @@ func bytesEqual(a, b []byte) bool {
 }
 
 // persistManifestLocked atomically rewrites the fleet manifest from
-// current supervisor state. Publication records must be persisted
-// before any barrier release that could let a consumer import them —
-// every sync calls this right after adding its publication.
+// current supervisor state.
 func (s *Supervisor) persistManifestLocked() error {
 	m := &Manifest{
 		Workers:     s.opts.Workers,
-		SyncEvery:   s.opts.SyncEvery,
 		MaxRestarts: s.opts.MaxRestarts,
 		Meta:        s.meta,
-		Seeded:      append([]int(nil), s.seeded...),
-		Pubs:        s.board.list(),
 		Quarantine:  append([]fuzz.PoisonRec(nil), s.quar...),
 		Restarts:    s.restarts,
 		Wedges:      s.wedges,

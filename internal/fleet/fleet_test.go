@@ -36,7 +36,7 @@ func main(input) {
 
 const (
 	testBudget = 20000 // per-worker execution budget
-	testSync   = 6000  // sync epochs at 6k, 12k, 18k execs
+	testStop   = 9000  // a mid-run stop, between two checkpoints
 	testCkpt   = 2500
 )
 
@@ -67,11 +67,10 @@ func testMeta() campaign.Meta {
 }
 
 // fleetOpts is the baseline supervisor configuration for tests: real
-// sync and checkpoint cadence, no wall-clock sleeps.
+// checkpoint cadence, no wall-clock sleeps.
 func fleetOpts(workers int) fleet.Options {
 	return fleet.Options{
 		Workers:   workers,
-		SyncEvery: testSync,
 		CkptEvery: testCkpt,
 		Sleep:     func(time.Duration) {},
 	}
@@ -128,12 +127,15 @@ func TestWorkerSeed(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerByteIdentity is the fleet's base determinism anchor:
-// a 1-worker fleet — supervisor, checkpoints, sync machinery and all —
-// produces a final report byte-identical to a plain single fuzzer with
-// the same seed and budget.
-func TestSingleWorkerByteIdentity(t *testing.T) {
-	f, err := fuzz.New(compileT(t), testOpts())
+// plainCampaign runs the plain single fuzzer that fleet worker i must
+// equal: seed WorkerSeed(7, i), the fleet's budget, and corpus
+// provenance stamped with worker i.
+func plainCampaign(t *testing.T, worker int) *fuzz.Report {
+	t.Helper()
+	opts := testOpts()
+	opts.Seed = fleet.WorkerSeed(opts.Seed, worker)
+	opts.JournalWorker = worker
+	f, err := fuzz.New(compileT(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,21 +143,47 @@ func TestSingleWorkerByteIdentity(t *testing.T) {
 		f.AddSeed(s)
 	}
 	f.Fuzz(testBudget)
-	rep := f.Report()
-	if len(rep.Bugs) == 0 {
-		t.Fatalf("baseline found no bugs in %d execs; the test program is too hard", rep.Stats.Execs)
-	}
-	want := canonical(t, rep)
+	return f.Report()
+}
 
-	res := runFleet(t, t.TempDir(), fleetOpts(1))
-	if res.Interrupted {
-		t.Fatal("1-worker fleet reported interrupted")
-	}
-	if got := canonical(t, res.Merged); !bytes.Equal(got, want) {
-		t.Fatalf("1-worker fleet differs from plain fuzzer (%d vs %d canonical bytes)", len(got), len(want))
-	}
-	if res.Restarts != 0 || len(res.Quarantined) != 0 {
-		t.Fatalf("clean 1-worker fleet recorded restarts=%d quarantined=%d", res.Restarts, len(res.Quarantined))
+// TestSingleWorkerByteIdentity is the fleet's base determinism anchor:
+// each worker of a fleet — supervisor, checkpoints and all — ends with
+// a report byte-identical to a plain single fuzzer at the worker's
+// derived seed and the same budget, and the merged report is those
+// campaigns merged, their queues concatenated in worker order.
+func TestSingleWorkerByteIdentity(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		plain := make([]*fuzz.Report, workers)
+		for i := range plain {
+			plain[i] = plainCampaign(t, i)
+		}
+		if len(plain[0].Bugs) == 0 {
+			t.Fatalf("baseline found no bugs in %d execs; the test program is too hard", plain[0].Stats.Execs)
+		}
+
+		res := runFleet(t, t.TempDir(), fleetOpts(workers))
+		if res.Interrupted {
+			t.Fatalf("%d-worker fleet reported interrupted", workers)
+		}
+		if res.Restarts != 0 || len(res.Quarantined) != 0 {
+			t.Fatalf("clean %d-worker fleet recorded restarts=%d quarantined=%d", workers, res.Restarts, len(res.Quarantined))
+		}
+		for i, rep := range plain {
+			if got, want := canonical(t, res.Workers[i]), canonical(t, rep); !bytes.Equal(got, want) {
+				t.Fatalf("%d-worker fleet: worker %d differs from the plain fuzzer at seed %d (%d vs %d canonical bytes)",
+					workers, i, fleet.WorkerSeed(7, i), len(got), len(want))
+			}
+		}
+		merged := fuzz.MergeReports(plain...)
+		merged.Queue = nil
+		for _, rep := range plain {
+			merged.Queue = append(merged.Queue, rep.Queue...)
+		}
+		merged.QueueLen = len(merged.Queue)
+		if got, want := canonical(t, res.Merged), canonical(t, merged); !bytes.Equal(got, want) {
+			t.Fatalf("%d-worker fleet's merged report differs from its plain campaigns merged (%d vs %d canonical bytes)",
+				workers, len(got), len(want))
+		}
 	}
 }
 
@@ -256,10 +284,9 @@ func TestFleetChaosDeterminism(t *testing.T) {
 
 // TestFleetRetirementHarvest drives one worker into a crash loop with
 // no durable progress between failures: after MaxRestarts consecutive
-// failures it is retired, the rest of the fleet completes (the sync
-// barrier must release past a retired worker), and the retired
-// worker's last checkpoint is harvested into the merged report so its
-// corpus and findings are not lost.
+// failures it is retired, the rest of the fleet completes, and the
+// retired worker's last checkpoint is harvested into the merged report
+// so its corpus and findings are not lost.
 func TestFleetRetirementHarvest(t *testing.T) {
 	opts := fleetOpts(2)
 	opts.MaxRestarts = 2
@@ -322,18 +349,17 @@ func resumeFleet(t *testing.T, dir string, opts fleet.Options) *fleet.Result {
 	return res
 }
 
-// TestFleetResumeDeterminism interrupts a fleet exactly at a sync
-// epoch boundary (the boundary hook completes the sync, then the stop
-// lands), resumes it from the manifest plus per-worker checkpoints,
-// and asserts the final merged report is byte-identical to the same
-// fleet run uninterrupted.
+// TestFleetResumeDeterminism interrupts a fleet at a fixed exec count,
+// resumes it from the manifest plus per-worker checkpoints, and asserts
+// the final merged report is byte-identical to the same fleet run
+// uninterrupted.
 func TestFleetResumeDeterminism(t *testing.T) {
 	clean := runFleet(t, t.TempDir(), fleetOpts(2))
 	want := canonical(t, clean.Merged)
 
 	dir := t.TempDir()
 	opts := fleetOpts(2)
-	opts.StopAfter = 2 * testSync // lands on the epoch-2 sync boundary itself
+	opts.StopAfter = testStop
 	res := runFleet(t, dir, opts)
 	if !res.Interrupted {
 		t.Fatal("StopAfter did not interrupt the fleet")
@@ -382,27 +408,6 @@ func validateCheckpoints(t *testing.T, dir string, workers int) {
 	}
 }
 
-// TestFleetSyncCheckpointsRestorable checkpoints at every queue-entry
-// boundary of a fleet that syncs often. A sync's imports run inside the
-// boundary hook, so many checkpoints land right after them. Every
-// checkpoint written must validate.
-func TestFleetSyncCheckpointsRestorable(t *testing.T) {
-	dir := t.TempDir()
-	opts := fleetOpts(2)
-	opts.SyncEvery = 1000
-	opts.CkptEvery = 1
-	opts.Keep = 1 << 20
-	s := fleet.New(dir, opts)
-	if err := s.Start(compileT(t), testOpts(), testMeta(), testSeeds); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil || res.Interrupted {
-		t.Fatalf("fleet run: interrupted=%v err=%v", res != nil && res.Interrupted, err)
-	}
-	validateCheckpoints(t, dir, 2)
-}
-
 // TestFleetAttachRefusesCheckpointWithoutRNGState: a fleet whose worker
 // checkpoint predates the generator ring in snapshots cannot resume;
 // Attach refuses it with fuzz.ErrRNGState instead of letting the worker
@@ -410,7 +415,7 @@ func TestFleetSyncCheckpointsRestorable(t *testing.T) {
 func TestFleetAttachRefusesCheckpointWithoutRNGState(t *testing.T) {
 	dir := t.TempDir()
 	opts := fleetOpts(2)
-	opts.StopAfter = testSync
+	opts.StopAfter = testStop
 	if res := runFleet(t, dir, opts); !res.Interrupted {
 		t.Fatal("StopAfter did not interrupt the fleet")
 	}
@@ -450,12 +455,9 @@ func TestFleetAttachRefusesCheckpointWithoutRNGState(t *testing.T) {
 }
 
 // TestFleetStopAnywhereResumes stops the fleet from another goroutine
-// at an arbitrary wall-clock moment — possibly mid-sync, with one
-// worker parked at the barrier and the other importing — and asserts
-// resume still converges to the uninterrupted result. This is the
-// kill-during-sync consistency guarantee: publications are persisted
-// before any barrier release, and a worker stopped with a sync pending
-// falls back to its pre-epoch checkpoint and replays the sync.
+// at an arbitrary wall-clock moment — each worker at whatever boundary
+// it has reached, the two at different exec counts — and asserts
+// resume still converges to the uninterrupted result.
 func TestFleetStopAnywhereResumes(t *testing.T) {
 	clean := runFleet(t, t.TempDir(), fleetOpts(2))
 	want := canonical(t, clean.Merged)
@@ -506,17 +508,12 @@ func TestFleetStopAnywhereResumes(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	m := &fleet.Manifest{
 		Workers:     2,
-		SyncEvery:   testSync,
 		MaxRestarts: 3,
 		Meta:        testMeta(),
-		Seeded:      []int{2, 2},
-		Pubs: []fleet.Pub{
-			{Worker: 0, Epoch: 1, Inputs: [][]byte{[]byte("pub")}, QLen: 3},
-		},
-		Quarantine: []fuzz.PoisonRec{{Worker: 1, Msg: "boom", Input: []byte("bad"), Execs: 42, Count: 1}},
-		Restarts:   1,
-		Retired:    []bool{false, false},
-		Done:       []bool{false, true},
+		Quarantine:  []fuzz.PoisonRec{{Worker: 1, Msg: "boom", Input: []byte("bad"), Execs: 42, Count: 1}},
+		Restarts:    1,
+		Retired:     []bool{false, false},
+		Done:        []bool{false, true},
 	}
 	data, err := m.Encode()
 	if err != nil {
@@ -526,9 +523,37 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Workers != 2 || got.SyncEvery != testSync || len(got.Pubs) != 1 ||
-		got.Pubs[0].QLen != 3 || len(got.Quarantine) != 1 || !got.Done[1] {
+	if got.Workers != 2 || got.MaxRestarts != 3 || got.Restarts != 1 ||
+		len(got.Quarantine) != 1 || got.Done[0] || !got.Done[1] {
 		t.Fatalf("round trip mangled manifest: %+v", got)
+	}
+
+	// One lifecycle flag per worker: a worker count the flags do not
+	// back is refused.
+	bad := *m
+	bad.Workers = 3
+	if data, err := bad.Encode(); err != nil {
+		t.Fatal(err)
+	} else if _, err := fleet.DecodeManifest(data); err == nil {
+		t.Fatal("manifest with 3 workers and 2 lifecycle flags decoded without error")
+	}
+
+	// A fleet an older build ran with corpus sync still decodes, for
+	// paprof, but Attach refuses to resume it without sync.
+	synced := *m
+	synced.SyncEvery = 20000
+	if data, err = synced.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = fleet.DecodeManifest(data); err != nil {
+		t.Fatal(err)
+	}
+	if got.SyncEvery != 20000 {
+		t.Fatalf("decoded SyncEvery = %d, want 20000", got.SyncEvery)
+	}
+	err = fleet.New(t.TempDir(), fleetOpts(2)).Attach(compileT(t), testOpts(), got)
+	if !errors.Is(err, fleet.ErrSynced) {
+		t.Fatalf("Attach of a synced fleet: got %v, want fleet.ErrSynced", err)
 	}
 
 	// A torn write must be detected, not half-decoded.

@@ -74,23 +74,19 @@ func TestFleetSharedJournalConcurrency(t *testing.T) {
 		t.Fatalf("shared journal not OK: errors=%v gaps=%v", diag.Errors, diag.Gaps)
 	}
 	counts := journal.KindCounts(events)
-	// Each worker opens its own campaign stream, and each sync epoch is
-	// journaled by the supervisor (3 epochs x 2 workers at this cadence).
+	// Each worker opens its own campaign stream; workers never sync.
 	if counts[journal.KindStart] != 2 {
 		t.Fatalf("want one start per worker, got %d", counts[journal.KindStart])
 	}
 	if counts[journal.KindFinish] != 2 {
 		t.Fatalf("want one finish per worker, got %d", counts[journal.KindFinish])
 	}
-	if counts[journal.KindSync] == 0 {
-		t.Fatal("no sync events journaled")
+	if counts[journal.KindSync] != 0 {
+		t.Fatalf("fleet journaled %d sync events, want none", counts[journal.KindSync])
 	}
 	workers := map[int]bool{}
 	for _, ev := range events {
 		workers[ev.Worker] = true
-		if ev.Kind == journal.KindSync && ev.Epoch == 0 {
-			t.Fatalf("sync event without an epoch: %+v", ev)
-		}
 	}
 	if !workers[0] || !workers[1] {
 		t.Fatalf("journal missing a worker's events: %v", workers)

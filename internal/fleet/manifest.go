@@ -1,21 +1,17 @@
 // Fleet manifest: the sealed, atomically rewritten file that composes
 // per-worker campaign checkpoints into one resumable fleet. It records
-// the fleet shape (worker count, sync cadence, restart budget), the
-// corpus-sync publication board, quarantined poison inputs, and
-// worker lifecycle flags. Together with each worker's own checkpoint
-// directory it is everything Attach needs to resume a fleet — including
-// one killed in the middle of a corpus sync: publications are persisted
-// before any barrier release, so a replaying worker either finds its
-// publication already on the board (and reuses it) or deterministically
-// re-creates the identical one.
+// the fleet shape (worker count, restart budget), quarantined poison
+// inputs, and worker lifecycle flags. Together with each worker's own
+// checkpoint directory it is everything Attach needs to resume a fleet:
+// each worker resumes as the single durable campaign it is.
 package fleet
 
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/fuzz"
@@ -25,40 +21,31 @@ import (
 // directory.
 const ManifestName = "fleet.pafm"
 
-// Pub is one corpus-sync publication: the queue entries worker Worker
-// added between its previous sync point and its arrival at Epoch.
-// Publications are immutable once persisted — a worker replaying after
-// a restart re-derives the identical inputs, so consumers may import a
-// publication at any time after it appears.
-type Pub struct {
-	Worker int
-	Epoch  int
-	Inputs [][]byte
-	// QLen is the publisher's queue length after the sync completed
-	// (publication plus imports applied) — the publisher's next
-	// publication starts at this index. Zero until the sync completes;
-	// rewritten (to the same value, by determinism) on replay.
-	QLen int
-}
+// ErrManifestCorrupt reports a sealed manifest whose payload does not
+// decode, or decodes to a fleet its own fields contradict.
+var ErrManifestCorrupt = errors.New("fleet: manifest corrupt")
+
+// ErrSynced reports a fleet an older build ran with corpus sync (a
+// manifest with SyncEvery > 0): sync is gone, and resuming the fleet
+// without it would not continue the same campaign.
+var ErrSynced = errors.New("fleet: the fleet ran with corpus sync, which this version no longer has; it cannot be resumed")
 
 // Manifest is the fleet-level durable state.
 type Manifest struct {
 	// Fleet shape; Attach validates resumes against these rather than
 	// trusting flags to be re-specified consistently.
-	Workers     int
+	Workers int
+	// SyncEvery is the corpus-sync cadence an older build recorded;
+	// this build writes 0, and Attach refuses a fleet that synced
+	// (ErrSynced).
 	SyncEvery   int64
 	MaxRestarts int
 	// Meta is the base campaign identity (Seed is the fleet seed;
 	// per-worker seeds are derived from it, see WorkerSeed).
 	Meta campaign.Meta
-	// Seeded[i] is worker i's queue length after seed calibration — the
-	// starting publication index.
-	Seeded []int
-	// Pubs is the publication board, sorted by (Epoch, Worker).
-	Pubs []Pub
 	// Quarantine lists poison-input findings, canonically sorted.
 	Quarantine []fuzz.PoisonRec
-	// Lifecycle counters and flags.
+	// Lifecycle counters and flags, one flag per worker.
 	Restarts int
 	Wedges   int
 	Retired  []bool
@@ -75,7 +62,10 @@ func (m *Manifest) Encode() ([]byte, error) {
 	return campaign.Seal(buf.Bytes()), nil
 }
 
-// DecodeManifest validates and decodes a sealed manifest.
+// DecodeManifest validates and decodes a sealed manifest. A payload
+// that does not decode, or whose per-worker flags do not hold one entry
+// per worker, fails with ErrManifestCorrupt; so a hostile worker count
+// is bounded by the payload's size.
 func DecodeManifest(data []byte) (*Manifest, error) {
 	payload, err := campaign.Open(data)
 	if err != nil {
@@ -83,10 +73,11 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	var m Manifest
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("fleet: manifest payload undecodable: %w", err)
+		return nil, fmt.Errorf("%w: payload undecodable: %w", ErrManifestCorrupt, err)
 	}
-	if m.Workers <= 0 || len(m.Seeded) != m.Workers {
-		return nil, fmt.Errorf("fleet: manifest inconsistent: %d workers, %d seed records", m.Workers, len(m.Seeded))
+	if m.Workers <= 0 || len(m.Retired) != m.Workers || len(m.Done) != m.Workers {
+		return nil, fmt.Errorf("%w: %d workers, %d retired and %d done flags",
+			ErrManifestCorrupt, m.Workers, len(m.Retired), len(m.Done))
 	}
 	return &m, nil
 }
@@ -107,75 +98,4 @@ func LoadManifest(fs campaign.FS, dir string) (*Manifest, error) {
 func HasManifest(fs campaign.FS, dir string) bool {
 	_, err := fs.ReadFile(filepath.Join(dir, ManifestName))
 	return err == nil
-}
-
-// sortPubs orders the publication board canonically.
-func sortPubs(pubs []Pub) {
-	sort.Slice(pubs, func(i, j int) bool {
-		if pubs[i].Epoch != pubs[j].Epoch {
-			return pubs[i].Epoch < pubs[j].Epoch
-		}
-		return pubs[i].Worker < pubs[j].Worker
-	})
-}
-
-// board is the in-memory publication board. All access is under the
-// supervisor mutex.
-type board struct {
-	pubs map[[2]int]*Pub // (worker, epoch) -> publication
-}
-
-func newBoard() *board { return &board{pubs: make(map[[2]int]*Pub)} }
-
-func boardFromManifest(m *Manifest) *board {
-	b := newBoard()
-	for i := range m.Pubs {
-		p := m.Pubs[i]
-		b.pubs[[2]int{p.Worker, p.Epoch}] = &p
-	}
-	return b
-}
-
-func (b *board) get(worker, epoch int) *Pub {
-	return b.pubs[[2]int{worker, epoch}]
-}
-
-func (b *board) add(worker, epoch int, inputs [][]byte) *Pub {
-	p := &Pub{Worker: worker, Epoch: epoch, Inputs: inputs}
-	b.pubs[[2]int{worker, epoch}] = p
-	return p
-}
-
-// imports returns the inputs worker should import when releasing from
-// the barrier at epoch hi, having last synced at epoch lo: every other
-// worker's publications with epoch in (lo, hi], in deterministic
-// (epoch, worker) order.
-func (b *board) imports(worker, lo, hi int) [][]byte {
-	var recs []*Pub
-	for _, p := range b.pubs {
-		if p.Worker != worker && p.Epoch > lo && p.Epoch <= hi {
-			recs = append(recs, p)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Epoch != recs[j].Epoch {
-			return recs[i].Epoch < recs[j].Epoch
-		}
-		return recs[i].Worker < recs[j].Worker
-	})
-	var out [][]byte
-	for _, p := range recs {
-		out = append(out, p.Inputs...)
-	}
-	return out
-}
-
-// list flattens the board into the manifest's canonical order.
-func (b *board) list() []Pub {
-	out := make([]Pub, 0, len(b.pubs))
-	for _, p := range b.pubs {
-		out = append(out, *p)
-	}
-	sortPubs(out)
-	return out
 }

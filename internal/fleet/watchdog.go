@@ -43,7 +43,7 @@ func (s *Supervisor) startWatchdog() {
 			deadline := time.Now().Add(-s.opts.Watchdog).UnixNano()
 			s.mu.Lock()
 			for _, w := range s.workers {
-				if w.state != stRunning || w.parked.Load() {
+				if w.state != stRunning {
 					continue
 				}
 				// beat == 0: the attempt is still starting up (restoring its
@@ -100,6 +100,5 @@ func (s *Supervisor) declareWedgedLocked(w *worker) {
 		close(w.wedged)
 		w.wedged = nil
 	}
-	s.cond.Broadcast()
 	s.logf("fleet: worker %d wedged (no heartbeat for %v); restarting from last checkpoint", w.id, s.opts.Watchdog)
 }

@@ -51,8 +51,8 @@ import (
 // The patch plan is recomputed only at deterministic boundaries —
 // queue-cycle starts (right after the favored-corpus cull) and
 // checkpoint restore — never mid-cycle, and always as a pure function
-// of the current virgin map, so resumed and fleet-synced campaigns
-// derive their plans from identical state.
+// of the current virgin map, so a resumed campaign derives its plans
+// from the same state as an uninterrupted one.
 
 // cgtState carries the CGT engine's machinery and its private
 // counters. All counters are engine-internal: they never appear in

@@ -412,21 +412,8 @@ func (f *Fuzzer) QueueLen() int { return len(f.queue) }
 
 // QueueInputs returns copies of all queue inputs (the saved corpus).
 func (f *Fuzzer) QueueInputs() [][]byte {
-	return f.QueueInputsFrom(0)
-}
-
-// QueueInputsFrom returns copies of the queue inputs from index i on —
-// the incremental publication set the fleet's corpus sync exchanges
-// (entries added since the worker's previous sync point).
-func (f *Fuzzer) QueueInputsFrom(i int) [][]byte {
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(f.queue) {
-		return nil
-	}
-	out := make([][]byte, 0, len(f.queue)-i)
-	for _, e := range f.queue[i:] {
+	var out [][]byte
+	for _, e := range f.queue {
 		out = append(out, append([]byte(nil), e.Data...))
 	}
 	return out

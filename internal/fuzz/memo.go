@@ -32,7 +32,7 @@ type memoEntry struct {
 // repeat finds no novelty in either virgin map. The second half holds
 // only while nothing else rewrites the virgin maps, so the fuzzer clears
 // the memo at the start of every AddSeed and fuzzOne, the boundaries at
-// which checkpoints are taken, fleets sync and CGT replans. The memo is
+// which checkpoints are taken and CGT replans. The memo is
 // never checkpointed: a restored campaign starts its next entry with an
 // empty memo, exactly as an uninterrupted one does.
 //

@@ -25,8 +25,8 @@ const SchemaVersion = 1
 
 // Event kinds. The set mirrors the campaign lifecycle: fuzzer-level
 // events (start through finish) are emitted at queue-entry granularity
-// by the fuzz loop, fleet-level events (sync through quarantine) by the
-// supervisor.
+// by the fuzz loop, fleet-level events (recycle through quarantine) by
+// the supervisor. sync appears only in journals older builds wrote.
 const (
 	// KindStart opens a campaign's event stream: feedback, engine, and
 	// seed. Emitted once per campaign (never re-emitted on resume).
@@ -51,7 +51,9 @@ const (
 	KindReplan = "replan"
 	// KindFinish closes a completed campaign (budget reached).
 	KindFinish = "finish"
-	// KindSync records one fleet corpus-sync epoch for one worker.
+	// KindSync recorded one fleet corpus-sync epoch for one worker.
+	// Only older builds wrote it (corpus sync is gone); it stays known
+	// so their journals still validate.
 	KindSync = "sync"
 	// KindRecycle records a worker restart after a failed attempt.
 	KindRecycle = "recycle"
@@ -125,7 +127,8 @@ type Event struct {
 	// Msg carries free-form detail (fault/wedge/recycle reasons,
 	// calibration status).
 	Msg string `json:"msg,omitempty"`
-	// Epoch / Published / Imported describe one fleet sync point.
+	// Epoch / Published / Imported describe one fleet sync point of a
+	// journal an older build wrote (KindSync).
 	Epoch     int `json:"epoch,omitempty"`
 	Published int `json:"published,omitempty"`
 	Imported  int `json:"imported,omitempty"`

@@ -63,7 +63,7 @@ type Counters struct {
 	// The fleet supervisor fills these on the aggregate snapshot it
 	// publishes; per-worker snapshots leave them zero.
 	FleetWorkers     int64 // configured worker count
-	FleetActive      int64 // workers currently running or parked at a sync barrier
+	FleetActive      int64 // workers currently running or backing off before a restart
 	FleetRestarts    int64 // worker restarts (panic or wedge recoveries)
 	FleetWedges      int64 // watchdog wedge declarations
 	FleetRetired     int64 // workers retired after K consecutive failures
@@ -175,7 +175,7 @@ var counterRows = []counterRow{
 		func(c *Counters) *int64 { return &c.PatchSites }, nil},
 	{"fleet_workers", "pafuzz_fleet_workers", "Configured fleet worker count (0 for single campaigns).", gauge, supervisor,
 		func(c *Counters) *int64 { return &c.FleetWorkers }, nil},
-	{"fleet_active", "pafuzz_fleet_active", "Fleet workers currently running or parked at a sync barrier.", gauge, supervisor,
+	{"fleet_active", "pafuzz_fleet_active", "Fleet workers currently running or backing off before a restart.", gauge, supervisor,
 		func(c *Counters) *int64 { return &c.FleetActive }, nil},
 	{"fleet_restarts", "pafuzz_fleet_restarts_total", "Fleet worker restarts (panic or wedge recoveries).", counter, supervisor,
 		func(c *Counters) *int64 { return &c.FleetRestarts }, nil},
