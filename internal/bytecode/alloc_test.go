@@ -116,3 +116,65 @@ func TestZeroAllocLargeArray(t *testing.T) {
 		t.Errorf("%v allocs/exec allocating 2^20 cells, want 0", avg)
 	}
 }
+
+// growSrc calls a function with 2^10 acyclic paths 20n times on
+// distinct arguments, logging a comparison per loop iteration, and
+// then recurses 3n frames deep, for n the first input byte.
+var growSrc = diamondsSrc("d", 10) + `
+func dive(n) {
+    if (n <= 0) { return 0; }
+    return 1 + dive(n - 1);
+}
+func main(input) {
+    var n = input[0];
+    var s = 0;
+    var i = 0;
+    while (i < n * 20) {
+        s = s + d(i * 7);
+        i = i + 1;
+    }
+    return s + dive(n * 3);
+}
+`
+
+// TestZeroAllocAfterGrowth pins where the machine's pools grow: only
+// on the dispatch loop's slow path, and only past their high-water
+// marks. A machine warmed on a small run then runs an input that
+// touches more map cells (over 256 paths under path feedback), nests
+// more frames and logs more comparisons than any run before it. That
+// run grows the pools; running it again allocates nothing.
+func TestZeroAllocAfterGrowth(t *testing.T) {
+	prog, err := cfg.Compile(growSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, big := []byte{0}, []byte{15}
+	for _, fb := range allFeedbacks {
+		cp, ok := instrument.CompiledFor(fb, prog, instrument.Config{})
+		if !ok {
+			t.Fatalf("no lowering for %v", fb)
+		}
+		m := coverage.NewMap(1 << 12)
+		mach := bytecode.NewMachine(cp, m, vm.DefaultLimits())
+		run := func(in []byte) vm.Result {
+			m.Reset()
+			r := mach.Run("main", in)
+			if r.Status != vm.StatusOK {
+				t.Fatalf("%v: input %v: status %v", fb, in, r.Status)
+			}
+			return r
+		}
+		r := run(small)
+		cells, cmps := m.CountNonZero(), len(r.Cmps)
+		r = run(big)
+		if len(r.Cmps) <= cmps || m.CountNonZero() <= cells {
+			t.Fatalf("%v: the big run logged %d comparisons and touched %d cells, the small one %d and %d", fb, len(r.Cmps), m.CountNonZero(), cmps, cells)
+		}
+		if fb == instrument.FeedbackPath && m.CountNonZero() <= 256 {
+			t.Fatalf("path: the big run touched %d cells, want over 256", m.CountNonZero())
+		}
+		if avg := testing.AllocsPerRun(20, func() { run(big) }); avg != 0 {
+			t.Errorf("%v: %v allocs/exec repeating the run that grew the pools, want 0", fb, avg)
+		}
+	}
+}

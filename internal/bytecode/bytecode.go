@@ -207,6 +207,8 @@ const (
 	opProbeInc      // path: reg += imm
 	opProbeBack     // path: record(reg + imm, salt a); reg = backVals[b]
 	opProbeRetPath  // path: record(reg + imm, salt a); pop the register
+	opProbeBack2    // path2: opProbeBack, also writing the 2-gram
+	opProbeRetPath2 // path2: opProbeRetPath, also writing the 2-gram
 	opProbeHashEdge // path hash fallback: reg = splitmix64(reg ^ imm)
 	opProbePAEnter  // pathafl: fold salt imm into the rolling segment hash
 	opProbePAFlush  // pathafl: close the current path segment

@@ -349,14 +349,15 @@ func (c *compiler) edgeProbes(f *cfg.Func, fs FnSpec, e int) []instr {
 		if fs.Edge {
 			return []instr{{op: opProbeAdd, imm: int64(fs.Base + uint32(e))}}
 		}
+		back, _ := c.recordOps()
 		if fs.HashMode {
 			if f.BackEdge[e] {
-				return []instr{{op: opProbeBack, a: int32(fs.Salt), b: c.backVal(0)}}
+				return []instr{{op: back, a: int32(fs.Salt), b: c.backVal(0)}}
 			}
 			return []instr{{op: opProbeHashEdge, imm: int64(e + 1)}}
 		}
 		if act, ok := fs.Back[e]; ok {
-			return []instr{{op: opProbeBack, a: int32(fs.Salt), imm: act.EndInc, b: c.backVal(act.StartVal)}}
+			return []instr{{op: back, a: int32(fs.Salt), imm: act.EndInc, b: c.backVal(act.StartVal)}}
 		}
 		if inc := fs.EdgeInc[e]; inc != 0 {
 			// Spanning-tree placement pays off here: tree edges carry a
@@ -366,6 +367,16 @@ func (c *compiler) edgeProbes(f *cfg.Func, fs FnSpec, e int) []instr {
 		return nil
 	}
 	return nil
+}
+
+// recordOps returns the path record opcodes for back edges and
+// returns. Path2 has its own, which fusion leaves alone, so the plain
+// path handlers never test Spec.Path2.
+func (c *compiler) recordOps() (back, ret uint8) {
+	if c.out.spec.Path2 {
+		return opProbeBack2, opProbeRetPath2
+	}
+	return opProbeBack, opProbeRetPath
 }
 
 // backVal interns one opProbeBack restart value and returns its index
@@ -387,7 +398,8 @@ func (c *compiler) emitRetProbes(fs FnSpec, b int, pos lang.Pos) {
 		if !fs.HashMode {
 			inc = fs.RetInc[b]
 		}
-		c.emit(instr{op: opProbeRetPath, a: int32(fs.Salt), imm: inc}, pos)
+		_, ret := c.recordOps()
+		c.emit(instr{op: ret, a: int32(fs.Salt), imm: inc}, pos)
 	case ProbePathAFL:
 		if fs.Tracked {
 			c.emit(instr{op: opProbePAFlush}, pos)

@@ -8,18 +8,18 @@ import (
 	"repro/internal/vm"
 )
 
-// mframe is one pooled call frame: the executing function, where its
-// slots start in the shared slot stack, and where to resume in the
-// caller. cfs caches the caller's frame size so a return restores
-// base/fsize without touching the function table (base - cfs is the
-// caller's base). The call-site position for crash stacks is not
-// stored — it is recovered cold as Program.pos[retPC-1].
+// mframe is one pooled call frame: the executing function, the window
+// [base, base+size) of the shared slot stack its slots occupy, and
+// where to resume in the caller. The caller's window is the frame
+// below, so a return re-derives it without touching the function
+// table. The call-site position for crash stacks is not stored — it is
+// recovered cold as Program.pos[retPC-1].
 type mframe struct {
 	fn    int32
 	base  int32
+	size  int32
 	retPC int32
 	dst   int32
-	cfs   int32
 }
 
 // harray is one heap array: its cells, carved from the arena, and hi,
@@ -42,10 +42,15 @@ type harray struct {
 // Result.Cmps are valid only until the next Run. Callers that keep
 // them across executions must copy.
 type Machine struct {
-	p        *Program
-	m        *coverage.Map
-	lim      vm.Limits
-	injectAt int64
+	p   *Program
+	m   *coverage.Map
+	lim vm.Limits
+	// stop is the step count at which a block exit leaves the run: one
+	// past the budget, or the injected fault's step if that is earlier.
+	stop int64
+	// pc and steps carry the dispatch loop's registers through slowOp.
+	pc    int32
+	steps int64
 
 	// slots is the shared slot stack; frames carve [base, base+size).
 	slots  []int64
@@ -60,7 +65,9 @@ type Machine struct {
 	arenaN int
 	cells  int64
 	output []int64
-	cmps   []vm.CmpObs
+	// cmps is the comparison log; its capacity never exceeds
+	// MaxCmpObs, so a comparison is logged iff the log has room.
+	cmps []vm.CmpObs
 	// regs is the Ball-Larus path register stack (ProbePath).
 	regs []uint64
 	// last[i+1] is the mixed ID of the previous path recorded by the
@@ -85,9 +92,12 @@ type Machine struct {
 // NewMachine builds an execution machine over p, writing coverage to m
 // under the given limits.
 func NewMachine(p *Program, m *coverage.Map, lim vm.Limits) *Machine {
-	mc := &Machine{p: p, m: m, lim: lim, injectAt: math.MaxInt64}
+	mc := &Machine{p: p, m: m, lim: lim, stop: math.MaxInt64}
 	if lim.InjectPanicAtStep > 0 {
-		mc.injectAt = lim.InjectPanicAtStep
+		mc.stop = lim.InjectPanicAtStep
+	}
+	if lim.MaxSteps < mc.stop {
+		mc.stop = lim.MaxSteps + 1
 	}
 	if p.spec.Path2 {
 		mc.last = make([]uint32, 1, 64)
@@ -103,15 +113,75 @@ func (mc *Machine) Program() *Program { return mc.p }
 // written; the caller may update its contents between runs.
 func (mc *Machine) SetElide(bs *coverage.Bitset) { mc.elide = bs }
 
-// probeDyn is the dynamic-index map write behind record and paFlush:
-// with a consumed-cell mask installed, writes to fully consumed cells
-// are skipped (they can never produce novelty, so skipping them is
-// coverage-preserving).
+// elided reports whether a dynamic-index probe (path record, pathafl
+// segment flush) skips its map write: with a consumed-cell mask
+// installed, writes to fully consumed cells are skipped (they can never
+// produce novelty, so skipping them is coverage-preserving).
+func (mc *Machine) elided(idx uint32) bool { return mc.elide != nil && mc.elide.Has(idx) }
+
+// probeDyn is the slow path's dynamic-index map write.
 func (mc *Machine) probeDyn(idx uint32) {
-	if mc.elide != nil && mc.elide.Has(idx) {
+	if !mc.elided(idx) {
+		mc.m.Add(idx)
+	}
+}
+
+// logCmp appends one comparison observation to the log without a call,
+// for the dispatch loop. It reports false, logging nothing, when the
+// log's capacity is spent below MaxCmpObs; past the limit it drops the
+// observation and reports true.
+func (mc *Machine) logCmp(a, b, kind int64, taken bool) bool {
+	n := len(mc.cmps)
+	if n == cap(mc.cmps) {
+		return n >= mc.lim.MaxCmpObs
+	}
+	mc.cmps = mc.cmps[:n+1]
+	mc.cmps[n] = vm.CmpObs{A: a, B: b, Op: lang.Kind(kind), Taken: taken}
+	return true
+}
+
+// grow makes room in whichever pool the dispatch loop found full: the
+// comparison log, up to MaxCmpObs, or the map's touched list.
+func (mc *Machine) grow() {
+	if n := len(mc.cmps); n == cap(mc.cmps) && n < mc.lim.MaxCmpObs {
+		c := make([]vm.CmpObs, n, min(max(2*n, 16), mc.lim.MaxCmpObs))
+		copy(c, mc.cmps)
+		mc.cmps = c
+	}
+	if t := mc.m.Dirty(); len(t) == cap(t) {
+		mc.m.Reserve(256)
+	}
+}
+
+// record2 is Spec.Path2's path record (PathNGramTracer.record): the
+// path's own cell, then the hashed 2-gram of the activation's previous
+// path and this one, which then becomes the previous path.
+func (mc *Machine) record2(salt uint32, pathID uint64) {
+	idx := uint32(pathID) ^ salt
+	mc.probeDyn(idx)
+	top := len(mc.regs)
+	if prev := mc.last[top]; prev != 0 {
+		mc.probeDyn(uint32(splitmix64(uint64(prev)<<32 | uint64(idx))))
+	}
+	mc.last[top] = idx | 1 // never zero, so chains continue
+}
+
+// pushReg pushes a fresh path register. Under Spec.Path2 the callee's
+// 2-gram context starts at the caller's last path.
+func (mc *Machine) pushReg() {
+	mc.regs = append(mc.regs, 0)
+	if mc.p.spec.Path2 {
+		k := len(mc.regs)
+		mc.last = append(mc.last[:k], mc.last[k-1])
+	}
+}
+
+func (mc *Machine) paFlush() {
+	if mc.pan == 0 {
 		return
 	}
-	mc.m.Add(idx)
+	mc.probeDyn(uint32(mc.pah) & 0xffff)
+	mc.pah, mc.pan = 0, 0
 }
 
 // reset prepares the machine for a run. It clears the cells the last
@@ -186,7 +256,7 @@ func (mc *Machine) crash(kind vm.CrashKind, pos lang.Pos, msg string) *vm.Crash 
 	c := &vm.Crash{Kind: kind, Msg: msg, Pos: pos}
 	if n := len(mc.frames); n > 0 {
 		c.Func = mc.p.fns[mc.frames[n-1].fn].name
-		c.Stack = append(c.Stack, vm.Frame{Func: c.Func, Pos: pos})
+		c.Stack = append(make([]vm.Frame, 0, n), vm.Frame{Func: c.Func, Pos: pos})
 		for i := n - 2; i >= 0; i-- {
 			callPos := mc.p.pos[mc.frames[i+1].retPC-1]
 			c.Stack = append(c.Stack, vm.Frame{Func: mc.p.fns[mc.frames[i].fn].name, Pos: callPos})
@@ -195,44 +265,50 @@ func (mc *Machine) crash(kind vm.CrashKind, pos lang.Pos, msg string) *vm.Crash 
 	return c
 }
 
-func (mc *Machine) arrayAt(h int64, pos lang.Pos) ([]int64, *vm.Crash) {
+// The dispatch loop's exits. Each takes the pc of the instruction that
+// ends the run and the step count, and returns exec's result, so the
+// loop calls it only to return: no loop value is live across it.
+
+// fail ends the run with a crash at pc.
+//
+//go:noinline
+func (mc *Machine) fail(pc int32, steps int64, kind vm.CrashKind, msg string) (int64, *vm.Crash, int64) {
+	return 0, mc.crash(kind, mc.p.pos[pc], msg), steps
+}
+
+// timeout ends the run at a step charge past the budget.
+//
+//go:noinline
+func (mc *Machine) timeout(pc int32, steps int64) (int64, *vm.Crash, int64) {
+	return mc.fail(pc, steps, vm.KindTimeout, "step budget exhausted")
+}
+
+// stepStop ends the run at a block exit's step charge that reached
+// mc.stop: a timeout past the budget, else the injected fault.
+//
+//go:noinline
+func (mc *Machine) stepStop(pc int32, steps int64) (int64, *vm.Crash, int64) {
+	if steps > mc.lim.MaxSteps {
+		return mc.timeout(pc, steps)
+	}
+	panic("vm: injected fault at step " + itoa(steps))
+}
+
+// oob ends the run on an out-of-bounds heap access.
+//
+//go:noinline
+func (mc *Machine) oob(pc int32, steps int64, kind vm.CrashKind, idx int64, n int) (int64, *vm.Crash, int64) {
+	return mc.fail(pc, steps, kind, "index "+itoa(idx)+" out of bounds for length "+itoa(int64(n)))
+}
+
+// badHandle ends the run on a null or invalid array handle.
+//
+//go:noinline
+func (mc *Machine) badHandle(pc int32, steps int64, h int64) (int64, *vm.Crash, int64) {
 	if h == 0 {
-		return nil, mc.crash(vm.KindNullDeref, pos, "null array handle")
+		return mc.fail(pc, steps, vm.KindNullDeref, "null array handle")
 	}
-	if h < 0 || h > int64(len(mc.heap)) {
-		return nil, mc.crash(vm.KindWildPointer, pos, "invalid array handle")
-	}
-	return mc.heap[h-1].cells, nil
-}
-
-// record is the path-termination map update (PathTracer.record), plus
-// the 2-gram with the activation's previous path under Spec.Path2
-// (PathNGramTracer.record).
-func (mc *Machine) record(salt uint32, pathID uint64) {
-	idx := uint32(pathID) ^ salt
-	mc.probeDyn(idx)
-	if mc.p.spec.Path2 {
-		mc.recordPair(idx)
-	}
-}
-
-// recordPair is Spec.Path2's part of record, kept out of line so plain
-// path records stay lean: the hashed 2-gram of the activation's
-// previous path and idx, which then becomes the previous path.
-func (mc *Machine) recordPair(idx uint32) {
-	top := len(mc.regs)
-	if prev := mc.last[top]; prev != 0 {
-		mc.probeDyn(uint32(splitmix64(uint64(prev)<<32 | uint64(idx))))
-	}
-	mc.last[top] = idx | 1 // never zero, so chains continue
-}
-
-func (mc *Machine) paFlush() {
-	if mc.pan == 0 {
-		return
-	}
-	mc.probeDyn(uint32(mc.pah) & 0xffff)
-	mc.pah, mc.pan = 0, 0
+	return mc.fail(pc, steps, vm.KindWildPointer, "invalid array handle")
 }
 
 func boolToInt(b bool) int64 {
@@ -240,10 +316,6 @@ func boolToInt(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func oobMsg(idx int64, n int) string {
-	return "index " + itoa(idx) + " out of bounds for length " + itoa(int64(n))
 }
 
 // itoa formats an int64 without allocation-heavy strconv paths; crash
@@ -306,49 +378,150 @@ func (mc *Machine) Run(entry string, input []byte) vm.Result {
 	return res
 }
 
+// slowOp runs the instruction at mc.pc out of line, for what the
+// dispatch loop keeps off its hot path: the instructions that allocate,
+// call, or push a path register (opStr, opAlloc, opOut, opCall,
+// opCallPush, opProbePush), path2's records and the PathAFL probes.
+// The loop has charged the instruction's steps. Any other opcode
+// arrives because a pool it fills is full, with its steps rewound:
+// slowOp grows the pools and leaves mc.pc on it, so the loop runs it
+// again. It returns a crash that ends the run, or nil to resume at
+// mc.pc with mc.steps.
+func (mc *Machine) slowOp() *vm.Crash {
+	p, pc := mc.p, mc.pc
+	in := &p.code[pc]
+	fr := &mc.frames[len(mc.frames)-1]
+	slots := mc.slots[fr.base : fr.base+fr.size]
+	mc.pc = pc + 1
+	switch in.op {
+	case opStr:
+		src := p.strCells[in.imm]
+		if mc.cells+int64(len(src)) > mc.lim.MaxHeapCells {
+			return mc.crash(vm.KindOOM, p.pos[pc], "heap limit exceeded")
+		}
+		cells := mc.arenaAlloc(len(src))
+		copy(cells, src)
+		slots[in.dst] = mc.newArray(cells, len(cells))
+	case opAlloc:
+		n := slots[in.a]
+		if n < 0 || n > mc.lim.MaxAlloc {
+			return mc.crash(vm.KindBadAlloc, p.pos[pc], "allocation of "+itoa(n)+" cells")
+		}
+		if mc.cells+n > mc.lim.MaxHeapCells {
+			return mc.crash(vm.KindOOM, p.pos[pc], "heap limit exceeded")
+		}
+		slots[in.dst] = mc.newArray(mc.arenaAlloc(int(n)), 0)
+	case opOut:
+		if len(mc.output) < 4096 {
+			mc.output = append(mc.output, slots[in.a])
+		}
+		slots[in.dst] = 0
+	case opCall, opCallPush:
+		cf := &p.fns[in.imm]
+		if len(mc.frames) >= mc.lim.MaxDepth {
+			return mc.crash(vm.KindStackOverflow, p.pos[pc], "call depth limit exceeded")
+		}
+		base := fr.base + fr.size
+		if top := int(base + cf.frameSize); top > len(mc.slots) {
+			mc.growSlots(top)
+			slots = mc.slots[fr.base : fr.base+fr.size]
+		}
+		cslots := mc.slots[base : base+cf.frameSize]
+		clear(cslots)
+		nargs := min(int(in.b), int(cf.nparams))
+		for i := 0; i < nargs; i++ {
+			cslots[i] = slots[p.argSlots[int(in.a)+i]]
+		}
+		// Field by field: a frame literal is built on the stack with
+		// 4-byte stores and copied out with wider loads, which stalls.
+		mc.frames = append(mc.frames, mframe{})
+		callee := &mc.frames[len(mc.frames)-1]
+		callee.fn, callee.base, callee.size, callee.retPC, callee.dst = int32(in.imm), base, cf.frameSize, pc+1, in.dst
+		mc.pc = cf.entryPC
+		if in.op == opCallPush {
+			mc.pushReg()
+			mc.pc++
+		}
+	case opProbePush:
+		mc.pushReg()
+	case opProbeBack2:
+		top := len(mc.regs) - 1
+		mc.record2(uint32(in.a), mc.regs[top]+uint64(in.imm))
+		mc.regs[top] = uint64(p.backVals[in.b])
+	case opProbeRetPath2:
+		top := len(mc.regs) - 1
+		mc.record2(uint32(in.a), mc.regs[top]+uint64(in.imm))
+		mc.regs = mc.regs[:top]
+	case opProbePAEnter:
+		mc.pah = splitmix64(mc.pah ^ uint64(in.imm))
+		mc.pan++
+		if mc.pan >= p.spec.Segment {
+			mc.paFlush()
+		}
+	case opProbePAFlush:
+		mc.paFlush()
+	case opStepFlushRet:
+		// The loop charged the block exit; the consumed opRet slot after
+		// the flush returns.
+		mc.paFlush()
+		mc.pc = pc + 2
+	default:
+		mc.grow()
+		mc.pc = pc
+	}
+	return nil
+}
+
 // exec is the dispatch loop. Step accounting replicates the
 // interpreter: every opcode lowered from a cfg instruction charges one
 // step with a timeout check before executing, and opStepChk charges
 // the per-block step (plus the fault-injection hook) after a block's
 // instructions and before its terminator.
+//
+// The loop keeps pc, steps and the frame's slot window in registers,
+// so nothing it calls may return into it with them live: exits return
+// through the out-of-line helpers above, and everything else that
+// calls goes through slowOp, with pc and steps round-tripped through
+// the machine and the slot window re-derived from the frame stack. A
+// handler that finds a pool full (the comparison log, the map's
+// touched list) does so before any effect, rewinds the steps it
+// charged and takes the same path, so slowOp grows the pool and the
+// instruction runs again.
 func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 	p := mc.p
-	lim := &mc.lim
 	code := p.code
-	var steps int64
-	// Hot-loop constants, hoisted out of the dispatch so each iteration
-	// reads registers instead of chasing mc/lim pointers.
-	maxSteps := lim.MaxSteps
-	maxCmp := lim.MaxCmpObs
-	maxDepth := lim.MaxDepth
-	injectAt := mc.injectAt
 
 	f := &p.fns[fi]
-	if len(mc.frames) >= maxDepth {
-		return 0, mc.crash(vm.KindStackOverflow, f.pos, "call depth limit exceeded"), steps
+	if len(mc.frames) >= mc.lim.MaxDepth {
+		return 0, mc.crash(vm.KindStackOverflow, f.pos, "call depth limit exceeded"), 0
 	}
-	mc.frames = append(mc.frames, mframe{fn: fi, base: 0, retPC: -1, dst: -1})
-	base, fsize := int32(0), f.frameSize
-	if int(fsize) > len(mc.slots) {
-		mc.growSlots(int(fsize))
+	mc.frames = append(mc.frames, mframe{fn: fi, size: f.frameSize, retPC: -1, dst: -1})
+	if int(f.frameSize) > len(mc.slots) {
+		mc.growSlots(int(f.frameSize))
 	}
-	slots := mc.slots[:fsize]
+	slots := mc.slots[:f.frameSize]
 	clear(slots)
 	if f.nparams > 0 {
 		slots[0] = argHandle
 	}
 	pc := f.entryPC
+	var steps int64
 
 	for {
 		in := &code[pc]
-		pc++
 		op := in.op
 		if op < opStepChk {
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
 			}
 		}
+		// Operands of the shared handler tails below the switch: a
+		// comparison's operands and result, a return's value in a, and
+		// a fused instruction's later slot.
+		var a, b int64
+		var r bool
+		var in2 *instr
 		switch op {
 		case opConst:
 			slots[in.dst] = in.imm
@@ -361,21 +534,21 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 		case opMul:
 			slots[in.dst] = slots[in.a] * slots[in.b]
 		case opDiv:
-			a, b := slots[in.a], slots[in.b]
+			a, b = slots[in.a], slots[in.b]
 			if b == 0 {
-				return 0, mc.crash(vm.KindDivByZero, p.pos[pc-1], "division by zero"), steps
+				return mc.fail(pc, steps, vm.KindDivByZero, "division by zero")
 			}
 			if a == math.MinInt64 && b == -1 {
-				return 0, mc.crash(vm.KindDivByZero, p.pos[pc-1], "integer division overflow"), steps
+				return mc.fail(pc, steps, vm.KindDivByZero, "integer division overflow")
 			}
 			slots[in.dst] = a / b
 		case opMod:
-			a, b := slots[in.a], slots[in.b]
+			a, b = slots[in.a], slots[in.b]
 			if b == 0 {
-				return 0, mc.crash(vm.KindDivByZero, p.pos[pc-1], "modulo by zero"), steps
+				return mc.fail(pc, steps, vm.KindDivByZero, "modulo by zero")
 			}
 			if a == math.MinInt64 && b == -1 {
-				return 0, mc.crash(vm.KindDivByZero, p.pos[pc-1], "integer modulo overflow"), steps
+				return mc.fail(pc, steps, vm.KindDivByZero, "integer modulo overflow")
 			}
 			slots[in.dst] = a % b
 		case opBand:
@@ -389,140 +562,75 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 		case opShr:
 			slots[in.dst] = slots[in.a] >> (uint64(slots[in.b]) & 63)
 		case opEq:
-			a, b := slots[in.a], slots[in.b]
-			r := a == b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
+			a, b = slots[in.a], slots[in.b]
+			r = a == b
+			goto cmp
 		case opNe:
-			a, b := slots[in.a], slots[in.b]
-			r := a != b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
+			a, b = slots[in.a], slots[in.b]
+			r = a != b
+			goto cmp
 		case opLt:
-			a, b := slots[in.a], slots[in.b]
-			r := a < b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
+			a, b = slots[in.a], slots[in.b]
+			r = a < b
+			goto cmp
 		case opLe:
-			a, b := slots[in.a], slots[in.b]
-			r := a <= b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
+			a, b = slots[in.a], slots[in.b]
+			r = a <= b
+			goto cmp
 		case opGt:
-			a, b := slots[in.a], slots[in.b]
-			r := a > b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
+			a, b = slots[in.a], slots[in.b]
+			r = a > b
+			goto cmp
 		case opGe:
-			a, b := slots[in.a], slots[in.b]
-			r := a >= b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
+			a, b = slots[in.a], slots[in.b]
+			r = a >= b
+			goto cmp
 		case opBadBin:
-			return 0, mc.crash(vm.KindAbort, p.pos[pc-1], "unknown binary operator"), steps
+			return mc.fail(pc, steps, vm.KindAbort, "unknown binary operator")
 		case opNeg:
 			slots[in.dst] = -slots[in.a]
 		case opNot:
 			slots[in.dst] = boolToInt(slots[in.a] == 0)
 		case opCompl:
 			slots[in.dst] = ^slots[in.a]
-		case opStr:
-			src := p.strCells[in.imm]
-			if mc.cells+int64(len(src)) > lim.MaxHeapCells {
-				return 0, mc.crash(vm.KindOOM, p.pos[pc-1], "heap limit exceeded"), steps
-			}
-			cells := mc.arenaAlloc(len(src))
-			copy(cells, src)
-			slots[in.dst] = mc.newArray(cells, len(cells))
 		case opLoad:
-			// Fast path: valid handle, in-bounds index. The crash paths
-			// (and their lang.Pos materialisation) stay off it entirely.
 			h := slots[in.a]
-			if uint64(h-1) < uint64(len(mc.heap)) {
-				arr := mc.heap[h-1].cells
-				idx := slots[in.b]
-				if uint64(idx) < uint64(len(arr)) {
-					slots[in.dst] = arr[idx]
-					continue
-				}
-				return 0, mc.crash(vm.KindOOBRead, p.pos[pc-1], oobMsg(idx, len(arr))), steps
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
 			}
-			_, crash := mc.arrayAt(h, p.pos[pc-1])
-			return 0, crash, steps
+			arr := mc.heap[h-1].cells
+			idx := slots[in.b]
+			if uint64(idx) >= uint64(len(arr)) {
+				return mc.oob(pc, steps, vm.KindOOBRead, idx, len(arr))
+			}
+			slots[in.dst] = arr[idx]
 		case opStore:
 			h := slots[in.a]
-			if uint64(h-1) < uint64(len(mc.heap)) {
-				a := &mc.heap[h-1]
-				idx := slots[in.b]
-				if uint64(idx) < uint64(len(a.cells)) {
-					a.cells[idx] = slots[in.dst]
-					if int(idx) >= a.hi {
-						a.hi = int(idx) + 1
-					}
-					continue
-				}
-				return 0, mc.crash(vm.KindOOBWrite, p.pos[pc-1], oobMsg(idx, len(a.cells))), steps
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
 			}
-			_, crash := mc.arrayAt(h, p.pos[pc-1])
-			return 0, crash, steps
-		case opCall:
-			cf := &p.fns[in.imm]
-			if len(mc.frames) >= maxDepth {
-				return 0, mc.crash(vm.KindStackOverflow, p.pos[pc-1], "call depth limit exceeded"), steps
+			arr := &mc.heap[h-1]
+			idx := slots[in.b]
+			if uint64(idx) >= uint64(len(arr.cells)) {
+				return mc.oob(pc, steps, vm.KindOOBWrite, idx, len(arr.cells))
 			}
-			newBase := base + fsize
-			if top := int(newBase) + int(cf.frameSize); top > len(mc.slots) {
-				mc.growSlots(top)
-				slots = mc.slots[base : base+fsize]
+			arr.cells[idx] = slots[in.dst]
+			if int(idx) >= arr.hi {
+				arr.hi = int(idx) + 1
 			}
-			cslots := mc.slots[newBase : newBase+cf.frameSize]
-			clear(cslots)
-			nargs := int(in.b)
-			if nargs > int(cf.nparams) {
-				nargs = int(cf.nparams)
-			}
-			for i := 0; i < nargs; i++ {
-				cslots[i] = slots[p.argSlots[int(in.a)+i]]
-			}
-			mc.frames = append(mc.frames, mframe{fn: int32(in.imm), base: newBase, retPC: pc, dst: in.dst, cfs: fsize})
-			base, fsize, slots = newBase, cf.frameSize, cslots
-			pc = cf.entryPC
 		case opLen:
 			h := slots[in.a]
-			if uint64(h-1) < uint64(len(mc.heap)) {
-				slots[in.dst] = int64(len(mc.heap[h-1].cells))
-				continue
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
 			}
-			_, crash := mc.arrayAt(h, p.pos[pc-1])
-			return 0, crash, steps
-		case opAlloc:
-			n := slots[in.a]
-			if n < 0 || n > lim.MaxAlloc {
-				return 0, mc.crash(vm.KindBadAlloc, p.pos[pc-1], "allocation of "+itoa(n)+" cells"), steps
-			}
-			if mc.cells+n > lim.MaxHeapCells {
-				return 0, mc.crash(vm.KindOOM, p.pos[pc-1], "heap limit exceeded"), steps
-			}
-			slots[in.dst] = mc.newArray(mc.arenaAlloc(int(n)), 0)
+			slots[in.dst] = int64(len(mc.heap[h-1].cells))
 		case opAssert:
 			if slots[in.a] == 0 {
-				return 0, mc.crash(vm.KindAssertFail, p.pos[pc-1], "assertion failed"), steps
+				return mc.fail(pc, steps, vm.KindAssertFail, "assertion failed")
 			}
 			slots[in.dst] = 0
 		case opAbort:
-			return 0, mc.crash(vm.KindAbort, p.pos[pc-1], "abort called"), steps
+			return mc.fail(pc, steps, vm.KindAbort, "abort called")
 		case opAbs:
 			v := slots[in.a]
 			if v < 0 {
@@ -530,681 +638,355 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			}
 			slots[in.dst] = v
 		case opMin:
-			a, b := slots[in.a], slots[in.b]
-			if b < a {
-				a = b
-			}
-			slots[in.dst] = a
+			slots[in.dst] = min(slots[in.a], slots[in.b])
 		case opMax:
-			a, b := slots[in.a], slots[in.b]
-			if b > a {
-				a = b
-			}
-			slots[in.dst] = a
-		case opOut:
-			if len(mc.output) < 4096 {
-				mc.output = append(mc.output, slots[in.a])
-			}
-			slots[in.dst] = 0
+			slots[in.dst] = max(slots[in.a], slots[in.b])
+		case opStr, opAlloc, opOut, opCall, opCallPush, opProbePush,
+			opProbeBack2, opProbeRetPath2, opProbePAEnter, opProbePAFlush:
+			goto slow
 		case opNop:
 		// Two-slot const+compare superinstructions: the header charged
-		// the const's step; the handler charges the comparison's step
+		// the const's step; the tail charges the comparison's step
 		// against its own pos, then evaluates against the immediate.
 		case opConstEq:
-			in2 := &code[pc]
-			pc++
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a == cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
+			a = slots[code[pc+1].a]
+			r = a == in.imm
+			goto constCmp
 		case opConstNe:
-			in2 := &code[pc]
-			pc++
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a != cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
+			a = slots[code[pc+1].a]
+			r = a != in.imm
+			goto constCmp
 		case opConstLt:
-			in2 := &code[pc]
-			pc++
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a < cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
+			a = slots[code[pc+1].a]
+			r = a < in.imm
+			goto constCmp
 		case opConstLe:
-			in2 := &code[pc]
-			pc++
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a <= cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
+			a = slots[code[pc+1].a]
+			r = a <= in.imm
+			goto constCmp
 		case opConstGt:
-			in2 := &code[pc]
-			pc++
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a > cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
+			a = slots[code[pc+1].a]
+			r = a > in.imm
+			goto constCmp
 		case opConstGe:
-			in2 := &code[pc]
-			pc++
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a >= cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
+			a = slots[code[pc+1].a]
+			r = a >= in.imm
+			goto constCmp
 		case opConstAdd:
-			in2 := &code[pc]
 			pc++
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
 			}
-			cv := in.imm
-			slots[in.dst] = cv
-			slots[in2.dst] = slots[in.a] + cv
+			slots[in.dst] = in.imm
+			slots[code[pc].dst] = slots[in.a] + in.imm
 		case opConstSub:
-			in2 := &code[pc]
 			pc++
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
 			}
-			cv := in.imm
-			slots[in.dst] = cv
-			slots[in2.dst] = slots[in.a] - cv
+			slots[in.dst] = in.imm
+			slots[code[pc].dst] = slots[in.a] - in.imm
 		case opConstLoad:
-			in2 := &code[pc]
+			in2 = &code[pc+1]
 			pc++
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
 			}
-			cv := in.imm
-			slots[in.dst] = cv
+			slots[in.dst] = in.imm
 			h := slots[in2.a]
-			if uint64(h-1) < uint64(len(mc.heap)) {
-				arr := mc.heap[h-1].cells
-				if uint64(cv) < uint64(len(arr)) {
-					slots[in2.dst] = arr[cv]
-					continue
-				}
-				return 0, mc.crash(vm.KindOOBRead, p.pos[pc-1], oobMsg(cv, len(arr))), steps
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
 			}
-			_, crash := mc.arrayAt(h, p.pos[pc-1])
-			return 0, crash, steps
+			arr := mc.heap[h-1].cells
+			if uint64(in.imm) >= uint64(len(arr)) {
+				return mc.oob(pc, steps, vm.KindOOBRead, in.imm, len(arr))
+			}
+			slots[in2.dst] = arr[in.imm]
 		// Compare-and-branch: the header charged the comparison's step;
-		// the handler stores the result, performs the block exit's
+		// the tail stores the result, performs the block exit's
 		// accounting against the fused opStepBr slot's pos, and
 		// branches on the result.
 		case opEqStepBr:
-			in2 := &code[pc]
-			pc++
-			a, b := slots[in.a], slots[in.b]
-			r := a == b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in2.b
-			} else {
-				pc = in2.dst
-			}
+			a, b = slots[in.a], slots[in.b]
+			r = a == b
+			goto cmpBr
 		case opNeStepBr:
-			in2 := &code[pc]
-			pc++
-			a, b := slots[in.a], slots[in.b]
-			r := a != b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in2.b
-			} else {
-				pc = in2.dst
-			}
+			a, b = slots[in.a], slots[in.b]
+			r = a != b
+			goto cmpBr
 		case opLtStepBr:
-			in2 := &code[pc]
-			pc++
-			a, b := slots[in.a], slots[in.b]
-			r := a < b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in2.b
-			} else {
-				pc = in2.dst
-			}
+			a, b = slots[in.a], slots[in.b]
+			r = a < b
+			goto cmpBr
 		case opLeStepBr:
-			in2 := &code[pc]
-			pc++
-			a, b := slots[in.a], slots[in.b]
-			r := a <= b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in2.b
-			} else {
-				pc = in2.dst
-			}
+			a, b = slots[in.a], slots[in.b]
+			r = a <= b
+			goto cmpBr
 		case opGtStepBr:
-			in2 := &code[pc]
-			pc++
-			a, b := slots[in.a], slots[in.b]
-			r := a > b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in2.b
-			} else {
-				pc = in2.dst
-			}
+			a, b = slots[in.a], slots[in.b]
+			r = a > b
+			goto cmpBr
 		case opGeStepBr:
-			in2 := &code[pc]
-			pc++
-			a, b := slots[in.a], slots[in.b]
-			r := a >= b
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: b, Op: lang.Kind(in.imm), Taken: r})
-			}
-			slots[in.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in2.b
-			} else {
-				pc = in2.dst
-			}
+			a, b = slots[in.a], slots[in.b]
+			r = a >= b
+			goto cmpBr
 		// Const+compare+branch: three live slots (const head charged by
 		// the header, dead compare, dead opStepBr), three step charges,
 		// each timing out against its own slot's pos.
 		case opConstEqStepBr:
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-2], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a == cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in3.b
-			} else {
-				pc = in3.dst
-			}
+			a = slots[code[pc+1].a]
+			r = a == in.imm
+			goto constCmpBr
 		case opConstNeStepBr:
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-2], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a != cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in3.b
-			} else {
-				pc = in3.dst
-			}
+			a = slots[code[pc+1].a]
+			r = a != in.imm
+			goto constCmpBr
 		case opConstLtStepBr:
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-2], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a < cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in3.b
-			} else {
-				pc = in3.dst
-			}
+			a = slots[code[pc+1].a]
+			r = a < in.imm
+			goto constCmpBr
 		case opConstLeStepBr:
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-2], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a <= cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in3.b
-			} else {
-				pc = in3.dst
-			}
+			a = slots[code[pc+1].a]
+			r = a <= in.imm
+			goto constCmpBr
 		case opConstGtStepBr:
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-2], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a > cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in3.b
-			} else {
-				pc = in3.dst
-			}
+			a = slots[code[pc+1].a]
+			r = a > in.imm
+			goto constCmpBr
 		case opConstGeStepBr:
-			in2, in3 := &code[pc], &code[pc+1]
-			pc += 2
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-2], "step budget exhausted"), steps
-			}
-			cv := in.imm
-			slots[in.dst] = cv
-			a := slots[in2.a]
-			r := a >= cv
-			if len(mc.cmps) < maxCmp {
-				mc.cmps = append(mc.cmps, vm.CmpObs{A: a, B: cv, Op: lang.Kind(in2.imm), Taken: r})
-			}
-			slots[in2.dst] = boolToInt(r)
-			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			if r {
-				pc = in3.b
-			} else {
-				pc = in3.dst
-			}
-		case opCallPush:
-			cf := &p.fns[in.imm]
-			if len(mc.frames) >= maxDepth {
-				return 0, mc.crash(vm.KindStackOverflow, p.pos[pc-1], "call depth limit exceeded"), steps
-			}
-			newBase := base + fsize
-			if top := int(newBase) + int(cf.frameSize); top > len(mc.slots) {
-				mc.growSlots(top)
-				slots = mc.slots[base : base+fsize]
-			}
-			cslots := mc.slots[newBase : newBase+cf.frameSize]
-			clear(cslots)
-			nargs := int(in.b)
-			if nargs > int(cf.nparams) {
-				nargs = int(cf.nparams)
-			}
-			for i := 0; i < nargs; i++ {
-				cslots[i] = slots[p.argSlots[int(in.a)+i]]
-			}
-			mc.frames = append(mc.frames, mframe{fn: int32(in.imm), base: newBase, retPC: pc, dst: in.dst, cfs: fsize})
-			base, fsize, slots = newBase, cf.frameSize, cslots
-			mc.regs = append(mc.regs, 0)
-			if p.spec.Path2 {
-				// The callee's 2-gram context starts at the caller's
-				// last path.
-				k := len(mc.regs)
-				mc.last = append(mc.last[:k], mc.last[k-1])
-			}
-			pc = cf.entryPC + 1
+			a = slots[code[pc+1].a]
+			r = a >= in.imm
+			goto constCmpBr
 		case opStepChk:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
 		case opJmp:
 			pc = in.a
+			continue
 		case opBr:
 			if slots[in.a] != 0 {
 				pc = in.b
 			} else {
 				pc = in.dst
 			}
+			continue
 		case opRet:
-			var v int64
 			if in.a >= 0 {
-				v = slots[in.a]
+				a = slots[in.a]
 			}
-			fr := mc.frames[len(mc.frames)-1]
-			mc.frames = mc.frames[:len(mc.frames)-1]
-			if len(mc.frames) == 0 {
-				return v, nil, steps
-			}
-			base = fr.base - fr.cfs
-			fsize = fr.cfs
-			slots = mc.slots[base : base+fsize]
-			slots[fr.dst] = v
-			pc = fr.retPC
+			goto ret
 		case opProbeAdd:
-			mc.m.Add(uint32(in.imm))
-		case opProbePush:
-			mc.regs = append(mc.regs, 0)
-			if p.spec.Path2 {
-				k := len(mc.regs)
-				mc.last = append(mc.last[:k], mc.last[k-1])
+			if !mc.m.TryAdd(uint32(in.imm)) {
+				goto slow
 			}
 		case opProbeInc:
 			mc.regs[len(mc.regs)-1] += uint64(in.imm)
 		case opProbeBack:
 			top := len(mc.regs) - 1
-			mc.record(uint32(in.a), mc.regs[top]+uint64(in.imm))
-			mc.regs[top] = uint64(p.backVals[in.b])
+			if idx := uint32(mc.regs[top]+uint64(in.imm)) ^ uint32(in.a); !mc.elided(idx) && !mc.m.TryAdd(idx) {
+				goto slow
+			}
+			mc.regs[top] = uint64(mc.p.backVals[in.b])
 		case opProbeRetPath:
 			top := len(mc.regs) - 1
-			mc.record(uint32(in.a), mc.regs[top]+uint64(in.imm))
+			if idx := uint32(mc.regs[top]+uint64(in.imm)) ^ uint32(in.a); !mc.elided(idx) && !mc.m.TryAdd(idx) {
+				goto slow
+			}
 			mc.regs = mc.regs[:top]
 		case opProbeHashEdge:
 			top := len(mc.regs) - 1
 			mc.regs[top] = splitmix64(mc.regs[top] ^ uint64(in.imm))
-		case opProbePAEnter:
-			mc.pah = splitmix64(mc.pah ^ uint64(in.imm))
-			mc.pan++
-			if mc.pan >= p.spec.Segment {
-				mc.paFlush()
-			}
-		case opProbePAFlush:
-			mc.paFlush()
 		// Fused block exits. Each does opStepChk's work — step charge,
-		// timeout check against the head slot's pos, fault-injection
-		// hook — then the folded probe and transfer, in the exact order
-		// of the unfused sequence.
+		// then the timeout check and fault-injection hook against the
+		// head slot's pos — then the folded probe and transfer, in the
+		// exact order of the unfused sequence.
 		case opStepBr:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
 			if slots[in.a] != 0 {
 				pc = in.b
 			} else {
 				pc = in.dst
 			}
+			continue
 		case opStepJmp:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
 			pc = in.a
+			continue
 		case opStepRet:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			var v int64
 			if in.a >= 0 {
-				v = slots[in.a]
+				a = slots[in.a]
 			}
-			fr := mc.frames[len(mc.frames)-1]
-			mc.frames = mc.frames[:len(mc.frames)-1]
-			if len(mc.frames) == 0 {
-				return v, nil, steps
-			}
-			base = fr.base - fr.cfs
-			fsize = fr.cfs
-			slots = mc.slots[base : base+fsize]
-			slots[fr.dst] = v
-			pc = fr.retPC
+			goto ret
 		case opStepAddJmp:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
+			if !mc.m.TryAdd(uint32(in.imm)) {
+				steps--
+				goto slow
 			}
-			mc.m.Add(uint32(in.imm))
 			pc = in.a
+			continue
 		case opStepIncJmp:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
 			mc.regs[len(mc.regs)-1] += uint64(in.imm)
 			pc = in.a
+			continue
 		case opStepBackJmp:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
 			top := len(mc.regs) - 1
-			mc.record(uint32(in.a), mc.regs[top]+uint64(in.imm))
-			mc.regs[top] = uint64(p.backVals[in.b])
+			if idx := uint32(mc.regs[top]+uint64(in.imm)) ^ uint32(in.a); !mc.elided(idx) && !mc.m.TryAdd(idx) {
+				steps--
+				goto slow
+			}
+			mc.regs[top] = uint64(mc.p.backVals[in.b])
 			pc = in.dst
+			continue
 		case opStepRetPathRet:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
-			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
 			top := len(mc.regs) - 1
-			mc.record(uint32(in.a), mc.regs[top]+uint64(in.imm))
+			if idx := uint32(mc.regs[top]+uint64(in.imm)) ^ uint32(in.a); !mc.elided(idx) && !mc.m.TryAdd(idx) {
+				steps--
+				goto slow
+			}
 			mc.regs = mc.regs[:top]
-			var v int64
 			if in.b >= 0 {
-				v = slots[in.b]
+				a = slots[in.b]
 			}
-			fr := mc.frames[len(mc.frames)-1]
-			mc.frames = mc.frames[:len(mc.frames)-1]
-			if len(mc.frames) == 0 {
-				return v, nil, steps
-			}
-			base = fr.base - fr.cfs
-			fsize = fr.cfs
-			slots = mc.slots[base : base+fsize]
-			slots[fr.dst] = v
-			pc = fr.retPC
+			goto ret
 		case opStepFlushRet:
 			steps++
-			if steps > maxSteps {
-				return 0, mc.crash(vm.KindTimeout, p.pos[pc-1], "step budget exhausted"), steps
+			if steps >= mc.stop {
+				return mc.stepStop(pc, steps)
 			}
-			if steps >= injectAt {
-				panic("vm: injected fault at step " + itoa(steps))
-			}
-			mc.paFlush()
-			var v int64
-			if in.a >= 0 {
-				v = slots[in.a]
-			}
-			fr := mc.frames[len(mc.frames)-1]
-			mc.frames = mc.frames[:len(mc.frames)-1]
-			if len(mc.frames) == 0 {
-				return v, nil, steps
-			}
-			base = fr.base - fr.cfs
-			fsize = fr.cfs
-			slots = mc.slots[base : base+fsize]
-			slots[fr.dst] = v
-			pc = fr.retPC
+			goto slow
 		case opAddJmp:
-			mc.m.Add(uint32(in.imm))
+			if !mc.m.TryAdd(uint32(in.imm)) {
+				goto slow
+			}
 			pc = in.a
+			continue
 		case opIncJmp:
 			mc.regs[len(mc.regs)-1] += uint64(in.imm)
 			pc = in.a
+			continue
 		case opBackJmp:
 			top := len(mc.regs) - 1
-			mc.record(uint32(in.a), mc.regs[top]+uint64(in.imm))
-			mc.regs[top] = uint64(p.backVals[in.b])
+			if idx := uint32(mc.regs[top]+uint64(in.imm)) ^ uint32(in.a); !mc.elided(idx) && !mc.m.TryAdd(idx) {
+				goto slow
+			}
+			mc.regs[top] = uint64(mc.p.backVals[in.b])
 			pc = in.dst
+			continue
 		case opElide:
 			// A patched-out probe: no map write, no step charge.
 		}
+		pc++
+		continue
+
+		// The comparison tails. Each logs the comparison before any
+		// other effect, so a full log rewinds the steps charged.
+	cmp:
+		if !mc.logCmp(a, b, in.imm, r) {
+			steps--
+			goto slow
+		}
+		slots[in.dst] = boolToInt(r)
+		pc++
+		continue
+	constCmp:
+		in2 = &code[pc+1]
+		steps++
+		if steps > mc.lim.MaxSteps {
+			return mc.timeout(pc+1, steps)
+		}
+		if !mc.logCmp(a, in.imm, in2.imm, r) {
+			steps -= 2
+			goto slow
+		}
+		slots[in.dst] = in.imm
+		slots[in2.dst] = boolToInt(r)
+		pc += 2
+		continue
+	constCmpBr:
+		in2 = &code[pc+1]
+		steps++
+		if steps > mc.lim.MaxSteps {
+			return mc.timeout(pc+1, steps)
+		}
+		if !mc.logCmp(a, in.imm, in2.imm, r) {
+			steps -= 2
+			goto slow
+		}
+		slots[in.dst] = in.imm
+		slots[in2.dst] = boolToInt(r)
+		pc += 2
+		goto exitBr
+	cmpBr:
+		if !mc.logCmp(a, b, in.imm, r) {
+			steps--
+			goto slow
+		}
+		slots[in.dst] = boolToInt(r)
+		pc++
+	exitBr:
+		// The dead opStepBr slot at pc: its step, then the branch on r.
+		in2 = &code[pc]
+		steps++
+		if steps >= mc.stop {
+			return mc.stepStop(pc, steps)
+		}
+		if r {
+			pc = in2.b
+		} else {
+			pc = in2.dst
+		}
+		continue
+
+		// ret returns a from the current frame.
+	ret:
+		if n := len(mc.frames) - 1; n > 0 {
+			callee, caller := &mc.frames[n], &mc.frames[n-1]
+			slots = mc.slots[caller.base : caller.base+caller.size]
+			slots[callee.dst] = a
+			pc = callee.retPC
+			mc.frames = mc.frames[:n]
+			continue
+		}
+		return a, nil, steps
+
+	slow:
+		mc.pc, mc.steps = pc, steps
+		if crash := mc.slowOp(); crash != nil {
+			return 0, crash, mc.steps
+		}
+		pc, steps = mc.pc, mc.steps
+		fr := &mc.frames[len(mc.frames)-1]
+		slots = mc.slots[fr.base : fr.base+fr.size]
 	}
 }

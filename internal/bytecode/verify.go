@@ -240,7 +240,7 @@ func (c *compiler) checkBody(errf func(string, ...any) error, b int, in *instr, 
 // checkProbe validates one probe's side-table reference.
 func (c *compiler) checkProbe(errf func(string, ...any) error, where string, pc int32) error {
 	in := &c.out.code[pc]
-	if in.op == opProbeBack {
+	if in.op == opProbeBack || in.op == opProbeBack2 {
 		if in.b < 0 || in.b >= int32(len(c.out.backVals)) {
 			return errf("%s: opProbeBack restart index %d outside table of %d", where, in.b, len(c.out.backVals))
 		}

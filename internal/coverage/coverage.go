@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -53,6 +54,31 @@ func (m *Map) Add(index uint32) {
 		m.bits[i]++
 	}
 }
+
+// TryAdd is Add without a call, for the bytecode machine's dispatch
+// loop. When index's entry is untouched and the touched list has no
+// spare capacity, it reports false and leaves the map unchanged;
+// Reserve then makes room. Otherwise it does exactly what Add does.
+func (m *Map) TryAdd(index uint32) bool {
+	i := index & uint32(len(m.bits)-1)
+	c := m.bits[i]
+	if c == 0 {
+		n := len(m.dirty)
+		if n == cap(m.dirty) {
+			return false
+		}
+		m.dirty = m.dirty[:n+1]
+		m.dirty[n] = i
+	}
+	if c != 255 {
+		m.bits[i] = c + 1
+	}
+	return true
+}
+
+// Reserve grows the touched list so that n more first touches fit
+// without reallocating.
+func (m *Map) Reserve(n int) { m.dirty = slices.Grow(m.dirty, n) }
 
 // Reset zeroes the map (touched entries only).
 func (m *Map) Reset() {

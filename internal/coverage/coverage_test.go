@@ -1,7 +1,9 @@
 package coverage_test
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +207,55 @@ func TestDirtyTracking(t *testing.T) {
 	}
 	if len(m.Dirty()) != 1 || m.Bytes()[7] != 255 {
 		t.Errorf("saturating adds: dirty=%v val=%d", m.Dirty(), m.Bytes()[7])
+	}
+}
+
+// TestTryAddMatchesAdd pins the call-free add the bytecode machine
+// uses. Over random index streams (four hot cells among cold indices
+// that wrap the map), TryAdd, with a Reserve whenever it reports a full
+// touched list, leaves the bytes and the touch order Add leaves, and
+// every count saturates at 255. TryAdd refuses only a first touch on a
+// full list, and a refused TryAdd changes nothing.
+func TestTryAddMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 50; round++ {
+		want, got := coverage.NewMap(256), coverage.NewMap(256)
+		hits := make([]int, 256)
+		refused := 0
+		for i := 0; i < 2000; i++ {
+			idx := uint32(rng.Intn(4))
+			if rng.Intn(4) == 0 {
+				idx = rng.Uint32()
+			}
+			hits[idx&255]++
+			want.Add(idx)
+			if !got.TryAdd(idx) {
+				refused++
+				before := append([]uint8(nil), got.Bytes()...)
+				touched := append([]uint32(nil), got.Dirty()...)
+				if before[idx&255] != 0 || len(touched) != cap(got.Dirty()) {
+					t.Fatalf("round %d: TryAdd(%d) refused a touched cell or a list with room", round, idx)
+				}
+				if got.TryAdd(idx) || !bytes.Equal(got.Bytes(), before) || !slices.Equal(got.Dirty(), touched) {
+					t.Fatalf("round %d: a refused TryAdd(%d) changed the map", round, idx)
+				}
+				got.Reserve(1 + rng.Intn(3))
+				if !got.TryAdd(idx) {
+					t.Fatalf("round %d: TryAdd(%d) refused after Reserve", round, idx)
+				}
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) || !slices.Equal(got.Dirty(), want.Dirty()) {
+				t.Fatalf("round %d, add %d: TryAdd left %v touched, Add %v", round, i, got.Dirty(), want.Dirty())
+			}
+		}
+		if refused == 0 || slices.Max(hits) <= 255 {
+			t.Fatalf("round %d: the touched list never filled or no cell saturated", round)
+		}
+		for cell, n := range hits {
+			if c := got.Bytes()[cell]; int(c) != min(n, 255) {
+				t.Fatalf("round %d: cell %d reads %d after %d adds", round, cell, c, n)
+			}
+		}
 	}
 }
 

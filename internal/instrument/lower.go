@@ -28,17 +28,25 @@ func CompiledFor(fb Feedback, prog *cfg.Program, _ Config) (cp *bytecode.Program
 	if v, hit := compileCache.Load(key); hit {
 		return v.(*bytecode.Program), true
 	}
-	spec, ok := lowerSpec(fb, prog)
-	if !ok {
+	if cp, ok = Lower(fb, prog); !ok {
 		return nil, false
 	}
-	cp = bytecode.Compile(prog, spec)
 	if v, raced := compileCache.LoadOrStore(key, cp); raced {
 		// A concurrent caller won the store; use its program so pointer
 		// identity holds process-wide.
 		cp = v.(*bytecode.Program)
 	}
 	return cp, true
+}
+
+// Lower is CompiledFor without the memo, for a program lowered once
+// and dropped, such as a fuzzed one, which the memo would keep alive.
+func Lower(fb Feedback, prog *cfg.Program) (*bytecode.Program, bool) {
+	spec, ok := lowerSpec(fb, prog)
+	if !ok {
+		return nil, false
+	}
+	return bytecode.Compile(prog, spec), true
 }
 
 // lowerSpec builds the compile-time instrumentation spec mirroring the
