@@ -12,7 +12,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/analysis/interproc"
 	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/covmap"
@@ -58,10 +57,7 @@ func attachCartography(rec *telemetry.Recorder, prog *cfg.Program, fb instrument
 				cells = append(cells, ev.Cells...)
 			}
 		}
-		rep := ix.BuildReport(covmap.FromCells(cells), covmap.Options{
-			Label: label,
-			Facts: interproc.ForProgram(prog),
-		})
+		rep := ix.BuildReport(covmap.FromCells(cells), label)
 		_, werr := w.Write(rep.WriteHTML("live coverage — " + label))
 		return werr
 	})

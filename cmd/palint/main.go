@@ -2,9 +2,9 @@
 // framework: AST-level unreachable statements and unused variables,
 // interval-analysis findings over the lowered CFG (branches that
 // are always taken one way, interval-unreachable code, and guaranteed
-// faults such as division by zero or out-of-bounds indexing), and
-// interprocedural findings (input-independent branches, comparisons
-// against out-of-interval constants, functions unreachable from main).
+// faults such as division by zero or out-of-bounds indexing), and one
+// interprocedural finding read from the call graph (functions
+// unreachable from main).
 // Diagnostics are reported in a deterministic order: source position,
 // then check name. With -verify it additionally runs the IR verifier
 // over the lowered program.
@@ -84,7 +84,7 @@ func main() {
 			}
 		}
 		fds := analysis.Lint(ast, prog)
-		fds = append(fds, interproc.Lint(interproc.ForProgram(prog))...)
+		fds = append(fds, interproc.Lint(prog)...)
 		analysis.SortFindings(fds)
 		for _, fd := range fds {
 			fmt.Printf("%s:%s\n", u.name, fd)

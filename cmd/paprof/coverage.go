@@ -10,9 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"repro/internal/analysis/interproc"
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/covmap"
@@ -47,7 +45,7 @@ func loadState(dir string) campaignState {
 		}
 		st := campaignState{meta: man.Meta, label: man.Meta.Label() + " (fleet)", snaps: make([]*fuzz.Snapshot, man.Workers)}
 		for i := range st.snaps {
-			ck, warns, err := campaign.LoadLatest(fs, filepath.Join(dir, fmt.Sprintf("worker-%d", i)))
+			ck, warns, err := campaign.LoadLatest(fs, fleet.WorkerDir(dir, i))
 			for _, w := range warns {
 				fmt.Fprintf(os.Stderr, "paprof: worker %d: %s\n", i, w)
 			}
@@ -144,10 +142,7 @@ func runCoverageReport(dir, htmlOut string) {
 		fatalf("%v", err)
 	}
 	obs := covmap.FromVirgin(st.virgin())
-	rep := ix.BuildReport(obs, covmap.Options{
-		Label: st.label,
-		Facts: interproc.ForProgram(ix.Prog),
-	})
+	rep := ix.BuildReport(obs, st.label)
 	rep.WriteText(os.Stdout)
 	if htmlOut != "" {
 		page := rep.WriteHTML("paprof coverage report")

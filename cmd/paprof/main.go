@@ -8,7 +8,6 @@
 //
 //	paprof -subject flvmeta -input 'FLV...'
 //	paprof -src prog.mc -input-file input.bin -stats
-//	paprof -subject flvmeta -facts
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis/interproc"
 	"repro/internal/bytecode"
 	"repro/internal/campaign"
 	"repro/internal/cfg"
@@ -38,7 +36,6 @@ func main() {
 		inputStr    = flag.String("input", "", "input bytes (literal)")
 		inputFile   = flag.String("input-file", "", "file holding the input bytes")
 		statsOnly   = flag.Bool("stats", false, "print per-function path statistics only")
-		factsDump   = flag.Bool("facts", false, "print the interprocedural analysis facts (per-branch input-dependency byte ranges, comparison sites with operand intervals, per-function path counts) and exit")
 		topN        = flag.Int("top", 20, "show the N hottest paths")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -116,11 +113,6 @@ func main() {
 	prog, _, err := meta.Program()
 	if err != nil {
 		fatalf("%v", err)
-	}
-
-	if *factsDump {
-		interproc.ForProgram(prog).Dump(os.Stdout)
-		return
 	}
 
 	fmt.Println("function            blocks edges back  acyclic-paths probes(naive/opt)")

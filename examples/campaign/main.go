@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/evalharness"
 	"repro/internal/strategy"
@@ -64,16 +65,7 @@ func isPathDependent(subject, key string) bool {
 		"mp3gain": {"histogram"},
 	}
 	for _, marker := range pd[subject] {
-		if len(key) >= len(marker) && contains(key, marker) {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
+		if strings.Contains(key, marker) {
 			return true
 		}
 	}

@@ -54,60 +54,6 @@ func TestReversePostorderCoversReachable(t *testing.T) {
 	}
 }
 
-func TestDominators(t *testing.T) {
-	f := diamond(t)
-	idom := Dominators(f)
-	if idom[0] != 0 {
-		t.Fatalf("entry idom = %d, want itself", idom[0])
-	}
-	// The entry dominates every block; no non-entry block dominates the
-	// block its sibling branch leads to.
-	for b := range f.Blocks {
-		if !Dominates(idom, 0, b) {
-			t.Fatalf("entry does not dominate b%d", b)
-		}
-	}
-	// Branch arms: two blocks with the same idom (the branching block),
-	// neither dominating the other.
-	byIdom := map[int][]int{}
-	for b := 1; b < len(f.Blocks); b++ {
-		byIdom[idom[b]] = append(byIdom[idom[b]], b)
-	}
-	foundArms := false
-	for _, arms := range byIdom {
-		if len(arms) >= 2 {
-			foundArms = true
-			if Dominates(idom, arms[0], arms[1]) || Dominates(idom, arms[1], arms[0]) {
-				t.Fatalf("sibling branch arms %v dominate each other", arms)
-			}
-		}
-	}
-	if !foundArms {
-		t.Fatalf("no sibling arms found in diamond; idom = %v", idom)
-	}
-}
-
-func TestPostDominators(t *testing.T) {
-	f := diamond(t)
-	ipdom := PostDominators(f)
-	exit := len(f.Blocks)
-	if ipdom[exit] != exit {
-		t.Fatalf("virtual exit ipdom = %d, want itself", ipdom[exit])
-	}
-	for b := range f.Blocks {
-		if ipdom[b] < 0 {
-			t.Fatalf("b%d cannot reach exit in a function with returns", b)
-		}
-	}
-	// Infinite loop: the loop blocks cannot reach the exit.
-	prog, err := cfg.Compile(`func main(input) { while (len(input) + 1) { } return 0; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All blocks still get a well-defined answer (possibly -1).
-	_ = PostDominators(prog.Func("main"))
-}
-
 func TestIntervalArithmetic(t *testing.T) {
 	if got := addI(Interval{1, 2}, Interval{10, 20}); got != (Interval{11, 22}) {
 		t.Fatalf("addI = %v", got)

@@ -1,6 +1,13 @@
+// Package interproc is the interprocedural layer over the analysis
+// package: the static call graph of a lowered program (callees,
+// callers, strongly connected components in bottom-up order,
+// reachability from the entry) and palint's unreachable-func check,
+// which reads reachability from it.
 package interproc
 
 import (
+	"slices"
+
 	"repro/internal/cfg"
 )
 
@@ -45,17 +52,15 @@ func NewCallGraph(p *cfg.Program) *CallGraph {
 		}
 	}
 	// Callees were appended in instruction order; normalize to
-	// ascending for deterministic iteration.
+	// ascending for deterministic iteration. Callers come out
+	// ascending because callers are visited in order.
 	for fi := range g.Callees {
-		sortInts(g.Callees[fi])
+		slices.Sort(g.Callees[fi])
 	}
 	for fi, cs := range g.Callees {
 		for _, c := range cs {
 			g.Callers[c] = append(g.Callers[c], fi)
 		}
-	}
-	for c := range g.Callers {
-		sortInts(g.Callers[c])
 	}
 	g.tarjan(n)
 	return g
@@ -63,8 +68,8 @@ func NewCallGraph(p *cfg.Program) *CallGraph {
 
 // tarjan computes SCCs with Tarjan's algorithm (iterative). Tarjan
 // emits components in reverse topological order of the condensation —
-// exactly the bottom-up (callee-first) order summary frameworks want —
-// so SCCs needs no post-sort.
+// exactly SCCs' bottom-up (callee-first) order — so SCCs needs no
+// post-sort.
 func (g *CallGraph) tarjan(n int) {
 	const unvisited = -1
 	index := make([]int, n)
@@ -121,7 +126,7 @@ func (g *CallGraph) tarjan(n int) {
 						break
 					}
 				}
-				sortInts(comp)
+				slices.Sort(comp)
 				g.SCCs = append(g.SCCs, comp)
 			}
 			work = work[:len(work)-1]
@@ -169,12 +174,4 @@ func (g *CallGraph) Recursive(f int) bool {
 		}
 	}
 	return false
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -5,123 +5,33 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cfg"
-	"repro/internal/lang"
 )
 
-// Lint runs the interprocedural palint checks over precomputed facts:
+// Lint runs palint's interprocedural check over prog:
 //
-//   - input-indep-branch: a reachable, loop-free conditional branch
-//     whose outcome provably cannot depend on the program input. In a
-//     deterministic VM such a branch resolves the same way on every
-//     run, so the untaken side is dead in practice — usually a
-//     forgotten debug toggle or a miswired condition.
-//   - cmp-out-of-range: an equality comparison between a constant and
-//     a value whose statically known range excludes it — the
-//     comparison is decided before it runs.
-//   - unreachable-func: a function no call chain from the entry ever
-//     reaches.
+//   - unreachable-func: a function no call chain from the entry
+//     ("main", or function 0 when there is none) ever reaches.
 //
-// Like the intra-procedural checks, each finding is conservative: it
-// holds on every execution. Branches lowered from literal constants
-// are exempt (deliberate idioms), as are branches the interval
-// analysis already decides (the const-branch check owns those).
-func Lint(fs *Facts) []analysis.Finding {
+// Like the intra-procedural checks, each finding holds on every
+// execution.
+func Lint(prog *cfg.Program) []analysis.Finding {
+	entry := 0
+	if i, ok := prog.ByName["main"]; ok {
+		entry = i
+	}
+	reach := NewCallGraph(prog).ReachableFrom(entry)
 	var out []analysis.Finding
-	for fi, f := range fs.Prog.Funcs {
-		if !fs.Reachable[fi] {
-			if fi != fs.Entry {
-				out = append(out, analysis.Finding{
-					Check: "unreachable-func",
-					Func:  f.Name,
-					Pos:   f.Pos,
-					Msg:   fmt.Sprintf("function %q is never called from the entry point", f.Name),
-				})
-			}
+	for fi, f := range prog.Funcs {
+		if reach[fi] {
 			continue
 		}
-		ff := fs.Fns[fi]
-		for i := range ff.Branches {
-			bf := &ff.Branches[i]
-			blk := &f.Blocks[bf.Block]
-			if bf.Dep {
-				continue
-			}
-			if f.LoopDepth[bf.Block] != 0 {
-				// Constant-bound loops branch input-independently by
-				// design; only loop-free branches are suspicious.
-				continue
-			}
-			if blk.Term.Then == blk.Term.Else {
-				continue
-			}
-			if isLiteralConst(blk, len(blk.Instrs), blk.Term.Cond) {
-				continue
-			}
-			if decidedIv(bf.CondIv) {
-				continue // const-branch already reports it
-			}
-			out = append(out, analysis.Finding{
-				Check: "input-indep-branch",
-				Func:  f.Name,
-				Pos:   bf.Pos,
-				Msg:   "branch outcome cannot depend on program input (same side taken on every run)",
-			})
-		}
-		for i := range ff.Cmps {
-			cs := &ff.Cmps[i]
-			if cs.Op != lang.EQ && cs.Op != lang.NE {
-				continue
-			}
-			aSing, bSing := cs.AIv.Singleton(), cs.BIv.Singleton()
-			if aSing == bSing {
-				// Neither side constant (nothing to pin the report on),
-				// or both constant (degenerate; decided trivially and
-				// typically a deliberate dead-code idiom).
-				continue
-			}
-			konst, rng := cs.AIv, cs.BIv
-			if bSing {
-				konst, rng = cs.BIv, cs.AIv
-			}
-			if rng.IsBottom() || rng.Contains(konst.Lo) {
-				continue
-			}
-			verdict := "never true"
-			if cs.Op == lang.NE {
-				verdict = "always true"
-			}
-			out = append(out, analysis.Finding{
-				Check: "cmp-out-of-range",
-				Func:  f.Name,
-				Pos:   cs.Pos,
-				Msg: fmt.Sprintf("comparison with %d is %s: other operand is confined to %s",
-					konst.Lo, verdict, ivString(rng)),
-			})
-		}
+		out = append(out, analysis.Finding{
+			Check: "unreachable-func",
+			Func:  f.Name,
+			Pos:   f.Pos,
+			Msg:   fmt.Sprintf("function %q is never called from the entry point", f.Name),
+		})
 	}
 	analysis.SortFindings(out)
 	return out
-}
-
-// decidedIv reports whether the interval already fixes the branch
-// direction (always false, always true, or unreachable).
-func decidedIv(iv analysis.Interval) bool {
-	if iv.IsBottom() {
-		return true
-	}
-	return iv == (analysis.Interval{Lo: 0, Hi: 0}) || !iv.Contains(0)
-}
-
-// isLiteralConst mirrors the intra-procedural lint exemption: slot s is
-// last written before instruction limit by a plain OpConst — the
-// lowering of a source literal, whose constancy is deliberate.
-func isLiteralConst(blk *cfg.Block, limit, s int) bool {
-	lit := false
-	for i := 0; i < limit && i < len(blk.Instrs); i++ {
-		in := &blk.Instrs[i]
-		if analysis.InstrDef(in) == s {
-			lit = in.Op == cfg.OpConst
-		}
-	}
-	return lit
 }

@@ -2,10 +2,8 @@ package interproc
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -14,48 +12,8 @@ import (
 	"repro/internal/subjects"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/")
-
-// TestDumpGolden pins the complete facts dump for one subject. The dump
-// is what `paprof -facts` prints: per-branch dependency byte ranges,
-// comparison sites with intervals, per-function path counts, and the
-// cmp-site header. Any analysis change that shifts these facts must
-// consciously regenerate the golden
-// (go test ./internal/analysis/interproc -run DumpGolden -update-golden).
-func TestDumpGolden(t *testing.T) {
-	sub := subjects.Get("flvmeta")
-	if sub == nil {
-		t.Fatal("flvmeta subject missing")
-	}
-	prog, err := sub.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	ForProgram(prog).Dump(&buf)
-	got := buf.Bytes()
-
-	path := filepath.Join("testdata", "flvmeta_facts.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update-golden): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("facts dump drifted from golden.\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// lintAll reproduces palint's combined diagnostic pipeline: AST+interval
-// checks, interprocedural checks, one total order.
+// lintAll reproduces palint's combined diagnostic pipeline: AST and
+// interval checks, the interprocedural check, one total order.
 func lintAll(t *testing.T, src string) []analysis.Finding {
 	t.Helper()
 	ast, err := lang.Parse(src)
@@ -67,9 +25,64 @@ func lintAll(t *testing.T, src string) []analysis.Finding {
 		t.Fatal(err)
 	}
 	fds := analysis.Lint(ast, prog)
-	fds = append(fds, Lint(ForProgram(prog))...)
+	fds = append(fds, Lint(prog)...)
 	analysis.SortFindings(fds)
 	return fds
+}
+
+func checks(fds []analysis.Finding) []string {
+	var out []string
+	for _, fd := range fds {
+		out = append(out, fd.Check)
+	}
+	return out
+}
+
+// TestLintSeededDefects checks unreachable-func on a program with one
+// orphan function, and that palint's full pipeline still decides the
+// out-of-range comparison `v == 300`: const-branch reports its branch
+// and unreachable its dead arm.
+func TestLintSeededDefects(t *testing.T) {
+	const src = `
+func dead(x) {
+    return x + 1;
+}
+func main(input) {
+    var c = 0;
+    var i = 0;
+    while (i < 4) { c = c + 2; i = i + 1; }
+    if (c > 5) { c = c - 1; }
+    if (len(input) < 2) { return c; }
+    var a = input[0];
+    var v = min(max(a, 0), 255);
+    if (v == 300) { return 9; }
+    return c;
+}
+`
+	prog, err := cfg.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds := Lint(prog)
+	if got := checks(fds); !slices.Equal(got, []string{"unreachable-func"}) || fds[0].Func != "dead" {
+		t.Fatalf("findings = %v, want unreachable-func on dead", fds)
+	}
+	want := []string{"unreachable-func", "const-branch", "unreachable"}
+	if got := checks(lintAll(t, src)); !slices.Equal(got, want) {
+		t.Errorf("palint checks = %v, want %v", got, want)
+	}
+}
+
+func TestLintSubjectsClean(t *testing.T) {
+	for _, s := range subjects.All() {
+		prog, err := cfg.Compile(s.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		for _, fd := range Lint(prog) {
+			t.Errorf("%s: unexpected finding: %s", s.Name, fd)
+		}
+	}
 }
 
 // TestLintDeterministicOrdering runs the combined lint pipeline twice
@@ -78,7 +91,7 @@ func lintAll(t *testing.T, src string) []analysis.Finding {
 // then check name). This is the property that makes palint output
 // stable across runs and machines.
 func TestLintDeterministicOrdering(t *testing.T) {
-	// A program that trips all three interprocedural checks plus the
+	// A program that trips the interprocedural check plus the
 	// intra-procedural ones, so the ordering requirement is exercised on
 	// a findings-rich unit, not only on clean subjects.
 	const seeded = `

@@ -145,22 +145,6 @@ type Env struct {
 	Len []Interval
 }
 
-// NewEnv returns a fresh all-top environment for a frame of the given
-// size. Exported for client analyses (e.g. the interprocedural layer)
-// that replay the interval transfer function at selected points.
-func NewEnv(frame int) Env { return newEnv(frame) }
-
-// CopyFrom copies o into e (both must share a frame size).
-func (e *Env) CopyFrom(o *Env) { e.copyFrom(o) }
-
-// StepInstr applies in's interval transfer function to env. A
-// non-empty return names a fault the instruction is guaranteed to
-// raise on every execution reaching it. Exported for client analyses
-// that walk a block's instructions from a recorded entry state.
-func (ii *Intervals) StepInstr(env *Env, in *cfg.Instr) (fault string) {
-	return ii.stepInstr(env, in)
-}
-
 func newEnv(frame int) Env {
 	e := Env{Val: make([]Interval, frame), Len: make([]Interval, frame)}
 	for i := range e.Val {

@@ -55,7 +55,7 @@ func Lint(ast *lang.Program, prog *cfg.Program) []Finding {
 // order is total over distinct findings, so any producer — including
 // ones that accumulate via map iteration — emits byte-identical output
 // across runs. Exported so tools that merge findings from several
-// analyses (palint with the interprocedural checks) share the order.
+// analyses (palint with the interprocedural check) share the order.
 func SortFindings(out []Finding) {
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := &out[i], &out[j]

@@ -22,8 +22,8 @@ func TestVerifySubjects(t *testing.T) {
 	}
 }
 
-// TestVerifyLanggenCorpus runs the verifier (and the graph and interval
-// analyses, for crash-freedom) over a corpus of generated programs whose CFGs
+// TestVerifyLanggenCorpus runs the verifier (and the interval analysis,
+// for crash-freedom) over a corpus of generated programs whose CFGs
 // exercise nested loops, early returns, and deep branching.
 func TestVerifyLanggenCorpus(t *testing.T) {
 	cfgGen := langgen.Default()
@@ -37,8 +37,6 @@ func TestVerifyLanggenCorpus(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 		for _, f := range prog.Funcs {
-			Dominators(f)
-			PostDominators(f)
 			IntervalsOf(f)
 		}
 	}
@@ -66,10 +64,6 @@ func TestVerifyAdversarialShapes(t *testing.T) {
 		f := selfLoopFunc()
 		if err := VerifyFunc(f); err != nil {
 			t.Fatalf("hand-built self-loop rejected: %v", err)
-		}
-		idom := Dominators(f)
-		if idom[1] != 0 || !Dominates(idom, 1, 1) {
-			t.Fatalf("self-loop dominators wrong: %v", idom)
 		}
 		IntervalsOf(f)
 	})

@@ -19,11 +19,11 @@ func mustProg(t *testing.T, src string) *cfg.Program {
 // retInterval replays block b's instructions from its recorded entry
 // state and returns the interval of the value it returns.
 func retInterval(ii *Intervals, f *cfg.Func, b int) Interval {
-	env := NewEnv(f.FrameSize)
-	env.CopyFrom(&ii.In[b])
+	env := newEnv(f.FrameSize)
+	env.copyFrom(&ii.In[b])
 	blk := &f.Blocks[b]
 	for i := range blk.Instrs {
-		ii.StepInstr(&env, &blk.Instrs[i])
+		ii.stepInstr(&env, &blk.Instrs[i])
 	}
 	return env.Val[blk.Term.Val]
 }

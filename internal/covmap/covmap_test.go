@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis/interproc"
 	"repro/internal/campaign"
 	"repro/internal/cfg"
 	"repro/internal/coverage"
@@ -99,7 +98,7 @@ func TestIndexFollowsProbes(t *testing.T) {
 	}
 	bases := instrument.EdgeBases(prog)
 	edgeFns := 0
-	for _, fc := range ix.BuildReport(nil, covmap.Options{}).Funcs {
+	for _, fc := range ix.BuildReport(nil, "").Funcs {
 		if want := usePath[fc.Fn]; (fc.PathMode == "exact") != want {
 			t.Errorf("%s: path mode %q, path probes %v", fc.Name, fc.PathMode, want)
 		}
@@ -165,18 +164,15 @@ func TestDiscoveredPathsDecode(t *testing.T) {
 
 // TestReportRendering drives the full report pipeline on one campaign
 // and checks the artifacts: summary with the stable grep targets, a
-// non-empty frontier with interproc byte attribution, annotated
-// source, per-function path counts, and a well-formed HTML page.
+// non-empty frontier, annotated source, per-function path counts, and
+// a well-formed HTML page.
 func TestReportRendering(t *testing.T) {
 	prog, cells := runCampaign(t, subjects.Names()[0], instrument.FeedbackPath, 300)
 	ix, err := covmap.New(prog, instrument.FeedbackPath, coverage.DefaultMapSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := ix.BuildReport(covmap.FromVirgin(cells), covmap.Options{
-		Label: "test",
-		Facts: interproc.ForProgram(prog),
-	})
+	rep := ix.BuildReport(covmap.FromVirgin(cells), "test")
 	var b strings.Builder
 	rep.WriteText(&b)
 	text := b.String()
@@ -284,7 +280,7 @@ func TestCartographyByteIdentity(t *testing.T) {
 			for _, o := range obs {
 				_ = ix.CellLabel(o.Cell)
 			}
-			full := ix.BuildReport(obs, covmap.Options{Label: "x", Facts: interproc.ForProgram(prog)})
+			full := ix.BuildReport(obs, "x")
 			var b strings.Builder
 			full.WriteText(&b)
 			_ = full.WriteHTML("x")

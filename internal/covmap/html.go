@@ -43,14 +43,14 @@ func (r *Report) WriteHTML(title string) []byte {
 		fmt.Fprintf(&b, "<p>%s</p>", html.EscapeString(r.FrontierNote))
 	}
 	if len(r.Frontier) > 0 {
-		b.WriteString("<table><tr><th>rarity</th><th class=l>function</th><th>block</th><th>line</th><th class=l>unexplored</th><th>@line</th><th class=l>input bytes</th></tr>")
+		b.WriteString("<table><tr><th>rarity</th><th class=l>function</th><th>block</th><th>line</th><th class=l>unexplored</th><th>@line</th></tr>")
 		for _, fr := range r.Frontier {
 			rar := "?"
 			if fr.Rarity > 0 {
 				rar = fmt.Sprintf("b%d", fr.Rarity)
 			}
-			fmt.Fprintf(&b, "<tr><td>%s</td><td class=l>%s</td><td>b%d</td><td>%d</td><td class=l>%s</td><td>%d</td><td class=l>%s</td></tr>",
-				rar, html.EscapeString(fr.FnName), fr.Block, fr.Line, fr.Unexplored, fr.UnexploredLine, html.EscapeString(fr.Dep))
+			fmt.Fprintf(&b, "<tr><td>%s</td><td class=l>%s</td><td>b%d</td><td>%d</td><td class=l>%s</td><td>%d</td></tr>",
+				rar, html.EscapeString(fr.FnName), fr.Block, fr.Line, fr.Unexplored, fr.UnexploredLine)
 		}
 		b.WriteString("</table>")
 	}

@@ -6,19 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/analysis/interproc"
 	"repro/internal/cfg"
 )
-
-// Options tunes report construction.
-type Options struct {
-	// Label names the campaign in report headers (subject/fuzzer).
-	Label string
-	// Facts, when set, joins the frontier report against interprocedural
-	// input-dependency analysis: each frontier branch shows which input
-	// bytes govern it.
-	Facts *interproc.Facts
-}
 
 // maxFrontier caps the rendered frontier rows.
 const maxFrontier = 50
@@ -58,9 +47,6 @@ type Frontier struct {
 	// side — lower is rarer; 0 when the observation source records
 	// presence only.
 	Rarity int
-	// Dep describes the input bytes governing the branch per the
-	// interproc facts ("" when no facts were supplied).
-	Dep string
 }
 
 // Report is the rendered cartography of one campaign's coverage.
@@ -117,10 +103,11 @@ func (cs *coverageSets) edge(fn, e int, definite bool) {
 
 // BuildReport resolves every observation against the index and renders
 // the three cartography artifacts' data: summary counts, per-function
-// and per-line coverage, and the frontier.
-func (ix *Index) BuildReport(obs []Obs, opt Options) *Report {
+// and per-line coverage, and the frontier. label names the campaign in
+// report headers (subject/fuzzer).
+func (ix *Index) BuildReport(obs []Obs, label string) *Report {
 	r := &Report{
-		Label:    opt.Label,
+		Label:    label,
 		Feedback: ix.Feedback.String(),
 		MapSize:  ix.MapSize,
 	}
@@ -226,7 +213,7 @@ func (ix *Index) BuildReport(obs []Obs, opt Options) *Report {
 
 	r.buildFuncs(ix, cs, pathsSeen, pathsAmb)
 	r.buildLines(ix, lineBuckets, lineCovered)
-	r.buildFrontier(ix, cs, obs, opt)
+	r.buildFrontier(ix, cs, obs)
 	return r
 }
 
@@ -285,7 +272,7 @@ func (r *Report) buildLines(ix *Index, buckets map[int]uint8, covered map[int]in
 // attribute edges: its edge cell (or any path containing it) was never
 // consumed, so no recorded execution took it. Hash-mode and
 // un-enumerated path functions have no attribution and are skipped.
-func (r *Report) buildFrontier(ix *Index, cs *coverageSets, obs []Obs, opt Options) {
+func (r *Report) buildFrontier(ix *Index, cs *coverageSets, obs []Obs) {
 	bucketOf := make(map[uint32]uint8, len(obs))
 	for _, o := range obs {
 		bucketOf[o.Cell] |= o.Buckets
@@ -325,21 +312,6 @@ func (r *Report) buildFrontier(ix *Index, cs *coverageSets, obs []Obs, opt Optio
 			if mode == "" {
 				cell := (ix.edgeBases[fi] + uint32(exploredEdge)) & mask
 				fr.Rarity = bucketClass(bucketOf[cell])
-			}
-			if opt.Facts != nil && fi < len(opt.Facts.Fns) {
-				for _, bf := range opt.Facts.Fns[fi].Branches {
-					if bf.Block == bi {
-						if !bf.Dep {
-							fr.Dep = "input-independent"
-						} else {
-							fr.Dep = bf.Bytes.String()
-							if fr.Dep == "-" {
-								fr.Dep = "length-only"
-							}
-						}
-						break
-					}
-				}
 			}
 			rows = append(rows, fr)
 		}
@@ -432,14 +404,14 @@ func (r *Report) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  (%s)\n", r.FrontierNote)
 	}
 	if len(r.Frontier) > 0 {
-		fmt.Fprintf(w, "  %-6s %-16s %-6s %-5s %-10s %-6s %s\n", "rarity", "function", "block", "line", "unexplored", "@line", "input-bytes")
+		fmt.Fprintf(w, "  %-6s %-16s %-6s %-5s %-10s %s\n", "rarity", "function", "block", "line", "unexplored", "@line")
 		for _, fr := range r.Frontier {
 			rar := "?"
 			if fr.Rarity > 0 {
 				rar = fmt.Sprintf("b%d", fr.Rarity)
 			}
-			fmt.Fprintf(w, "  %-6s %-16s b%-5d %-5d %-10s %-6d %s\n",
-				rar, fr.FnName, fr.Block, fr.Line, fr.Unexplored, fr.UnexploredLine, fr.Dep)
+			fmt.Fprintf(w, "  %-6s %-16s b%-5d %-5d %-10s %d\n",
+				rar, fr.FnName, fr.Block, fr.Line, fr.Unexplored, fr.UnexploredLine)
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"repro/internal/analysis/interproc"
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/covmap"
@@ -56,10 +55,7 @@ func saveCovReport(cfg Config, rr *RunResult) error {
 			cells = append(cells, cm.FirstCells...)
 		}
 	}
-	rep := ix.BuildReport(covmap.FromCells(cells), covmap.Options{
-		Label: fmt.Sprintf("%s/%s run %d", rr.Subject, rr.Fuzzer, rr.Run),
-		Facts: interproc.ForProgram(prog),
-	})
+	rep := ix.BuildReport(covmap.FromCells(cells), fmt.Sprintf("%s/%s run %d", rr.Subject, rr.Fuzzer, rr.Run))
 	var buf bytes.Buffer
 	rep.WriteText(&buf)
 	dir := filepath.Join(cfg.StateDir, covReportDir)

@@ -15,6 +15,7 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -233,9 +234,10 @@ func New(dir string, opts Options) *Supervisor {
 	return &Supervisor{dir: dir, opts: opts.withDefaults(), stopCh: make(chan struct{})}
 }
 
-// workerDir is worker i's campaign state directory.
-func (s *Supervisor) workerDir(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("worker-%d", i))
+// WorkerDir is worker i's campaign state directory under the fleet
+// state directory dir.
+func WorkerDir(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("worker-%d", i))
 }
 
 // workerOpts derives worker i's fuzz options from the base options:
@@ -277,7 +279,7 @@ func (s *Supervisor) Start(prog *cfg.Program, base fuzz.Options, meta campaign.M
 		return err
 	}
 	for i := 0; i < s.opts.Workers; i++ {
-		w := &worker{id: i, dir: s.workerDir(i), seed: WorkerSeed(meta.Seed, i)}
+		w := &worker{id: i, dir: WorkerDir(s.dir, i), seed: WorkerSeed(meta.Seed, i)}
 		wm := meta
 		wm.Seed = w.seed
 		r := campaign.NewRunner(w.dir, campaign.Config{
@@ -313,7 +315,7 @@ func (s *Supervisor) Attach(prog *cfg.Program, base fuzz.Options, man *Manifest)
 		s.logf("fleet: manifest has %d workers, overriding -workers %d", man.Workers, s.opts.Workers)
 	}
 	for i := 0; i < man.Workers; i++ {
-		ck, _, err := campaign.LoadLatest(s.opts.FS, s.workerDir(i))
+		ck, _, err := campaign.LoadLatest(s.opts.FS, WorkerDir(s.dir, i))
 		if err != nil {
 			continue // the attempt reports it, and restarts or retires the worker
 		}
@@ -327,7 +329,7 @@ func (s *Supervisor) Attach(prog *cfg.Program, base fuzz.Options, man *Manifest)
 	s.quar = append([]fuzz.PoisonRec(nil), man.Quarantine...)
 	s.restarts, s.wedges = man.Restarts, man.Wedges
 	for i := 0; i < man.Workers; i++ {
-		w := &worker{id: i, dir: s.workerDir(i), seed: WorkerSeed(man.Meta.Seed, i)}
+		w := &worker{id: i, dir: WorkerDir(s.dir, i), seed: WorkerSeed(man.Meta.Seed, i)}
 		if man.Retired[i] {
 			w.state = stRetired
 		}
@@ -690,7 +692,7 @@ func (s *Supervisor) attempt(w *worker, gen int, out chan<- attemptResult) {
 // kill are the forensic record of what the worker was doing.
 func (s *Supervisor) addPoisonLocked(p fuzz.PoisonRec) {
 	for i := range s.quar {
-		if s.quar[i].Worker == p.Worker && s.quar[i].Msg == p.Msg && bytesEqual(s.quar[i].Input, p.Input) {
+		if s.quar[i].Worker == p.Worker && s.quar[i].Msg == p.Msg && bytes.Equal(s.quar[i].Input, p.Input) {
 			s.quar[i].Count += p.Count
 			return
 		}
@@ -701,18 +703,6 @@ func (s *Supervisor) addPoisonLocked(p fuzz.PoisonRec) {
 		Execs: p.Execs, Msg: p.Msg, Len: len(p.Input),
 	})
 	s.opts.Journal.DumpFlight(fmt.Sprintf("poison-w%d-%s", p.Worker, journal.SanitizeName(p.Msg)), p.Worker)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // persistManifestLocked atomically rewrites the fleet manifest from

@@ -3,7 +3,6 @@ package fleet_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -383,7 +382,7 @@ func validateCheckpoints(t *testing.T, dir string, workers int) {
 	t.Helper()
 	n := 0
 	for w := 0; w < workers; w++ {
-		cdir := filepath.Join(dir, fmt.Sprintf("worker-%d", w), "checkpoints")
+		cdir := filepath.Join(fleet.WorkerDir(dir, w), "checkpoints")
 		ents, err := os.ReadDir(cdir)
 		if err != nil {
 			t.Fatal(err)
@@ -421,7 +420,7 @@ func TestFleetAttachRefusesCheckpointWithoutRNGState(t *testing.T) {
 	}
 	// Rewrite worker 1's checkpoints as an older build wrote them: a
 	// draw count and no generator ring.
-	cdir := filepath.Join(dir, "worker-1", "checkpoints")
+	cdir := filepath.Join(fleet.WorkerDir(dir, 1), "checkpoints")
 	ents, err := os.ReadDir(cdir)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@
 package fuzz
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -806,7 +807,7 @@ func (f *Fuzzer) energy(e *Entry) int {
 	score := 100.0
 	if n := int64(len(f.queue)); n > 0 {
 		avgSteps := float64(f.sumSteps) / float64(n)
-		switch r := float64(e.Steps) / maxF(avgSteps, 1); {
+		switch r := float64(e.Steps) / max(avgSteps, 1); {
 		case r > 4:
 			score *= 0.25
 		case r > 2:
@@ -815,7 +816,7 @@ func (f *Fuzzer) energy(e *Entry) int {
 			score *= 2
 		}
 		avgCov := float64(f.sumCov) / float64(n)
-		switch r := float64(len(e.Cov)) / maxF(avgCov, 1); {
+		switch r := float64(len(e.Cov)) / max(avgCov, 1); {
 		case r > 1.5:
 			score *= 1.5
 		case r < 0.5:
@@ -844,13 +845,6 @@ func (f *Fuzzer) energy(e *Entry) int {
 		score = 16
 	}
 	return int(score)
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // processNew enqueues a novel input produced during fuzzing; parent is
@@ -1166,10 +1160,12 @@ func (f *Fuzzer) trySubstitute(e *Entry, find, repl int64, allow int) int {
 				fe = encodeWidthTo(&feBuf, find, w, true)
 				re = encodeWidthTo(&reBuf, repl, w, true)
 			}
-			for p := 0; p+w <= len(e.Data) && spent < allow; p++ {
-				if !bytesEq(e.Data[p:p+w], fe) {
-					continue
+			for p := 0; spent < allow; p++ {
+				i := bytes.Index(e.Data[p:], fe)
+				if i < 0 {
+					break
 				}
+				p += i
 				data := f.scratchBuf(len(e.Data))
 				copy(data, e.Data)
 				copy(data[p:], re)
@@ -1180,18 +1176,6 @@ func (f *Fuzzer) trySubstitute(e *Entry, find, repl int64, allow int) int {
 		}
 	}
 	return spent
-}
-
-func bytesEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func fitsWidth(v int64, w int) bool {

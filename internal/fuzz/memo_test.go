@@ -10,8 +10,17 @@ import (
 	"repro/internal/vm"
 )
 
-// memoInputs is a subject's seeds, its bug witnesses, and n inputs
-// derived from them: random bytes of random length and havoc mutants.
+// stepLimitInputs holds, per subject, inputs that run to the step
+// limit. gdk's is a 256x255 24bpp image: load_pixels copies 195,840
+// cells, far more steps than vm.DefaultLimits allows. No gdk seed or
+// witness times out, and a short run's few mutants need not either.
+var stepLimitInputs = map[string][][]byte{
+	"gdk": {{'B', 'M', 0, 1, 255, 24, 0, 0}},
+}
+
+// memoInputs is a subject's seeds, its bug witnesses, n inputs derived
+// from them (random bytes of random length and havoc mutants), and its
+// step-limit inputs.
 func memoInputs(sub *subjects.Subject, n int) [][]byte {
 	var ins [][]byte
 	for _, s := range sub.Seeds {
@@ -36,7 +45,7 @@ func memoInputs(sub *subjects.Subject, n int) [][]byte {
 			ins = append(ins, append([]byte(nil), mut.havoc(base[r.Intn(len(base))])...))
 		}
 	}
-	return ins
+	return append(ins, stepLimitInputs[sub.Name]...)
 }
 
 // sameOutcome reports the first difference between two fuzzers'
@@ -66,10 +75,9 @@ func sameOutcome(a, b *Fuzzer) error {
 // every subject: fuzzer A runs each input twice, the second run a memo
 // hit; fuzzer B runs it, forgets it, and runs the target again. The
 // outcomes and everything they are judged into must be equal after
-// every step. gdk's seeds run to the step limit, so timeouts repeat
-// too; bug witnesses repeat crashes. On CGT the plan is recomputed
-// every 64 inputs, so repeats skip elided fast runs as well as
-// retraces.
+// every step. gdk's step-limit input repeats a timeout; bug witnesses
+// repeat crashes. On CGT the plan is recomputed every 64 inputs, so
+// repeats skip elided fast runs as well as retraces.
 func TestMemoAnswersRepeatsExactly(t *testing.T) {
 	n := 300
 	if testing.Short() {

@@ -28,30 +28,16 @@ type mutator struct {
 	spl []byte
 }
 
-func (m *mutator) randLen(max int) int {
+func (m *mutator) randLen(limit int) int {
 	// Favor small blocks, as AFL's choose_block_len does.
 	switch m.rng.Intn(10) {
 	case 0:
-		return 1 + m.rng.Intn(maxInt(max, 1))
+		return 1 + m.rng.Intn(max(limit, 1))
 	case 1, 2, 3:
-		return 1 + m.rng.Intn(minInt(8, maxInt(max, 1)))
+		return 1 + m.rng.Intn(min(8, max(limit, 1)))
 	default:
-		return 1 + m.rng.Intn(minInt(32, maxInt(max, 1)))
+		return 1 + m.rng.Intn(min(32, max(limit, 1)))
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // havoc applies a random stack of mutations to a copy of data. The

@@ -137,9 +137,6 @@ func TestEncodeHelpers(t *testing.T) {
 	if !fitsWidth(255, 1) || fitsWidth(256, 1) || !fitsWidth(-128, 1) || fitsWidth(-129, 1) {
 		t.Error("fitsWidth(1) wrong")
 	}
-	if !bytesEq([]byte{1, 2}, []byte{1, 2}) || bytesEq([]byte{1}, []byte{1, 2}) || bytesEq([]byte{1}, []byte{2}) {
-		t.Error("bytesEq wrong")
-	}
 }
 
 // havocBenchProg is a small byte-classifying loop, cheap enough that
