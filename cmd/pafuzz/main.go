@@ -63,7 +63,6 @@ func main() {
 		watchdog    = flag.Duration("watchdog", 5*time.Second, "declare a fleet worker wedged after this long without progress (0 disables)")
 		maxRestarts = flag.Int("max-restarts", 3, "consecutive worker failures before the fleet retires the worker")
 		chaosEvery  = flag.Int64("chaos-every", 0, "fault injection: panic each worker's first attempt once past this exec count (0 disables; for supervision smoke tests)")
-		journalOn   = flag.Bool("journal", true, "write the structured event journal under <state>/journal (durable campaigns; inspect with paprof -journal)")
 		stopAfter   = flag.Int64("stop-after", 0, "interrupt the campaign once the exec counter reaches this (reproducible interruption for resume/journal smoke tests)")
 	)
 	flag.Parse()
@@ -191,12 +190,12 @@ func main() {
 		}
 		attachCartography(rec, prog, fb, meta.MapSize, label)
 	}
-	// A resumed single campaign's Attach (fuzz.Restore) truncates the
-	// journal back to the checkpoint's event count, and the replayed
-	// executions re-emit an identical tail. A fleet's journal is
-	// supervisor-shared: worker restores append without truncating, so
-	// peer events survive a resume.
-	jw := openJournal(*stateDir, *journalOn && durable, rec)
+	// Every restore (fuzz.Restore: a resume, or a fleet worker's
+	// restart) drops the restoring campaign's own events past its
+	// checkpoint's event count, and the replayed executions re-emit
+	// them. A fleet's journal is supervisor-shared: peer and supervisor
+	// events survive a worker's restore.
+	jw := openJournal(*stateDir, durable, rec)
 	// The engine is not campaign state: engines are byte-identical (the
 	// identity suites enforce this), so a resume re-applies it from the
 	// flags. Crash inputs are always kept (at most 512 bytes each, one
@@ -291,8 +290,9 @@ func loadState(dir string) (*campaign.Checkpoint, *fleet.Manifest) {
 }
 
 // openJournal opens (or resumes) the structured event journal under
-// <state>/journal. Journaling is display-only: a failed open degrades
-// to a warning and the campaign runs unjournaled, byte-identical.
+// <state>/journal; durable campaigns always journal. Journaling is
+// display-only: a failed open degrades to a warning and the campaign
+// runs unjournaled, byte-identical.
 // When a recorder is active the journal directory is registered so the
 // metrics endpoint can serve /genealogy.
 func openJournal(stateDir string, enabled bool, rec *telemetry.Recorder) *journal.Writer {

@@ -1,10 +1,8 @@
 // Command palint lints MiniC programs with the static-analysis
-// framework: AST-level unreachable statements and unused variables,
-// interval-analysis findings over the lowered CFG (branches that
-// are always taken one way, interval-unreachable code, and guaranteed
-// faults such as division by zero or out-of-bounds indexing), and one
-// interprocedural finding read from the call graph (functions
-// unreachable from main).
+// framework: statements after one that never falls through
+// (unreachable), variables declared but never read (unused-var), and
+// functions no call chain from main reaches (unreachable-func, read
+// from the call graph).
 // Diagnostics are reported in a deterministic order: source position,
 // then check name. With -verify it additionally runs the IR verifier
 // over the lowered program.
@@ -83,7 +81,7 @@ func main() {
 				continue
 			}
 		}
-		fds := analysis.Lint(ast, prog)
+		fds := analysis.Lint(ast)
 		fds = append(fds, interproc.Lint(prog)...)
 		analysis.SortFindings(fds)
 		for _, fd := range fds {

@@ -1,14 +1,12 @@
 // Package analysis is a reusable static-analysis layer over the cfg
 // IR: graph utilities (predecessors, successors, reverse postorder),
-// definite assignment, interval/constant propagation, and an IR
-// verifier.
+// definite assignment, an IR verifier, and palint's AST checks.
 //
 // The paper's contribution lives entirely in per-function CFG
 // transformations (DAG conversion, Ball-Larus numbering, probe
 // placement); this package is what proves those transformations
 // preserve the invariants they depend on. The IR verifier runs under
-// palint -verify and the tests, and the interval analysis backs the
-// palint subject linter.
+// palint -verify and the tests.
 package analysis
 
 import (

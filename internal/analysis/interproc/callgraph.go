@@ -1,8 +1,8 @@
 // Package interproc is the interprocedural layer over the analysis
 // package: the static call graph of a lowered program (callees,
-// callers, strongly connected components in bottom-up order,
-// reachability from the entry) and palint's unreachable-func check,
-// which reads reachability from it.
+// strongly connected components in bottom-up order, reachability from
+// the entry) and palint's unreachable-func check, which reads
+// reachability from it.
 package interproc
 
 import (
@@ -17,8 +17,6 @@ import (
 type CallGraph struct {
 	// Callees[f] lists the distinct functions f calls, ascending.
 	Callees [][]int
-	// Callers[f] lists the distinct functions calling f, ascending.
-	Callers [][]int
 	// SCCs lists the strongly connected components in bottom-up
 	// (callee-first) order: every call from SCCs[i] lands in SCCs[j]
 	// with j <= i. Each component's members are ascending.
@@ -32,7 +30,6 @@ func NewCallGraph(p *cfg.Program) *CallGraph {
 	n := len(p.Funcs)
 	g := &CallGraph{
 		Callees: make([][]int, n),
-		Callers: make([][]int, n),
 		SCCOf:   make([]int, n),
 	}
 	seen := make([]map[int]bool, n)
@@ -52,15 +49,9 @@ func NewCallGraph(p *cfg.Program) *CallGraph {
 		}
 	}
 	// Callees were appended in instruction order; normalize to
-	// ascending for deterministic iteration. Callers come out
-	// ascending because callers are visited in order.
+	// ascending for deterministic iteration.
 	for fi := range g.Callees {
 		slices.Sort(g.Callees[fi])
-	}
-	for fi, cs := range g.Callees {
-		for _, c := range cs {
-			g.Callers[c] = append(g.Callers[c], fi)
-		}
 	}
 	g.tarjan(n)
 	return g
@@ -160,18 +151,4 @@ func (g *CallGraph) ReachableFrom(entry int) []bool {
 		}
 	}
 	return reach
-}
-
-// Recursive reports whether f can call itself (directly or through a
-// cycle): its SCC has more than one member or a self edge.
-func (g *CallGraph) Recursive(f int) bool {
-	if len(g.SCCs[g.SCCOf[f]]) > 1 {
-		return true
-	}
-	for _, c := range g.Callees[f] {
-		if c == f {
-			return true
-		}
-	}
-	return false
 }

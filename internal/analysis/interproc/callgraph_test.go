@@ -1,6 +1,7 @@
 package interproc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cfg"
@@ -53,11 +54,17 @@ func TestCallGraphStructure(t *testing.T) {
 		}
 	}
 
-	if !g.Recursive(id("a")) || !g.Recursive(id("b")) {
-		t.Error("a and b are mutually recursive")
+	// a and b are mutually recursive: their component has both. leaf
+	// and main are not: each is alone in its component, with no self
+	// edge.
+	if scc := g.SCCs[g.SCCOf[id("a")]]; !slices.Equal(scc, []int{id("a"), id("b")}) {
+		t.Errorf("a's SCC = %v, want [a b]", scc)
 	}
-	if g.Recursive(id("leaf")) || g.Recursive(id("main")) {
-		t.Error("leaf/main are not recursive")
+	for _, name := range []string{"leaf", "main"} {
+		f := id(name)
+		if len(g.SCCs[g.SCCOf[f]]) != 1 || slices.Contains(g.Callees[f], f) {
+			t.Errorf("%s should not be recursive", name)
+		}
 	}
 
 	reach := g.ReachableFrom(id("main"))
@@ -70,15 +77,8 @@ func TestCallGraphStructure(t *testing.T) {
 		t.Error("orphan should be unreachable")
 	}
 
-	// Callers are the transpose of Callees.
-	foundMain := false
-	for _, c := range g.Callers[id("a")] {
-		if c == id("main") {
-			foundMain = true
-		}
-	}
-	if !foundMain {
-		t.Error("main should be a caller of a")
+	if !slices.Equal(g.Callees[id("main")], []int{id("a")}) {
+		t.Errorf("main's callees = %v, want [a]", g.Callees[id("main")])
 	}
 }
 
@@ -96,7 +96,11 @@ func main(input) {
 		t.Fatal(err)
 	}
 	g := NewCallGraph(prog)
-	if !g.Recursive(prog.ByName["f"]) {
-		t.Error("self-calling f should be recursive")
+	f := prog.ByName["f"]
+	if !slices.Contains(g.Callees[f], f) {
+		t.Errorf("f's callees = %v, want its self edge", g.Callees[f])
+	}
+	if len(g.SCCs[g.SCCOf[f]]) != 1 {
+		t.Errorf("f's SCC = %v, want f alone", g.SCCs[g.SCCOf[f]])
 	}
 }

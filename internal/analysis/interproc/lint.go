@@ -12,8 +12,7 @@ import (
 //   - unreachable-func: a function no call chain from the entry
 //     ("main", or function 0 when there is none) ever reaches.
 //
-// Like the intra-procedural checks, each finding holds on every
-// execution.
+// Each finding holds on every execution.
 func Lint(prog *cfg.Program) []analysis.Finding {
 	entry := 0
 	if i, ok := prog.ByName["main"]; ok {

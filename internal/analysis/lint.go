@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cfg"
 	"repro/internal/lang"
 )
 
 // Finding is one lint diagnostic.
 type Finding struct {
-	// Check is the rule that fired: unreachable, const-branch,
-	// guaranteed-fault, or unused-var.
+	// Check is the rule that fired: unreachable, unused-var, or (from
+	// interproc) unreachable-func.
 	Check string
 	Func  string
 	Pos   lang.Pos
@@ -23,28 +22,15 @@ func (fd Finding) String() string {
 	return fmt.Sprintf("%d:%d: [%s] %s (func %s)", fd.Pos.Line, fd.Pos.Col, fd.Check, fd.Msg, fd.Func)
 }
 
-// Lint runs the palint checks over one MiniC program: AST-level
-// unreachable statements and unused variables, plus interval-analysis
-// checks over the lowered CFG (always-true/false branches on derived
-// conditions, interval-unreachable code, and guaranteed faults:
-// division by zero, out-of-bounds indexing, negative allocation,
-// failing asserts).
-//
-// Conditions and assertions that are literal constants in the source
-// (while (1), assert(0)) are deliberate idioms and are not reported;
-// only conditions the programmer probably did not know were constant
-// are. Every check is conservative: a finding means the defect holds
-// on every execution that reaches it, so the existing benchmark
-// subjects — whose planted bugs are all input-dependent — must produce
-// zero findings.
-func Lint(ast *lang.Program, prog *cfg.Program) []Finding {
+// Lint runs palint's intra-procedural checks over one MiniC program's
+// AST: statements after one that never falls through (unreachable) and
+// variables declared but never read (unused-var). Both checks are
+// conservative, and the benchmark subjects produce no finding.
+func Lint(ast *lang.Program) []Finding {
 	var out []Finding
 	for _, fd := range ast.Funcs {
 		out = append(out, lintUnreachableStmts(fd)...)
 		out = append(out, lintUnusedVars(fd)...)
-	}
-	for _, f := range prog.Funcs {
-		out = append(out, lintIntervals(f)...)
 	}
 	SortFindings(out)
 	return out
@@ -269,93 +255,6 @@ func lintUnusedVars(fd *lang.FuncDecl) []Finding {
 			Pos:   sites[0].Pos,
 			Msg:   fmt.Sprintf("variable %q is declared but never read", name),
 		})
-	}
-	return out
-}
-
-// literalConst reports whether slot s is last written in blk (before
-// instruction limit) by a plain OpConst — the lowering of a literal in
-// the source, whose constancy the programmer chose deliberately.
-func literalConst(blk *cfg.Block, limit, s int) bool {
-	lit := false
-	for i := 0; i < limit && i < len(blk.Instrs); i++ {
-		in := &blk.Instrs[i]
-		if InstrDef(in) == s {
-			lit = in.Op == cfg.OpConst
-		}
-	}
-	return lit
-}
-
-// lintIntervals runs the interval analysis over one lowered function
-// and reports guaranteed faults, decided branch conditions, and
-// interval-unreachable blocks.
-func lintIntervals(f *cfg.Func) []Finding {
-	ii := IntervalsOf(f)
-	var out []Finding
-	env := newEnv(f.FrameSize)
-	for b := range f.Blocks {
-		blk := &f.Blocks[b]
-		if !ii.Reached[b] {
-			// Only user code: skip bare structural blocks (e.g. the
-			// implicit return block after an infinite loop).
-			if len(blk.Instrs) > 0 {
-				out = append(out, Finding{
-					Check: "unreachable",
-					Func:  f.Name,
-					Pos:   blk.Instrs[0].Pos,
-					Msg:   "unreachable code (no feasible path from function entry)",
-				})
-			}
-			continue
-		}
-		env.copyFrom(&ii.In[b])
-		faulted := false
-		for i := range blk.Instrs {
-			in := &blk.Instrs[i]
-			fault := ii.stepInstr(&env, in)
-			if fault == "" {
-				continue
-			}
-			faulted = true
-			// abort() and literal assert(0) are deliberate; everything
-			// else is a guaranteed fault worth reporting.
-			deliberate := fault == "abort" ||
-				(in.Op == cfg.OpBuiltin && in.Callee == cfg.BAssert &&
-					len(in.Args) > 0 && literalConst(blk, i, in.Args[0]))
-			if !deliberate {
-				out = append(out, Finding{
-					Check: "guaranteed-fault",
-					Func:  f.Name,
-					Pos:   in.Pos,
-					Msg:   fmt.Sprintf("%s on every execution reaching this point", fault),
-				})
-			}
-			break
-		}
-		if faulted || blk.Term.Kind != cfg.TermBr {
-			continue
-		}
-		cond := env.Val[blk.Term.Cond]
-		if literalConst(blk, len(blk.Instrs), blk.Term.Cond) {
-			continue // while (1) / if (0): deliberate idioms
-		}
-		switch {
-		case cond == (Interval{0, 0}):
-			out = append(out, Finding{
-				Check: "const-branch",
-				Func:  f.Name,
-				Pos:   blk.Term.Pos,
-				Msg:   "branch condition is always false",
-			})
-		case !cond.IsBottom() && !cond.Contains(0):
-			out = append(out, Finding{
-				Check: "const-branch",
-				Func:  f.Name,
-				Pos:   blk.Term.Pos,
-				Msg:   "branch condition is always true",
-			})
-		}
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cfg"
 	"repro/internal/lang"
 	"repro/internal/subjects"
 )
@@ -15,28 +14,17 @@ func lintSrc(t *testing.T, src string) []Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := cfg.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Lint(ast, prog)
+	return Lint(ast)
 }
 
-// badSrc seeds one instance of every defect class palint reports.
+// badSrc seeds one instance of every defect class Lint reports.
 const badSrc = `func helper(a) {
 	var unused = 3;
-	var size = 4;
-	var buf = alloc(size);
-	return buf[size + 1];
+	return a + 1;
 }
 func main(input) {
-	var n = 10;
-	var m = n - 10;
-	if (m) {
-		out(1);
-	}
 	if (len(input) > 3) {
-		return helper(len(input)) / m;
+		return helper(len(input));
 	}
 	return 0;
 	out(2);
@@ -44,9 +32,6 @@ func main(input) {
 
 func TestLintSeededDefects(t *testing.T) {
 	findings := lintSrc(t, badSrc)
-	if len(findings) == 0 {
-		t.Fatal("no findings on the seeded bad program")
-	}
 	for _, f := range findings {
 		t.Logf("finding: %s", f)
 	}
@@ -54,29 +39,22 @@ func TestLintSeededDefects(t *testing.T) {
 		check, msgPart, fn string
 	}{
 		{"unused-var", `"unused"`, "helper"},
-		{"guaranteed-fault", "out-of-bounds load", "helper"},
-		{"const-branch", "always false", "main"},
-		{"unreachable", "no feasible path", "main"},
-		{"guaranteed-fault", "division or modulo by zero", "main"},
 		{"unreachable", "never falls through", "main"},
 	}
-	for _, w := range want {
-		found := false
-		for _, f := range findings {
-			if f.Check == w.check && f.Func == w.fn && strings.Contains(f.Msg, w.msgPart) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("missing finding: check=%s func=%s msg~%q", w.check, w.fn, w.msgPart)
+	if len(findings) != len(want) {
+		t.Fatalf("%d findings on the seeded bad program, want %d", len(findings), len(want))
+	}
+	for i, w := range want {
+		f := findings[i]
+		if f.Check != w.check || f.Func != w.fn || !strings.Contains(f.Msg, w.msgPart) {
+			t.Errorf("finding %d = %s, want check=%s func=%s msg~%q", i, f, w.check, w.fn, w.msgPart)
 		}
 	}
 }
 
-// TestLintDeliberateIdiomsSuppressed checks that literal-constant
-// conditions and assertions — the idiomatic forms of infinite loops and
-// planted aborts — produce no findings.
+// TestLintNoFalsePositiveIdioms checks that the idiomatic forms of
+// infinite loops and planted aborts (while (1) left by a break,
+// assert(0) under a guard) produce no findings.
 func TestLintNoFalsePositiveIdioms(t *testing.T) {
 	src := `func main(input) {
 		var i = 0;
@@ -93,8 +71,7 @@ func TestLintNoFalsePositiveIdioms(t *testing.T) {
 }
 
 // TestLintSubjectsClean asserts zero findings across all embedded
-// benchmark subjects: their planted bugs are input-dependent, so a
-// sound "fires on every execution" analysis must stay silent.
+// benchmark subjects.
 func TestLintSubjectsClean(t *testing.T) {
 	for _, name := range subjects.Names() {
 		sub := subjects.Get(name)
@@ -102,7 +79,7 @@ func TestLintSubjectsClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, f := range Lint(ast, sub.MustProgram()) {
+		for _, f := range Lint(ast) {
 			t.Errorf("false positive on subject %s: %s", name, f)
 		}
 	}

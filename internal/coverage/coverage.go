@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // DefaultMapSize is the default number of coverage map entries. The
@@ -102,12 +101,14 @@ func (m *Map) CountNonZero() int { return len(m.dirty) }
 // form is what queue entries retain (the analogue of AFL's trace_mini).
 func (m *Map) Indices() []uint32 {
 	out := append([]uint32(nil), m.dirty...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // ClassifySparse rewrites the map's raw hit counts into bucket masks in
-// place, touching only dirty entries.
+// place, touching only dirty entries: the normalization step the paper
+// describes ("power-of-two buckets") that keeps hit-count-only
+// variation from exploding the queue.
 func (m *Map) ClassifySparse() {
 	for _, i := range m.dirty {
 		m.bits[i] = bucketLUT[m.bits[i]]
@@ -145,44 +146,6 @@ var bucketLUT = func() [256]uint8 {
 	}
 	return lut
 }()
-
-// bucketLUT16 classifies two adjacent counts at once, AFL's
-// count_class_lookup16 trick: a full-map classification becomes four
-// table lookups per 8-byte word instead of eight branchy byte steps.
-var bucketLUT16 = func() []uint16 {
-	lut := make([]uint16, 1<<16)
-	for i := range lut {
-		lut[i] = uint16(bucketLUT[i&0xff]) | uint16(bucketLUT[i>>8])<<8
-	}
-	return lut
-}()
-
-// Classify rewrites raw hit counts into bucket masks in place, the
-// normalization step the paper describes ("power-of-two buckets") that
-// keeps hit-count-only variation from exploding the queue.
-//
-// The scan is word-at-a-time: read 8 counts as one uint64, skip the
-// (overwhelmingly common) all-zero words, and classify the rest
-// branch-free through the 16-bit lookup table.
-func Classify(bits []uint8) {
-	i := 0
-	for ; i+8 <= len(bits); i += 8 {
-		w := binary.LittleEndian.Uint64(bits[i:])
-		if w == 0 {
-			continue
-		}
-		w = uint64(bucketLUT16[w&0xffff]) |
-			uint64(bucketLUT16[(w>>16)&0xffff])<<16 |
-			uint64(bucketLUT16[(w>>32)&0xffff])<<32 |
-			uint64(bucketLUT16[w>>48])<<48
-		binary.LittleEndian.PutUint64(bits[i:], w)
-	}
-	for ; i < len(bits); i++ {
-		if b := bits[i]; b != 0 {
-			bits[i] = bucketLUT[b]
-		}
-	}
-}
 
 // Novelty describes the outcome of a virgin-map comparison.
 type Novelty int
@@ -222,66 +185,9 @@ func (v *Virgin) Len() int { return len(v.bits) }
 // behaviour has been observed. O(1).
 func (v *Virgin) Count() int { return v.consumed }
 
-// Merge checks classified trace bits against the virgin map, consumes
-// any new bits, and reports the highest novelty found.
-//
-// The scan skims 8 entries per step: a word of trace bits that is zero,
-// or whose bitwise AND with the corresponding virgin word is zero,
-// cannot contain novelty in any byte lane and is skipped without
-// touching individual bytes (AFL's has_new_bits discover_word skim).
-func (v *Virgin) Merge(classified []uint8) Novelty {
-	if len(classified) != len(v.bits) {
-		panic("coverage: size mismatch")
-	}
-	ret := NoNew
-	i := 0
-	for ; i+8 <= len(classified); i += 8 {
-		cw := binary.LittleEndian.Uint64(classified[i:])
-		if cw == 0 {
-			continue
-		}
-		vw := binary.LittleEndian.Uint64(v.bits[i:])
-		if cw&vw == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			c := classified[j]
-			if c == 0 {
-				continue
-			}
-			vb := v.bits[j]
-			if vb&c != 0 {
-				if vb == 0xff {
-					ret = NewTuples
-					v.consumed++
-				} else if ret < NewCounts {
-					ret = NewCounts
-				}
-				v.bits[j] = vb &^ c
-			}
-		}
-	}
-	for ; i < len(classified); i++ {
-		c := classified[i]
-		if c == 0 {
-			continue
-		}
-		vb := v.bits[i]
-		if vb&c != 0 {
-			if vb == 0xff {
-				ret = NewTuples
-				v.consumed++
-			} else if ret < NewCounts {
-				ret = NewCounts
-			}
-			v.bits[i] = vb &^ c
-		}
-	}
-	return ret
-}
-
-// MergeSparse is Merge over a map's dirty entries only; the map must
-// already be classified (ClassifySparse).
+// MergeSparse checks a classified map (ClassifySparse) against the
+// virgin map, consumes any new bits, and reports the highest novelty
+// found. Only the map's dirty entries are visited.
 func (v *Virgin) MergeSparse(m *Map) Novelty {
 	if m.Len() != len(v.bits) {
 		panic("coverage: size mismatch")

@@ -78,10 +78,10 @@ type Options struct {
 	// renders them as fuzzer_stats, plot_data and the status line.
 	Telemetry *telemetry.Recorder
 	// Journal, when non-nil, is the supervisor-owned event journal every
-	// worker shares (fuzz.Options.JournalShared): worker events carry
-	// their worker id, supervision events (recycle, retire, wedge,
-	// quarantine) interleave under the writer's own lock, and worker
-	// restores never truncate the shared stream.
+	// worker shares: worker events carry their worker id, supervision
+	// events (recycle, retire, wedge, quarantine) interleave under the
+	// writer's own lock, and a worker restore drops only that worker's
+	// own events past its checkpoint, which its replay re-emits.
 	Journal *journal.Writer
 	// StopAfter, when positive, interrupts the fleet once any worker's
 	// exec counter reaches it — the reproducible mid-run interruption
@@ -249,12 +249,11 @@ func (s *Supervisor) workerOpts(i int) fuzz.Options {
 	o.Seed = WorkerSeed(s.meta.Seed, i)
 	o.Telemetry = nil
 	o.KeepCrashInputs = true
-	// All workers append to the one supervisor-owned journal; the shared
-	// flag stops a worker restore from truncating its peers' events.
+	// All workers append to the one supervisor-owned journal.
 	// JournalWorker is set even without a writer — it also stamps corpus
-	// provenance (Report.Corpus).
+	// provenance (Report.Corpus) — and names the events a worker restore
+	// drops.
 	o.Journal = s.opts.Journal
-	o.JournalShared = true
 	o.JournalWorker = i
 	return o
 }

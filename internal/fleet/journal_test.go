@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -146,5 +148,101 @@ func TestFleetJournalChaosForensics(t *testing.T) {
 		if _, err := os.Stat(dump); err != nil {
 			t.Errorf("quarantined finding (worker %d, %q) has no flight dump: %v", p.Worker, p.Msg, err)
 		}
+	}
+}
+
+// journalCounts closes w and returns the journal's event counts per
+// kind, after checking the stream is gapless and schema-clean.
+func journalCounts(t *testing.T, dir string, w *journal.Writer) map[string]int {
+	t.Helper()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, diag, err := journal.ReadDir(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !diag.OK() {
+		t.Fatalf("journal not OK: errors=%v gaps=%v", diag.Errors, diag.Gaps)
+	}
+	return journal.KindCounts(events)
+}
+
+// cleanJournalCounts runs an uninterrupted, fault-free journaled fleet
+// and returns its journal's event counts.
+func cleanJournalCounts(t *testing.T) map[string]int {
+	t.Helper()
+	dir := t.TempDir()
+	opts := fleetOpts(2)
+	opts.Journal = openJournalT(t, dir)
+	if res := runFleet(t, dir, opts); res.Interrupted {
+		t.Fatal("clean fleet interrupted")
+	}
+	return journalCounts(t, dir, opts.Journal)
+}
+
+// TestFleetJournalChaosCounts: a worker restarted after a panic replays
+// from its checkpoint and re-emits the events it wrote past it, so the
+// journal must hold each of them once. The chaos fleet's journal counts
+// the clean fleet's events plus one quarantine and one recycle event
+// per injected panic.
+func TestFleetJournalChaosCounts(t *testing.T) {
+	want := cleanJournalCounts(t)
+	want[journal.KindQuarantine] += 2
+	want[journal.KindRecycle] += 2
+
+	dir := t.TempDir()
+	opts := fleetOpts(2)
+	opts.Journal = openJournalT(t, dir)
+	opts.Chaos = func(worker, gen int, execs int64) fleet.ChaosAction {
+		if gen == 0 && execs >= 3000+4000*int64(worker) {
+			return fleet.ChaosPanic
+		}
+		return fleet.ChaosNone
+	}
+	res := runFleet(t, dir, opts)
+	if res.Interrupted || res.Restarts != 2 {
+		t.Fatalf("chaos fleet: interrupted=%v restarts=%d, want a finished fleet with 2 restarts", res.Interrupted, res.Restarts)
+	}
+	if got := journalCounts(t, dir, opts.Journal); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chaos fleet journal counts %v, want %v", got, want)
+	}
+}
+
+// TestFleetJournalResumeCounts stands in for a hard kill: the fleet is
+// stopped, each worker's newest checkpoint is removed, and the resumed
+// workers replay from their older ones past events already journaled.
+// The journal must count exactly the uninterrupted fleet's events.
+func TestFleetJournalResumeCounts(t *testing.T) {
+	want := cleanJournalCounts(t)
+
+	dir := t.TempDir()
+	opts := fleetOpts(2)
+	opts.Journal = openJournalT(t, dir)
+	opts.StopAfter = testStop
+	if res := runFleet(t, dir, opts); !res.Interrupted {
+		t.Fatal("StopAfter did not interrupt the fleet")
+	}
+	if err := opts.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		ckpts, err := filepath.Glob(filepath.Join(fleet.WorkerDir(dir, i), "checkpoints", "*.pafc"))
+		if err != nil || len(ckpts) < 2 {
+			t.Fatalf("worker %d keeps checkpoints %v (%v), want at least 2", i, ckpts, err)
+		}
+		sort.Strings(ckpts)
+		if err := os.Remove(ckpts[len(ckpts)-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ropts := fleetOpts(2)
+	ropts.Journal = openJournalT(t, dir)
+	if res := resumeFleet(t, dir, ropts); res.Interrupted {
+		t.Fatal("resumed fleet interrupted again")
+	}
+	if got := journalCounts(t, dir, ropts.Journal); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed fleet journal counts %v, want %v", got, want)
 	}
 }

@@ -124,10 +124,11 @@ type Options struct {
 	// worker id and attempt generation (both 0 for single campaigns).
 	JournalWorker int
 	JournalGen    int
-	// JournalShared marks Journal as shared across fleet workers:
-	// Restore then skips the resume tail-truncation (the supervisor
-	// owns the stream; a worker restore must not rewrite other
-	// workers' events).
+	// JournalShared is ignored: Restore drops only the restoring
+	// worker's own events (journal.Writer.TruncateTo), so a journal
+	// shared across fleet workers needs no special case.
+	//
+	// Deprecated: the field stays until the benchmark stops setting it.
 	JournalShared bool
 }
 

@@ -289,17 +289,14 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	f.qi, f.qlen = snap.NextIndex, snap.CycleLen
 
 	f.rng.restore(snap.RNGState, snap.RNGDraws)
-	// Journal resume: restore the emitted-event counter and truncate
-	// the journal back to it, so the replayed executions re-emit an
-	// identical tail (gapless, byte-for-byte). A fleet-shared journal
-	// is never truncated — the supervisor owns the stream and other
-	// workers' events must survive this worker's restore.
+	// Journal resume: restore the emitted-event counter and drop this
+	// campaign's own events past it, so the replayed executions re-emit
+	// them exactly once. In a fleet's shared journal the supervisor's
+	// and the other workers' events stay.
 	f.events = snap.JournalSeq
 	f.finished = snap.Finished
-	if f.jrnl != nil && !f.opts.JournalShared {
-		if err := f.jrnl.TruncateTo(f.events); err != nil {
-			return fmt.Errorf("fuzz: truncating journal to seq %d: %w", f.events, err)
-		}
+	if err := f.jrnl.TruncateTo(f.opts.JournalWorker, f.events); err != nil {
+		return fmt.Errorf("fuzz: truncating journal to event %d: %w", f.events, err)
 	}
 	// The CGT patch plan is not checkpointed: it is a pure function of
 	// the virgin map, so a restored campaign replans from the restored

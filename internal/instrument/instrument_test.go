@@ -78,7 +78,7 @@ func main(input) {
 			t.Fatal(err)
 		}
 		vm.Run(p, "main", in, tr, vm.DefaultLimits())
-		coverage.Classify(m.Bytes())
+		m.ClassifySparse()
 		return string(m.Bytes())
 	}
 	mixed := []byte{1, 0}   // f(1,0) then f(0,1): paths TE, ET
@@ -271,7 +271,7 @@ func main(input) {
 			t.Fatal(err)
 		}
 		vm.Run(p, "main", []byte(in), tr, vm.DefaultLimits())
-		coverage.Classify(m.Bytes())
+		m.ClassifySparse()
 		return string(m.Bytes())
 	}
 	// "AABB" vs "ABAB": same iteration-path multiset {A,A,B,B}; plain

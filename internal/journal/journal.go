@@ -74,6 +74,16 @@ var KnownKinds = map[string]bool{
 	KindWedge: true, KindQuarantine: true,
 }
 
+// supervisorKind reports whether the fleet supervisor emits kind about
+// a worker; a worker's campaign emits every other kind.
+func supervisorKind(kind string) bool {
+	switch kind {
+	case KindRecycle, KindRetire, KindWedge, KindQuarantine:
+		return true
+	}
+	return false
+}
+
 // Event is one journal line. The schema is flat: a fixed header (Seq,
 // V, Kind, Worker, Execs) plus per-kind payload fields that marshal
 // only when set, so every kind shares one Go type and the JSONL stays

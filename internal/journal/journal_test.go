@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -214,7 +215,7 @@ func TestTruncateTo(t *testing.T) {
 
 	// Truncate mid-stream: events 31..50 drop, including whole trailing
 	// segments.
-	if err := w.TruncateTo(30); err != nil {
+	if err := w.TruncateTo(0, 30); err != nil {
 		t.Fatalf("TruncateTo: %v", err)
 	}
 	if w.Seq() != 30 {
@@ -246,7 +247,7 @@ func TestTruncateToJumpsForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.TruncateTo(100); err != nil {
+	if err := w.TruncateTo(0, 100); err != nil {
 		t.Fatal(err)
 	}
 	w.Emit(Event{Kind: KindCycle, Execs: 1})
@@ -254,6 +255,60 @@ func TestTruncateToJumpsForward(t *testing.T) {
 		t.Fatalf("seq %d, want 101 (jumped to checkpoint count)", w.Seq())
 	}
 	w.Close()
+}
+
+// TestTruncateToKeepsPeerEvents is the fleet restore: two workers and
+// the supervisor share one journal, and worker 1 restores to its 4th
+// event. Its later events go, the supervisor's quarantine and recycle
+// events about it stay, worker 0 keeps all of its events, and the
+// stream is renumbered gapless across segments, flight rings included.
+func TestTruncateToKeepsPeerEvents(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{MaxSegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		w.Emit(Event{Kind: KindNovelty, Worker: 0, Execs: int64(i)})
+		w.Emit(Event{Kind: KindCycle, Worker: 1, Execs: int64(i)})
+		if i == 6 {
+			w.Emit(Event{Kind: KindQuarantine, Worker: 1, Msg: "panic"})
+			w.Emit(Event{Kind: KindRecycle, Worker: 1, Gen: 1})
+		}
+	}
+	if err := w.TruncateTo(1, 4); err != nil {
+		t.Fatal(err)
+	}
+	events, diag := readAll(t, dir)
+	if !diag.OK() || diag.FirstSeq != 1 || w.Seq() != uint64(len(events)) {
+		t.Fatalf("truncated journal: %d events, seq %d, errors=%v gaps=%v", len(events), w.Seq(), diag.Errors, diag.Gaps)
+	}
+	counts := map[string]int{}
+	for _, ev := range events {
+		counts[fmt.Sprintf("%d/%s", ev.Worker, ev.Kind)]++
+	}
+	want := map[string]int{"0/novelty": 10, "1/cycle": 4, "1/quarantine": 1, "1/recycle": 1}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("kept %v, want %v", counts, want)
+	}
+	ring := w.FlightEvents(0)
+	last := events[len(events)-1]
+	if len(ring) != 10 || ring[9].Seq != last.Seq || ring[9].Execs != last.Execs {
+		t.Fatalf("worker 0's ring ends at seq %d, the journal at %d", ring[len(ring)-1].Seq, last.Seq)
+	}
+	if got := w.FlightEvents(1); len(got) != 0 {
+		t.Fatalf("restored worker's ring kept %d events", len(got))
+	}
+
+	// The replay appends after the kept stream.
+	w.Emit(Event{Kind: KindCycle, Worker: 1, Execs: 4})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, diag = readAll(t, dir)
+	if !diag.OK() || events[len(events)-1].Seq != uint64(len(events)) {
+		t.Fatalf("post-truncate append broken: errors=%v gaps=%v", diag.Errors, diag.Gaps)
+	}
 }
 
 func TestFlightRecorder(t *testing.T) {
@@ -308,7 +363,7 @@ func TestTruncateClearsFlightRings(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitN(t, w, 0, 10, 0)
-	if err := w.TruncateTo(5); err != nil {
+	if err := w.TruncateTo(0, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.FlightEvents(0); len(got) != 0 {
@@ -322,7 +377,7 @@ func TestNilWriterIsSafe(t *testing.T) {
 	w.Emit(Event{Kind: KindStart})
 	w.Flush()
 	w.DumpFlight("x", 0)
-	if err := w.TruncateTo(5); err != nil {
+	if err := w.TruncateTo(0, 5); err != nil {
 		t.Fatal(err)
 	}
 	if w.Seq() != 0 || w.Err() != nil || w.Dir() != "" || w.FlightEvents(0) != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -73,6 +74,12 @@ func ReadDir(dir string) ([]Event, *Diag, error) {
 			}
 			if !KnownKinds[ev.Kind] {
 				d.Errors = append(d.Errors, fmt.Sprintf("%s:%d: unknown event kind %q", name, line, ev.Kind))
+				continue
+			}
+			// The writer numbers from 1, and no writer can continue
+			// past the largest seq; Open's recovery drops a seq-0 line.
+			if ev.Seq == 0 || ev.Seq == math.MaxUint64 {
+				d.Errors = append(d.Errors, fmt.Sprintf("%s:%d: seq %d out of range", name, line, ev.Seq))
 				continue
 			}
 			if prev != 0 && ev.Seq != prev+1 {

@@ -323,15 +323,22 @@ func (w *Writer) Dir() string {
 	return w.dir
 }
 
-// TruncateTo drops every event with sequence number greater than n —
-// the resume contract: a campaign restored from a checkpoint taken at
-// journal sequence n replays the exact executions that produced the
-// dropped tail, re-emitting identical events with identical sequence
-// numbers, so an interrupted-and-resumed journal is byte-identical to
-// an uninterrupted one. If the journal holds fewer than n events
-// (journaling was enabled mid-campaign), the sequence counter jumps to
-// n so future numbering still matches the uninterrupted stream.
-func (w *Writer) TruncateTo(n uint64) error {
+// TruncateTo drops every event worker's campaign emitted after its
+// n-th, the restore rule: a campaign restored from a checkpoint taken
+// after its n-th event replays the executions that emitted the dropped
+// events and re-emits them, so none appears twice and the worker's
+// k-th event in stream order is its k-th emitted one. The supervisor's
+// recycle, retire, wedge and quarantine events about the worker stay,
+// as do other workers' events; those after the first dropped event are
+// renumbered, so the stream stays gapless. A single campaign is the
+// only worker of its journal: it loses exactly its events past seq n,
+// and its resumed journal is byte-identical to an uninterrupted one.
+//
+// An empty journal's sequence counter jumps to n, so a campaign whose
+// journal was lost keeps its uninterrupted stream's numbering. Worker
+// events are counted from the oldest retained segment, so a journal
+// whose head retention pruned can keep some events it should drop.
+func (w *Writer) TruncateTo(worker int, n uint64) error {
 	if w == nil {
 		return nil
 	}
@@ -340,10 +347,10 @@ func (w *Writer) TruncateTo(n uint64) error {
 	if w.err != nil {
 		return w.err
 	}
-	// Resumed replay re-emits the dropped events; stale ring contents
-	// from the abandoned timeline must not leak into flight dumps.
-	w.rings = make(map[int]*flightRing)
-	if w.seq <= n {
+	// The replay refills the worker's flight ring; events from the
+	// abandoned timeline must not leak into its dumps.
+	delete(w.rings, worker)
+	if w.seq == 0 {
 		w.seq = n
 		return nil
 	}
@@ -361,62 +368,99 @@ func (w *Writer) TruncateTo(n uint64) error {
 		w.err = err
 		return err
 	}
-	reopen := func(idx int, size int64) error {
-		f, oerr := os.OpenFile(filepath.Join(w.dir, segName(idx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if oerr != nil {
-			w.err = oerr
-			return oerr
-		}
-		w.f, w.segIdx, w.segBytes, w.seq = f, idx, size, n
-		return nil
-	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		idx, _ := segIndex(segs[i])
-		path := filepath.Join(w.dir, segs[i])
+	var (
+		own     uint64
+		next    uint64   // the next kept event's seq once one is dropped
+		dropped []uint64 // the dropped events' seqs, ascending
+		active  = 1      // the newest remaining segment
+		size    int64
+	)
+	for _, name := range segs {
+		path := filepath.Join(w.dir, name)
 		data, rerr := os.ReadFile(path)
 		if rerr != nil {
 			w.err = rerr
 			return rerr
 		}
-		// Keep the prefix of lines with Seq <= n; the scan-validated
-		// journal is strictly increasing, so the prefix is contiguous.
-		keep := int64(0)
-		rest := data
-		for len(rest) > 0 {
-			nl := bytes.IndexByte(rest, '\n')
-			if nl < 0 {
-				break
+		var out bytes.Buffer
+		changed := false
+		for rest := data; len(rest) > 0; {
+			line := rest
+			if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
+				line, rest = rest[:nl+1], rest[nl+1:]
+			} else {
+				rest = nil
 			}
 			var ev Event
-			if jerr := json.Unmarshal(rest[:nl], &ev); jerr != nil || ev.Seq > n {
-				break
+			if json.Unmarshal(line, &ev) != nil {
+				out.Write(line)
+				continue
 			}
-			keep += int64(nl + 1)
-			rest = rest[nl+1:]
+			if ev.Worker == worker && !supervisorKind(ev.Kind) {
+				if own++; own > n {
+					if next == 0 {
+						next = ev.Seq
+					}
+					dropped = append(dropped, ev.Seq)
+					changed = true
+					continue
+				}
+			}
+			if next != 0 {
+				ev.Seq = next
+				next++
+				renumbered, merr := json.Marshal(ev)
+				if merr != nil {
+					w.err = merr
+					return merr
+				}
+				line = append(renumbered, '\n')
+				changed = true
+			}
+			out.Write(line)
 		}
-		if keep == 0 && i > 0 {
-			// Whole segment is post-checkpoint: delete it and keep
-			// walking back.
+		if changed && out.Len() == 0 {
+			// Every event here is dropped: the segment goes too.
 			if rmerr := os.Remove(path); rmerr != nil {
 				w.err = rmerr
 				return rmerr
 			}
 			continue
 		}
-		// Rewrite via temp+rename so a crash mid-truncation leaves
-		// either the old or the new segment, never a torn one.
-		tmp := path + ".tmp"
-		if werr := os.WriteFile(tmp, data[:keep], 0o644); werr != nil {
-			w.err = werr
-			return werr
+		if changed {
+			// Rewrite via temp+rename so a crash mid-truncation leaves
+			// either the old or the new segment, never a torn one.
+			tmp := path + ".tmp"
+			if werr := os.WriteFile(tmp, out.Bytes(), 0o644); werr != nil {
+				w.err = werr
+				return werr
+			}
+			if rerr := os.Rename(tmp, path); rerr != nil {
+				w.err = rerr
+				return rerr
+			}
 		}
-		if rerr := os.Rename(tmp, path); rerr != nil {
-			w.err = rerr
-			return rerr
-		}
-		return reopen(idx, keep)
+		active, _ = segIndex(name)
+		size = int64(out.Len())
 	}
-	return reopen(1, 0)
+	if next != 0 {
+		w.seq = next - 1
+		// Other workers' ring events keep their renumbered seqs.
+		for _, r := range w.rings {
+			for i := range r.buf {
+				if s := r.buf[i].Seq; s > dropped[0] {
+					r.buf[i].Seq = s - uint64(sort.Search(len(dropped), func(j int) bool { return dropped[j] > s }))
+				}
+			}
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(w.dir, segName(active)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		w.err = err
+		return err
+	}
+	w.f, w.segIdx, w.segBytes = f, active, size
+	return nil
 }
 
 // flightRing is one worker's fixed-size recent-event buffer.
