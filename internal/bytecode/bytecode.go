@@ -186,6 +186,40 @@ const (
 	opConstGtStepBr
 	opConstGeStepBr
 
+	// Operand superinstructions, picked from the opcode pairs the
+	// dispatch histogram (TestDispatchHistogram) ranks highest: a
+	// constant folded into its multiply, a head group folded into the
+	// opMove of its result, a product into the add that reads it, and a
+	// length or product into the compare-and-branch that reads it. The
+	// head charges its own step in the dispatch header and the handler
+	// charges each later constituent's step against that constituent's
+	// slot. The consumed opMove, opAdd and compare-and-branch slots stay
+	// as they were, and the handler runs them from their own operands
+	// (an opMove's source is the group's result, so the handler copies
+	// the value it just computed); the len or mul slot before a fused
+	// compare carries the compare's truth table (cmpTable) in imm, which
+	// neither reads.
+	opConstMul      // const c; mul dst = a * c (either operand order)
+	opConstMove     // const; move
+	opConstAddMove  // const; add; move
+	opConstSubMove  // const; sub; move
+	opConstMulMove  // const; mul; move
+	opConstLoadMove // const; load; move
+	opAddMove       // add; move
+	opSubMove       // sub; move
+	opMulMove       // mul; move
+	opBandMove      // band; move
+	opBorMove       // bor; move
+	opBxorMove      // bxor; move
+	opShlMove       // shl; move
+	opShrMove       // shr; move
+	opLoadMove      // load; move
+	opLenMove       // len; move
+	opMulAdd        // mul t = a * b; add reading t
+	opLenCmpBr      // len t; compare-and-branch reading t (imm = truth table)
+	opMulCmpBr      // mul t; compare-and-branch reading t (imm = truth table)
+	opConstMulCmpBr // const; mul t; compare-and-branch reading t (mul's imm = truth table)
+
 	// opCallPush is an opCall whose callee's entry instruction is
 	// ProbePath's opProbePush: the push happens during the call and
 	// the callee is entered one instruction in.

@@ -78,7 +78,9 @@ func lower(prog *cfg.Program, spec Spec) *compiler {
 // it directly).
 func (c *compiler) fuseAll() {
 	for fi := range c.out.fns {
-		c.fuse(int(c.out.fns[fi].entryPC), int(c.layouts[fi].end))
+		start, end := c.out.fns[fi].entryPC, c.layouts[fi].end
+		c.fuse(int(start), int(end))
+		c.fuseOperands(start, end)
 	}
 	if c.out.spec.Kind == ProbePath {
 		code := c.out.code

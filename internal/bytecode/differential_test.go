@@ -435,3 +435,61 @@ func TestDifferentialMissingEntry(t *testing.T) {
 		t.Fatalf("missing-entry mismatch: interp %+v bytecode %+v", r1.Crash, r2.Crash)
 	}
 }
+
+// sweepLimits lists the step limits TestStepLimitSweep runs an input
+// of steps steps under: every limit from 1 to steps for a run of up to
+// 4096 steps; for a longer one, the first 512 and 64-limit windows at
+// 1k, 2k, 4k, 8k and 16k steps, each wide enough to end the run on
+// every constituent of every fused group in a loop of up to 64 steps.
+func sweepLimits(steps int64) []int64 {
+	var lims []int64
+	if steps <= 4096 {
+		for l := int64(1); l <= steps; l++ {
+			lims = append(lims, l)
+		}
+		return lims
+	}
+	for l := int64(1); l <= 512; l++ {
+		lims = append(lims, l)
+	}
+	for at := int64(1024); at <= 16384 && at+64 <= steps; at *= 2 {
+		for l := at; l < at+64; l++ {
+			lims = append(lims, l)
+		}
+	}
+	return lims
+}
+
+// TestStepLimitSweep ends runs on every step a fused group charges: for
+// each subject's seeds and bug witnesses under edge and path lowering,
+// every step limit sweepLimits lists must give identical results on
+// the interpreter and the machine — status, steps, crash kind,
+// position and stack, map and comparison log. A superinstruction
+// charges each constituent's step against that constituent's own slot,
+// and only a limit landing on each constituent checks that.
+func TestStepLimitSweep(t *testing.T) {
+	for _, sub := range subjects.All() {
+		sub := sub
+		t.Run(sub.Name, func(t *testing.T) {
+			t.Parallel()
+			prog := sub.MustProgram()
+			inputs := append([][]byte{{}}, sub.Seeds...)
+			for _, bug := range sub.Bugs {
+				inputs = append(inputs, bug.Witness)
+			}
+			for _, fb := range []instrument.Feedback{instrument.FeedbackEdge, instrument.FeedbackPath} {
+				d := newDiffPair(t, prog, fb, 1<<16, vm.DefaultLimits())
+				cp := d.mach.Program()
+				for _, in := range inputs {
+					d.m1.Reset()
+					full := vm.Run(prog, "main", in, d.tr, vm.DefaultLimits())
+					for _, l := range sweepLimits(full.Steps) {
+						d.lim.MaxSteps = l
+						d.mach = bytecode.NewMachine(cp, d.m2, d.lim)
+						d.check(t, fmt.Sprintf("%v/limit %d", fb, l), in)
+					}
+				}
+			}
+		})
+	}
+}

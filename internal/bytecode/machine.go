@@ -705,6 +705,153 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 				return mc.oob(pc, steps, vm.KindOOBRead, in.imm, len(arr))
 			}
 			slots[in2.dst] = arr[in.imm]
+		// Operand superinstructions. The header charged the head's step;
+		// each later constituent's step is charged against its own slot,
+		// and a head that can crash does so before the next step. The
+		// move tail runs the dead opMove after the head group, the
+		// headCmpBr tail the compare-and-branch after a len or mul head.
+		case opConstMul:
+			pc++
+			steps++
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
+			}
+			slots[in.dst] = in.imm
+			slots[code[pc].dst] = slots[in.a] * in.imm
+		case opConstMove:
+			a = in.imm
+			slots[in.dst] = a
+			goto move
+		case opConstAddMove:
+			pc++
+			steps++
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
+			}
+			slots[in.dst] = in.imm
+			a = slots[in.a] + in.imm
+			slots[code[pc].dst] = a
+			goto move
+		case opConstSubMove:
+			pc++
+			steps++
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
+			}
+			slots[in.dst] = in.imm
+			a = slots[in.a] - in.imm
+			slots[code[pc].dst] = a
+			goto move
+		case opConstMulMove:
+			pc++
+			steps++
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
+			}
+			slots[in.dst] = in.imm
+			a = slots[in.a] * in.imm
+			slots[code[pc].dst] = a
+			goto move
+		case opConstLoadMove:
+			in2 = &code[pc+1]
+			pc++
+			steps++
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
+			}
+			slots[in.dst] = in.imm
+			h := slots[in2.a]
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
+			}
+			arr := mc.heap[h-1].cells
+			if uint64(in.imm) >= uint64(len(arr)) {
+				return mc.oob(pc, steps, vm.KindOOBRead, in.imm, len(arr))
+			}
+			a = arr[in.imm]
+			slots[in2.dst] = a
+			goto move
+		case opAddMove:
+			a = slots[in.a] + slots[in.b]
+			slots[in.dst] = a
+			goto move
+		case opSubMove:
+			a = slots[in.a] - slots[in.b]
+			slots[in.dst] = a
+			goto move
+		case opMulMove:
+			a = slots[in.a] * slots[in.b]
+			slots[in.dst] = a
+			goto move
+		case opBandMove:
+			a = slots[in.a] & slots[in.b]
+			slots[in.dst] = a
+			goto move
+		case opBorMove:
+			a = slots[in.a] | slots[in.b]
+			slots[in.dst] = a
+			goto move
+		case opBxorMove:
+			a = slots[in.a] ^ slots[in.b]
+			slots[in.dst] = a
+			goto move
+		case opShlMove:
+			a = slots[in.a] << (uint64(slots[in.b]) & 63)
+			slots[in.dst] = a
+			goto move
+		case opShrMove:
+			a = slots[in.a] >> (uint64(slots[in.b]) & 63)
+			slots[in.dst] = a
+			goto move
+		case opLoadMove:
+			h := slots[in.a]
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
+			}
+			arr := mc.heap[h-1].cells
+			idx := slots[in.b]
+			if uint64(idx) >= uint64(len(arr)) {
+				return mc.oob(pc, steps, vm.KindOOBRead, idx, len(arr))
+			}
+			a = arr[idx]
+			slots[in.dst] = a
+			goto move
+		case opLenMove:
+			h := slots[in.a]
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
+			}
+			a = int64(len(mc.heap[h-1].cells))
+			slots[in.dst] = a
+			goto move
+		case opMulAdd:
+			slots[in.dst] = slots[in.a] * slots[in.b]
+			pc++
+			steps++
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
+			}
+			in2 = &code[pc]
+			slots[in2.dst] = slots[in2.a] + slots[in2.b]
+		case opLenCmpBr:
+			h := slots[in.a]
+			if uint64(h-1) >= uint64(len(mc.heap)) {
+				return mc.badHandle(pc, steps, h)
+			}
+			slots[in.dst] = int64(len(mc.heap[h-1].cells))
+			goto headCmpBr
+		case opMulCmpBr:
+			slots[in.dst] = slots[in.a] * slots[in.b]
+			goto headCmpBr
+		case opConstMulCmpBr:
+			pc++
+			steps++
+			if steps > mc.lim.MaxSteps {
+				return mc.timeout(pc, steps)
+			}
+			slots[in.dst] = in.imm
+			slots[code[pc].dst] = slots[in.a] * in.imm
+			goto headCmpBr
 		// Compare-and-branch: the header charged the comparison's step;
 		// the tail stores the result, performs the block exit's
 		// accounting against the fused opStepBr slot's pos, and
@@ -967,6 +1114,41 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			pc = in2.dst
 		}
 		continue
+
+		// move runs the dead opMove after the head group ending at pc:
+		// its step, then the copy of the group's result, which the head
+		// left in a as well as in the slot the move reads.
+	move:
+		pc++
+		steps++
+		if steps > mc.lim.MaxSteps {
+			return mc.timeout(pc, steps)
+		}
+		slots[code[pc].dst] = a
+		pc++
+		continue
+		// headCmpBr runs the compare-and-branch group after the len or
+		// mul ending at pc: the compare's step against its own slot, the
+		// comparison as the truth table in the len or mul slot reads it,
+		// logged as cmpBr logs it, then the block exit. A full log
+		// rewinds to the compare slot, itself a compare-and-branch head,
+		// with the head's work done.
+	headCmpBr:
+		in2 = &code[pc+1]
+		pc++
+		steps++
+		if steps > mc.lim.MaxSteps {
+			return mc.timeout(pc, steps)
+		}
+		a, b = slots[in2.a], slots[in2.b]
+		r = uint64(code[pc-1].imm)>>cmpBit(a, b)&1 != 0
+		if !mc.logCmp(a, b, in2.imm, r) {
+			steps--
+			goto slow
+		}
+		slots[in2.dst] = boolToInt(r)
+		pc++
+		goto exitBr
 
 		// ret returns a from the current frame.
 	ret:

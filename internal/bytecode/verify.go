@@ -7,8 +7,9 @@ import (
 
 // The bytecode structural verifier checks the compiler's own output.
 // It runs twice on every compile: once after lowering (full
-// segment-shape check) and once after fusion (jump-target check, since
-// fusion moves targets into superinstruction operand fields).
+// segment-shape check) and once after fusion (instruction groups, the
+// slots superinstructions consumed, and jump targets, since fusion
+// moves targets into superinstruction operand fields).
 //
 // Pre-fusion invariants, per function:
 //
@@ -248,10 +249,11 @@ func (c *compiler) checkProbe(errf func(string, ...any) error, where string, pc 
 	return nil
 }
 
-// verifyFused re-checks jump targets after fusion: superinstructions
-// carry targets in their own operand fields, while the consumed dead
-// slots keep theirs, so a linear scan covers both. It also validates
-// the opCallPush fold.
+// verifyFused re-checks the code after fusion: the instruction groups
+// and the consumed slots their handlers read, and jump targets, which
+// superinstructions carry in their own operand fields while the
+// consumed dead slots keep theirs, so a linear scan covers both. It
+// also validates the opCallPush fold.
 func (c *compiler) verifyFused() error {
 	out := c.out
 	for fi := range out.fns {
@@ -259,6 +261,27 @@ func (c *compiler) verifyFused() error {
 		lay := &c.layouts[fi]
 		errf := c.fnErrf(fi)
 		targets := c.fnTargets(fi)
+		// Groups tile the function, every jump target heads one (no
+		// superinstruction swallows a block or trampoline start), and
+		// the consumed slots a handler runs from are in place; a fused
+		// compare-and-branch's targets stay in its dead opStepBr, which
+		// the scan below checks.
+		heads := make(map[int32]bool)
+		pc := fn.entryPC
+		for ; pc < lay.end; pc += groupWidth(out.code[pc].op) {
+			heads[pc] = true
+			if pc+groupWidth(out.code[pc].op) <= lay.end && !fusedTailOK(out.code, pc) {
+				return errf("fused group at pc %d (opcode %d) lacks the slots it consumed", pc, out.code[pc].op)
+			}
+		}
+		if pc != lay.end {
+			return errf("fused group at the function's end runs past it to pc %d", pc)
+		}
+		for t := range targets {
+			if !heads[t] {
+				return errf("jump target pc %d lies inside a fused group", t)
+			}
+		}
 		end := int(lay.end)
 		for pc := int(fn.entryPC); pc < end; pc++ {
 			in := &out.code[pc]
@@ -271,16 +294,6 @@ func (c *compiler) verifyFused() error {
 				tgts = []int32{in.b, in.dst}
 			case in.op == opStepBackJmp || in.op == opBackJmp:
 				tgts = []int32{in.dst}
-			case in.op >= opEqStepBr && in.op <= opGeStepBr:
-				// Targets stay in the consumed opStepBr, which the scan
-				// checks when it reaches it; here just prove it is there.
-				if pc+1 >= end || out.code[pc+1].op != opStepBr {
-					return errf("fused compare-branch at pc %d has no dead opStepBr slot", pc)
-				}
-			case in.op >= opConstEqStepBr && in.op <= opConstGeStepBr:
-				if pc+2 >= end || out.code[pc+2].op != opStepBr {
-					return errf("fused const-compare-branch at pc %d has no dead opStepBr slot", pc)
-				}
 			case in.op == opCall || in.op == opCallPush:
 				if in.imm < 0 || in.imm >= int64(len(out.fns)) {
 					return errf("pc %d: call to function index %d outside table of %d", pc, in.imm, len(out.fns))

@@ -105,6 +105,33 @@ func TestVerifierRejectsCorruptCode(t *testing.T) {
 			},
 		},
 		{
+			name:  "fused-move-slot-overwritten",
+			fused: true,
+			want:  "lacks the slots it consumed",
+			corrupt: func(t *testing.T, c *compiler) int {
+				fi, pc := findInstr(t, c, true, func(in *instr) bool { return in.op == opConstAddMove })
+				c.out.code[pc+2].op = opNop
+				return fi
+			},
+		},
+		{
+			name:  "fused-group-over-block-start",
+			fused: true,
+			want:  "inside a fused group",
+			corrupt: func(t *testing.T, c *compiler) int {
+				for fi, lay := range c.layouts {
+					for _, s := range lay.blockStart[1:] {
+						if c.out.code[s-1].op == opJmp {
+							c.out.code[s-1].op = opStepJmp // now also covers s
+							return fi
+						}
+					}
+				}
+				t.Fatal("no jump before a block start")
+				return 0
+			},
+		},
+		{
 			name:  "callpush-callee-without-push",
 			fused: true,
 			want:  "does not start with opProbePush",

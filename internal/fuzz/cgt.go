@@ -45,8 +45,10 @@ import (
 // EngineAuto; the retrace/elision counters live here, not in Stats, to
 // keep Report comparisons exact. The CGT engine shares execute with the
 // default engine and differs only in which machine runs first and in
-// the retrace (retraceIfRead). An execution the memo answers (memo.go)
-// runs neither machine.
+// the retrace (retraceIfRead); while the plan elides nothing
+// (cgtState.idle) it runs the pristine machine alone, as the default
+// engine does. An execution the memo answers (memo.go) runs neither
+// machine.
 //
 // The patch plan is recomputed only at deterministic boundaries —
 // queue-cycle starts (right after the favored-corpus cull) and
@@ -71,6 +73,13 @@ type cgtState struct {
 	retraces  int64
 	replans   int64
 	elided    int
+	// idle is set while the plan elides nothing: no consumed cell, so
+	// no patched site either, as in every fresh campaign until its
+	// first replan. The fast machine would then differ from the
+	// pristine one only in not logging comparisons, so executions run
+	// on the pristine machine and are never retraced. Each replan sets
+	// it anew.
+	idle bool
 }
 
 // newCGT builds the CGT machinery over the compiled program cp, whose
@@ -90,7 +99,7 @@ func newCGT(cp *bytecode.Program, m *coverage.Map, opts Options) *cgtState {
 	fastLim.MaxCmpObs = 0
 	fast := bytecode.NewMachine(patch.Program(), m, fastLim)
 	fast.SetElide(consumed)
-	return &cgtState{patch: patch, fast: fast, consumed: consumed}
+	return &cgtState{patch: patch, fast: fast, consumed: consumed, idle: true}
 }
 
 // CGTInfo is the CGT engine's observability snapshot, surfaced for
@@ -140,6 +149,7 @@ func (f *Fuzzer) replanCGT() {
 	}
 	f.virgin.ConsumedInto(f.cgt.consumed, f.cgt.patch.CellMasks())
 	f.cgt.elided = f.cgt.patch.Replan(f.cgt.consumed)
+	f.cgt.idle = f.cgt.consumed.Count() == 0
 	f.cgt.replans++
 }
 

@@ -511,10 +511,11 @@ func (f *Fuzzer) recordFault(data []byte, msg string) {
 }
 
 // execute runs one input and folds novelty into the virgin map. The
-// CGT engine runs its patched fast machine instead and retraces under
-// full instrumentation only when the campaign reads the map itself
-// (see cgt.go); everything else is shared. An input the memo holds is
-// charged exactly as a run would be, without running it (see memo.go).
+// CGT engine runs its patched fast machine instead, unless its plan
+// elides nothing, and retraces under full instrumentation only when the
+// campaign reads the map itself (see cgt.go); everything else is
+// shared. An input the memo holds is charged exactly as a run would
+// be, without running it (see memo.go).
 func (f *Fuzzer) execute(data []byte) execOutcome {
 	// The injector is consulted once per exec index, before the memo, so
 	// a fault scheduled on a repeated input still fires.
@@ -530,8 +531,9 @@ func (f *Fuzzer) execute(data []byte) execOutcome {
 		f.memo.hits++
 		res = m.res
 	} else {
+		fast := f.cgt != nil && !f.cgt.idle
 		mach := f.mach
-		if f.cgt != nil {
+		if fast {
 			mach = f.cgt.fast
 		}
 		f.cov.Reset()
@@ -544,7 +546,7 @@ func (f *Fuzzer) execute(data []byte) execOutcome {
 		}
 		f.cov.ClassifySparse()
 		nov = f.virgin.MergeSparse(f.cov)
-		if f.cgt != nil {
+		if fast {
 			res = f.retraceIfRead(data, res, nov)
 		}
 		if res.Status == vm.StatusCrash && f.crashVirgin.MergeSparse(f.cov) != coverage.NoNew {

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -66,12 +67,37 @@ func (g *rng) Intn(n int) int {
 	if n&(n-1) == 0 {
 		return int(g.int31()) & (n - 1)
 	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
 	v := g.int31()
-	for v > max {
-		v = g.int31()
+	// Int31n draws again while v exceeds 2^31-1 - 2^31%n, which only a
+	// v among the top n values can, so only those pay the division.
+	if v > math.MaxInt32-int32(n) {
+		max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+		for v > max {
+			v = g.int31()
+		}
+	}
+	if n < len(modMagic) {
+		return int(fastMod(uint32(v), uint32(n)))
 	}
 	return int(v % int32(n))
+}
+
+// modMagic[n] is ^uint64(0)/n + 1, the constant fastMod divides by n
+// with, for every bound below 1024: every bound the mutator draws
+// under, since inputs are at most 512 bytes.
+var modMagic = func() (t [1024]uint64) {
+	for n := 2; n < len(t); n++ {
+		t[n] = ^uint64(0)/uint64(n) + 1
+	}
+	return t
+}()
+
+// fastMod returns v % n for 2 <= n < len(modMagic) without a division:
+// the high word of (modMagic[n]*v mod 2^64) * n, exact for every 32-bit
+// v (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation").
+func fastMod(v, n uint32) uint32 {
+	hi, _ := bits.Mul64(modMagic[n]*uint64(v), uint64(n))
+	return uint32(hi)
 }
 
 // int31 is math/rand's Int31: the top 31 bits of a 63-bit draw.

@@ -11,7 +11,7 @@ import (
 // mutator uses, and bounds near 2^31, where Int31n's rejection loop
 // draws again about half the time.
 var rngBounds = []int{
-	1, 2, 3, 7, 8, 10, 35, 100, 256, 1 << 16, 1<<16 + 1,
+	1, 2, 3, 7, 8, 10, 35, 100, 256, 513, 1023, 1025, 1 << 16, 1<<16 + 1,
 	1 << 30, 1<<30 + 1, 3 << 29, math.MaxInt32 - 1, math.MaxInt32,
 }
 
@@ -33,6 +33,24 @@ func TestRNGMatchesMathRand(t *testing.T) {
 			n := rngBounds[i%len(rngBounds)]
 			if a, b := g.Intn(n), r.Intn(n); a != b {
 				t.Fatalf("seed %d: Intn(%d) before draw %d = %d, math/rand %d", seed, n, g.draws, a, b)
+			}
+		}
+	}
+}
+
+// TestFastModMatchesRemainder: the division-free remainder equals v % n
+// for every tabled bound, at the ends of the 31-bit range Int31 draws
+// from, around multiples of n and on random values.
+func TestFastModMatchesRemainder(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for n := uint32(2); n < uint32(len(modMagic)); n++ {
+		vs := []uint32{0, 1, n - 1, n, n + 1, 2*n - 1, math.MaxInt32 - n, math.MaxInt32 - 1, math.MaxInt32}
+		for i := 0; i < 64; i++ {
+			vs = append(vs, uint32(r.Int31()))
+		}
+		for _, v := range vs {
+			if got, want := fastMod(v, n), v%n; got != want {
+				t.Fatalf("fastMod(%d, %d) = %d, want %d", v, n, got, want)
 			}
 		}
 	}

@@ -44,9 +44,11 @@ type gen struct {
 	inHelper bool
 }
 
-// Program generates a random MiniC program containing a main(input)
-// function. The same rng state always yields the same program.
-func Program(rng *rand.Rand, cfg Config) string {
+// program generates a random MiniC program containing a main(input)
+// function. The same rng state always yields the same program. It
+// calls prelude's safe_load without defining it, so it compiles only
+// after the prelude; Generate joins the two.
+func program(rng *rand.Rand, cfg Config) string {
 	g := &gen{rng: rng, cfg: cfg}
 	nFuncs := rng.Intn(cfg.MaxFuncs + 1)
 	for i := 0; i < nFuncs; i++ {
@@ -228,10 +230,9 @@ func (g *gen) atom() string {
 	}
 }
 
-// Prelude returns the helper functions every generated program relies
-// on (safe_load guards array accesses). Program output already includes
-// calls to it; callers concatenate Prelude() + Program().
-func Prelude() string {
+// prelude returns the helper functions every generated program relies
+// on (safe_load guards array accesses).
+func prelude() string {
 	return `
 func safe_load(arr, i) {
     var n = len(arr);
@@ -245,5 +246,5 @@ func safe_load(arr, i) {
 
 // Generate returns a complete compilable source (prelude + program).
 func Generate(rng *rand.Rand, cfg Config) string {
-	return Prelude() + Program(rng, cfg)
+	return prelude() + program(rng, cfg)
 }
